@@ -5,12 +5,9 @@ __version__ = "0.1.0"
 from .link import (  # noqa: F401
     LinkCurves,
     McsEntry,
-    TbRealization,
     default_calibration,
-    iteration_pmf,
     load_calibration,
     segment_tb,
-    simulate_tb,
     tb_channel_outage_prob,
 )
 from .policy import (  # noqa: F401

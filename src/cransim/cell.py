@@ -11,38 +11,14 @@ the decoder cannot know in advance that a block will fail.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .link import SUBFRAME_S, simulate_tb, simulate_tb_batch
-from .policy import select_mcs, select_mcs_index
-
-OUTAGE_NONE = "none"
-OUTAGE_CHANNEL = "channel"
-OUTAGE_COMPUTATIONAL = "computational"
-OUTAGE_BOTH = "both"
+from .link import SUBFRAME_S, simulate_tb_batch
+from .policy import select_mcs_index
 
 Z_95 = 1.959963984540054
-
-
-@dataclass(frozen=True)
-class CellTrialConfig:
-    """Parameters of one single-cell Monte Carlo run at average SNR ``snr_db``."""
-
-    snr_db: float
-    policy: str = "MRS"
-    c_max_bit_iter_s: float = math.inf
-    subframe_s: float = SUBFRAME_S
-    n_trials: int = 100000
-    seed: int = 0
-    low_snr_fallback: bool = True
-
-    def __post_init__(self):
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be >= 1")
-        if not self.c_max_bit_iter_s > 0:
-            raise ValueError("c_max must be positive (may be inf)")
 
 
 @dataclass(frozen=True)
@@ -69,16 +45,6 @@ class CellRecord:
     effort_per_success_hw: float
 
 
-@dataclass(frozen=True)
-class CellSweepResult:
-    records: tuple
-    policy: str
-    c_max_bit_iter_s: float
-
-    def column(self, name):
-        return np.array([getattr(r, name) for r in self.records])
-
-
 def wilson_halfwidth(k, n, z=Z_95):
     """Half-width of the Wilson score interval for a binomial proportion."""
     if n == 0:
@@ -96,31 +62,6 @@ def mean_halfwidth(values, z=Z_95):
     return z * float(np.std(values, ddof=1)) / math.sqrt(n)
 
 
-def run_cell_trial(cfg, gamma_db, table, curves, rng):
-    """One trial at instantaneous SNR ``gamma_db``.
-
-    Returns ``(tb, mcs, outage_kind)``; ``tb`` and ``mcs`` are None when the
-    SNR is below the table floor and the low-SNR fallback is disabled.
-    """
-    mcs = select_mcs(table, gamma_db)
-    if mcs is None:
-        if not cfg.low_snr_fallback:
-            return None, None, OUTAGE_NONE
-        mcs = table.catalog[0]
-    tb = simulate_tb(mcs, curves, gamma_db, rng)
-    budget = cfg.c_max_bit_iter_s * cfg.subframe_s
-    comp = tb.effort_bit_iters > budget
-    if tb.channel_outage and comp:
-        kind = OUTAGE_BOTH
-    elif tb.channel_outage:
-        kind = OUTAGE_CHANNEL
-    elif comp:
-        kind = OUTAGE_COMPUTATIONAL
-    else:
-        kind = OUTAGE_NONE
-    return tb, mcs, kind
-
-
 @dataclass
 class _TrialBlock:
     """Vectorized outcomes of one batch of trials (internal)."""
@@ -129,10 +70,9 @@ class _TrialBlock:
     bits: np.ndarray
     effort: np.ndarray
     channel_fail: np.ndarray
-    comp_fail: np.ndarray = field(default=None)
 
 
-def simulate_trials(gamma_db, table, curves, u, budget_bit_iters, low_snr_fallback=True):
+def simulate_trials(gamma_db, table, curves, u, low_snr_fallback=True):
     """Run the policy + link model over a vector of instantaneous SNRs.
 
     ``u`` supplies one uniform per potential code block, shape
@@ -151,32 +91,32 @@ def simulate_trials(gamma_db, table, curves, u, budget_bit_iters, low_snr_fallba
         bits[rows] = curves.tb_bits[m]
         effort[rows] = eff
         channel_fail[rows] = fail
-    comp_fail = transmitted & (effort > budget_bit_iters)
     return _TrialBlock(
         transmitted=transmitted,
         bits=bits,
         effort=effort,
         channel_fail=channel_fail,
-        comp_fail=comp_fail,
     )
 
 
 def summarize_cell_point(snr_db, policy, c_max, subframe_s, block):
-    """Reduce a trial block to a CellRecord.
+    """Reduce a trial block to a CellRecord at budget ``c_max``.
 
-    The effective throughput is reported as (1 - eps) * t_raw computed from
-    the same trials; the complexity metric charges the nominal effort of
-    every transmitted block (outage blocks included) against the count of
-    successful decodes.
+    A transmitted block is in computational outage when its effort strictly
+    exceeds ``c_max * subframe_s``.  The effective throughput is reported as
+    (1 - eps) * t_raw computed from the same trials; the complexity metric
+    charges the nominal effort of every transmitted block (outage blocks
+    included) against the count of successful decodes.
     """
     n = len(block.transmitted)
     n_tx = int(block.transmitted.sum())
-    lost = block.channel_fail | block.comp_fail
+    comp_fail = block.transmitted & (block.effort > c_max * subframe_s)
+    lost = block.channel_fail | comp_fail
     n_lost = int(lost.sum())
     n_success = n_tx - n_lost
     eps = n_lost / n_tx if n_tx else 0.0
     eps_ch = int(block.channel_fail.sum()) / n_tx if n_tx else 0.0
-    eps_co = int(block.comp_fail.sum()) / n_tx if n_tx else 0.0
+    eps_co = int(comp_fail.sum()) / n_tx if n_tx else 0.0
     rate = block.bits / subframe_s
     t_raw = float(rate.mean())
     t_eff = (1.0 - eps) * t_raw
@@ -203,7 +143,7 @@ def summarize_cell_point(snr_db, policy, c_max, subframe_s, block):
         eps_channel=eps_ch,
         eps_channel_hw=wilson_halfwidth(int(block.channel_fail.sum()), n_tx),
         eps_comp=eps_co,
-        eps_comp_hw=wilson_halfwidth(int(block.comp_fail.sum()), n_tx),
+        eps_comp_hw=wilson_halfwidth(int(comp_fail.sum()), n_tx),
         t_raw_bps=t_raw,
         t_raw_hw_bps=mean_halfwidth(rate),
         t_eff_bps=t_eff,
@@ -211,24 +151,6 @@ def summarize_cell_point(snr_db, policy, c_max, subframe_s, block):
         effort_per_success_bit_iter_s=effort_ps,
         effort_per_success_hw=effort_hw,
     )
-
-
-def sweep_cell_point(rng_or_draws, snr_db, table, curves, n_trials,
-                     c_max=math.inf, subframe_s=SUBFRAME_S, low_snr_fallback=True,
-                     policy_name=""):
-    """One average-SNR grid point.
-
-    ``rng_or_draws`` is either a Generator (draws made here) or a
-    ``(gamma_db, u)`` pair reused across arms for common random numbers.
-    """
-    if isinstance(rng_or_draws, tuple):
-        gamma_db, u = rng_or_draws
-    else:
-        gamma_db, u = draw_cell_trials(rng_or_draws, snr_db, n_trials, curves.max_cbs)
-    block = simulate_trials(
-        gamma_db, table, curves, u, c_max * subframe_s, low_snr_fallback
-    )
-    return summarize_cell_point(snr_db, policy_name, c_max, subframe_s, block)
 
 
 def draw_cell_trials(rng, snr_db, n_trials, max_cbs):
@@ -247,7 +169,7 @@ def sweep_cell(snr_grid_db, tables, curves, n_trials, seed,
 
     All arms at one grid point share the same SNR and code-block draws
     (common random numbers), so arm differences are variance-free.  Returns
-    ``{(policy, c_max): CellSweepResult}``.
+    ``{(policy, c_max): records}`` with one CellRecord per grid point.
     """
     from .rng import substream
 
@@ -255,30 +177,11 @@ def sweep_cell(snr_grid_db, tables, curves, n_trials, seed,
         rng_factory = lambda gi: substream(seed, "cell", gi)  # noqa: E731
     out = {(p, c): [] for p in policies for c in c_max_values}
     for gi, snr_db in enumerate(snr_grid_db):
-        rng = rng_factory(gi)
-        draws = draw_cell_trials(rng, snr_db, n_trials, curves.max_cbs)
+        gamma_db, u = draw_cell_trials(rng_factory(gi), snr_db, n_trials, curves.max_cbs)
         for policy in policies:
-            block_cache = {}
+            block = simulate_trials(gamma_db, tables[policy], curves, u, low_snr_fallback)
             for c_max in c_max_values:
-                key = policy
-                if key not in block_cache:
-                    block_cache[key] = simulate_trials(
-                        draws[0], tables[policy], curves, draws[1],
-                        math.inf, low_snr_fallback,
-                    )
-                base = block_cache[key]
-                block = _TrialBlock(
-                    transmitted=base.transmitted,
-                    bits=base.bits,
-                    effort=base.effort,
-                    channel_fail=base.channel_fail,
-                    comp_fail=base.transmitted
-                    & (base.effort > c_max * subframe_s),
-                )
                 out[(policy, c_max)].append(
                     summarize_cell_point(snr_db, policy, c_max, subframe_s, block)
                 )
-    return {
-        key: CellSweepResult(records=tuple(recs), policy=key[0], c_max_bit_iter_s=float(key[1]))
-        for key, recs in out.items()
-    }
+    return {key: tuple(recs) for key, recs in out.items()}

@@ -205,14 +205,20 @@ def validate_config(cfg):
             errors.append("network.channel.alpha: must exceed 2")
         if not 0.0 <= ch.get("s", 0.1) <= 1.0:
             errors.append("network.channel.s: must lie in [0, 1]")
+        if not ch.get("ue_density_per_km2", 0.1) >= 0:
+            errors.append("network.channel.ue_density_per_km2: must be >= 0")
         if exp == "net_budget_sweep":
-            resolve_grid(net.get("budget_grid_mbit_iter_s"),
-                         "network.budget_grid_mbit_iter_s", errors)
-        if exp == "net_density_sweep":
+            budget_field = "network.budget_grid_mbit_iter_s"
+            budgets = resolve_grid(net.get("budget_grid_mbit_iter_s"), budget_field, errors)
+        else:
             grid = resolve_grid(net.get("density_grid_per_km2"),
                                 "network.density_grid_per_km2", errors, log_grid=True)
             if any(v is None or v < 0 for v in grid):
                 errors.append("network.density_grid_per_km2: densities must be >= 0")
+            budget_field = "network.c_max_mbit_iter_s"
+            budgets = resolve_grid(net.get("c_max_mbit_iter_s"), budget_field, errors)
+        if any(c is not None and c < 0 for c in budgets):
+            errors.append(f"{budget_field}: budgets must be >= 0 or null")
     return errors
 
 
@@ -253,10 +259,7 @@ def _cell_point_task(args):
         low_snr_fallback=fallback,
         rng_factory=lambda _gi: substream(seed, "cell", gi),
     )
-    records = []
-    for (policy, c_max), sweep in res.items():
-        records.extend(sweep.records)
-    return gi, records
+    return gi, [rec for recs in res.values() for rec in recs]
 
 
 def _net_block_task(args):
@@ -268,12 +271,11 @@ def _net_block_task(args):
     params = ChannelParams(**channel_kwargs)
     acc = sweep_network(
         layout, params, curves, tables,
-        n_subframes=t1 - t0, seed=seed,
+        subframes=range(t0, t1), seed=seed,
         density_grid=densities,
         budget_grid=tuple(_mbit(c) for c in budgets),
         modes=tuple(modes), policies=tuple(policies),
         subframe_s=subframe_s, low_snr_fallback=fallback,
-        subframe_range=range(t0, t1),
     )
     return block_idx, acc
 
@@ -485,14 +487,38 @@ def run(cfg, workers=1):
 # plot-data emission
 # ---------------------------------------------------------------------------
 
-def _series_label(parts):
-    return "__".join(parts)
+_POLICY_BUDGET = ("policy", "c_max_bit_iter_s")
+
+# experiment -> (x field, y field, half-width field or None for exact values,
+# series sort-key fields, series label fields)
+_PLOT_SERIES = {
+    "cell_outage": ("snr_db", "eps", "eps_hw", _POLICY_BUDGET, _POLICY_BUDGET),
+    "cell_throughput": ("snr_db", "t_eff_bps", "t_eff_hw_bps",
+                        _POLICY_BUDGET, _POLICY_BUDGET),
+    "cell_complexity": ("snr_db", "effort_per_success_bit_iter_s",
+                        "effort_per_success_hw", _POLICY_BUDGET, _POLICY_BUDGET),
+    "net_budget_sweep": ("c_max_bit_iter_s", "sum_throughput_bps",
+                         "sum_throughput_hw_bps", ("mode", "policy"),
+                         ("policy", "mode")),
+    "net_density_sweep": ("ue_density_per_km2", "sum_throughput_bps",
+                          "sum_throughput_hw_bps", _POLICY_BUDGET, _POLICY_BUDGET),
+    "policy_tables": ("mcs_index", "threshold_db", None, ("policy",), ("policy",)),
+}
 
 
-def _budget_tag(c_max):
-    if c_max is None:
-        return "cmax_inf"
-    return f"cmax_{c_max:g}M" if isinstance(c_max, float) else f"cmax_{c_max}M"
+def _plot_value(rec, field):
+    """A record field as plotted: budgets in Mbit-iter/s, null budget = inf."""
+    value = rec[field]
+    if field == "c_max_bit_iter_s":
+        return math.inf if value is None else value / 1e6
+    return value
+
+
+def _label_part(rec, field):
+    if field != "c_max_bit_iter_s":
+        return rec[field]
+    c_mbit = _plot_value(rec, field)
+    return "cmax_inf" if math.isinf(c_mbit) else f"cmax_{c_mbit:g}M"
 
 
 def emit_plot_data(in_dir, out_dir):
@@ -520,63 +546,20 @@ def emit_plot_data(in_dir, out_dir):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    y_fields = {
-        "cell_outage": ("eps", "eps_hw"),
-        "cell_throughput": ("t_eff_bps", "t_eff_hw_bps"),
-        "cell_complexity": ("effort_per_success_bit_iter_s", "effort_per_success_hw"),
-    }
-    written = []
-    if experiment in y_fields:
-        y, hw = y_fields[experiment]
-        series = {}
-        for rec in records:
-            c_mbit = None if rec["c_max_bit_iter_s"] is None else rec["c_max_bit_iter_s"] / 1e6
-            key = (rec["policy"], c_mbit)
-            series.setdefault(key, []).append(
-                (rec["snr_db"], rec[y], rec[hw])
-            )
-        for (policy, c_mbit), rows in sorted(
-            series.items(), key=lambda kv: (kv[0][0], math.inf if kv[0][1] is None else kv[0][1])
-        ):
-            label = _series_label([experiment, policy, _budget_tag(c_mbit)])
-            written.append(_write_series(out_dir, label, sorted(rows)))
-    elif experiment == "net_budget_sweep":
-        series = {}
-        for rec in records:
-            if rec["c_max_bit_iter_s"] is None:
-                continue  # the unconstrained reference has no x position
-            key = (rec["mode"], rec["policy"])
-            series.setdefault(key, []).append(
-                (rec["c_max_bit_iter_s"] / 1e6, rec["sum_throughput_bps"],
-                 rec["sum_throughput_hw_bps"])
-            )
-        for (mode, policy), rows in sorted(series.items()):
-            label = _series_label([experiment, policy, mode])
-            written.append(_write_series(out_dir, label, sorted(rows)))
-    elif experiment == "net_density_sweep":
-        series = {}
-        for rec in records:
-            c_mbit = None if rec["c_max_bit_iter_s"] is None else rec["c_max_bit_iter_s"] / 1e6
-            key = (rec["policy"], c_mbit)
-            series.setdefault(key, []).append(
-                (rec["ue_density_per_km2"], rec["sum_throughput_bps"],
-                 rec["sum_throughput_hw_bps"])
-            )
-        for (policy, c_mbit), rows in sorted(
-            series.items(), key=lambda kv: (kv[0][0], math.inf if kv[0][1] is None else kv[0][1])
-        ):
-            label = _series_label([experiment, policy, _budget_tag(c_mbit)])
-            written.append(_write_series(out_dir, label, sorted(rows)))
-    else:  # policy_tables
-        series = {}
-        for rec in records:
-            series.setdefault(rec["policy"], []).append(
-                (rec["mcs_index"], rec["threshold_db"], 0.0)
-            )
-        for policy, rows in sorted(series.items()):
-            label = _series_label([experiment, policy])
-            written.append(_write_series(out_dir, label, sorted(rows)))
-    return written
+    x_field, y_field, hw_field, key_fields, label_fields = _PLOT_SERIES[experiment]
+    series = {}
+    for rec in records:
+        x = _plot_value(rec, x_field)
+        if math.isinf(x):
+            continue  # the unconstrained budget reference has no x position
+        key = tuple(_plot_value(rec, f) for f in key_fields)
+        label = "__".join([experiment] + [_label_part(rec, f) for f in label_fields])
+        hw = 0.0 if hw_field is None else rec[hw_field]
+        series.setdefault((key, label), []).append((x, rec[y_field], hw))
+    return [
+        _write_series(out_dir, label, sorted(rows))
+        for (_, label), rows in sorted(series.items())
+    ]
 
 
 def _write_series(out_dir, label, rows):

@@ -14,7 +14,6 @@ unit-distance SNR.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -238,41 +237,6 @@ def draw_subframe(layout, params, rng):
         fading=fading,
         tx_powers=tx_powers,
     )
-
-
-def compute_sinr(drop, layout, params, rap_index):
-    """Linear uplink SINR at cloud RAP ``rap_index`` for its own UE.
-
-    The interference sum runs over every active UE in the layout (optionally
-    restricted to ``params.max_interference_km``), each transmitting with
-    fractional power control relative to its own serving RAP.
-    """
-    if rap_index not in layout.cloud_group:
-        raise ValueError(f"RAP {rap_index} is not in the cloud group")
-    if not drop.active[rap_index]:
-        raise ValueError(f"cell {rap_index} has no uplink TB this subframe")
-    col = layout.cloud_group.index(rap_index)
-    row = int(np.flatnonzero(drop.active_idx == rap_index)[0])
-    alpha = params.alpha
-    s = params.s
-    d_serve = drop.serve_dist_km[row]
-    signal = drop.fading[row, col] * d_serve ** (alpha * (s - 1.0))
-    noise = 1.0 / params.snr_ref_linear
-    rap = layout.rap_xy[rap_index]
-    interference = 0.0
-    for other_row, i in enumerate(drop.active_idx):
-        if i == rap_index:
-            continue
-        cross = math.hypot(drop.ue_xy[other_row, 0] - rap[0],
-                           drop.ue_xy[other_row, 1] - rap[1])
-        if params.max_interference_km is not None and cross > params.max_interference_km:
-            continue
-        interference += (
-            drop.fading[other_row, col]
-            * cross ** (-alpha)
-            * drop.tx_powers[other_row]
-        )
-    return signal / (noise + interference)
 
 
 def cloud_sinrs(drop, layout, params):

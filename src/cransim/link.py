@@ -19,7 +19,6 @@ iterations costs K*I.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -71,18 +70,6 @@ class McsEntry:
     tb_bits: int
     slopes_per_db: tuple
     midpoints_db: tuple
-
-
-@dataclass(frozen=True)
-class TbRealization:
-    """Outcome of decoding one simulated transport block."""
-
-    num_cbs: int
-    cb_bits: tuple
-    cb_iters: tuple
-    cb_failed: tuple
-    channel_outage: bool
-    effort_bit_iters: int
 
 
 class LinkCurves:
@@ -163,24 +150,6 @@ def tb_channel_outage_prob(eps_cb, num_cbs):
     return 1.0 - (1.0 - eps_cb) ** num_cbs
 
 
-def iteration_pmf(curves, mcs, gamma_db):
-    """Distribution of the per-CB iteration count at a given SNR.
-
-    Returns ``(pmf, p_fail)`` where ``pmf[i-1] = P(I = i | success)`` for
-    i = 1..i_max and ``p_fail = cbler(gamma, i_max)``.  When the channel is
-    degenerate (``p_fail == 1``) the conditional pmf is undefined and None
-    is returned in its place; the caller must treat the CB as failed with
-    I = i_max.
-    """
-    idx = mcs.index if isinstance(mcs, McsEntry) else int(mcs)
-    cb = np.array([curves.cbler(idx, gamma_db, i) for i in range(curves.i_max + 1)])
-    p_fail = float(cb[-1])
-    if p_fail >= 1.0:
-        return None, 1.0
-    pmf = (cb[:-1] - cb[1:]) / (1.0 - p_fail)
-    return pmf, p_fail
-
-
 def simulate_cbs(success_cdf, u):
     """Map uniform draws to per-CB iteration counts and failure flags.
 
@@ -199,34 +168,6 @@ def simulate_cbs(success_cdf, u):
         iters += u > success_cdf[..., i, None]
     failed = u > success_cdf[..., i_max, None]
     return iters, failed
-
-
-def simulate_tb(mcs, curves, gamma_db, rng):
-    """Simulate the decoding of one transport block at SNR ``gamma_db``.
-
-    Each CB independently fails with probability cbler(gamma, i_max); failed
-    CBs burn i_max iterations, successful ones draw their iteration count
-    from the success-conditioned pmf.
-    """
-    if math.isnan(gamma_db):
-        raise ValueError("SNR must not be NaN")
-    num_cbs, cb_bits = segment_tb(mcs.tb_bits)
-    idx = mcs.index
-    i_max = curves.i_max
-    cdf = np.array(
-        [0.0] + [1.0 - curves.cbler(idx, gamma_db, i) for i in range(1, i_max + 1)]
-    )
-    u = rng.random(num_cbs)
-    iters, failed = simulate_cbs(cdf, u)
-    effort = int(np.dot(np.asarray(cb_bits, dtype=np.int64), iters))
-    return TbRealization(
-        num_cbs=num_cbs,
-        cb_bits=tuple(cb_bits),
-        cb_iters=tuple(int(i) for i in iters),
-        cb_failed=tuple(bool(f) for f in failed),
-        channel_outage=bool(failed.any()),
-        effort_bit_iters=effort,
-    )
 
 
 def simulate_tb_batch(curves, mcs_index, gamma_db, u):

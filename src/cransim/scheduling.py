@@ -2,27 +2,24 @@
 
 Local processing (LP) grants each RAP its own per-subframe budget
 c_max * subframe; cloud processing (CP) pools n_cloud of those budgets and
-serves the cloud group's transport blocks lowest-SINR-first, so the blocks
-sacrificed to a budget shortfall are always the ones sent at the highest
-MCSs.  A block whose effort would overrun the remaining budget consumes
-exactly the remainder (work until the deadline); everything after it is
-dropped unstarted.
+serves the cloud group's transport blocks lowest-SINR-first (ties broken by
+RAP index), so the blocks sacrificed to a budget shortfall are always the
+ones sent at the highest MCSs.  The blocks decoded within the budget are
+the longest prefix of that order whose cumulative effort is at most the
+budget (under LP, each RAP's blocks against its own budget); the first
+block that would overrun it, and every block after it, is in computational
+outage.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .link import SUBFRAME_S
 from .policy import select_mcs_index
-
-DECODED = "decoded"
-CHANNEL_OUTAGE = "channel_outage"
-COMPUTATIONAL_OUTAGE = "computational_outage"
-CHANNEL_AND_COMPUTATIONAL = "channel_and_computational"
 
 LP = "LP"
 CP = "CP"
@@ -50,77 +47,6 @@ class ComplexityBudget:
     @property
     def pooled_bit_iters(self):
         return self.n_cloud * self.c_max_bit_iter_s * self.subframe_s
-
-
-@dataclass(frozen=True)
-class ScheduleOutcome:
-    dispositions: tuple     # aligned with the input TB order
-    charged: tuple          # bit-iterations actually consumed per TB
-    total_effort: float
-    budget_remaining: float
-
-
-def _disposition(channel_failed, comp_failed):
-    if comp_failed and channel_failed:
-        return CHANNEL_AND_COMPUTATIONAL
-    if comp_failed:
-        return COMPUTATIONAL_OUTAGE
-    if channel_failed:
-        return CHANNEL_OUTAGE
-    return DECODED
-
-
-def schedule_subframe(tbs, budget):
-    """Disposition every TB of one subframe against the complexity budget.
-
-    ``tbs`` is a list of ``(rap, sinr, tb)`` with ``tb`` exposing
-    ``effort_bit_iters`` and ``channel_outage``.  Under CP the pooled budget
-    is consumed in ascending SINR order (ties broken by RAP index); under LP
-    each RAP's TBs are charged against that RAP's own budget the same way.
-    A TB fits when the cumulative effort stays at or below the budget
-    (outage requires a strict overrun).
-    """
-    n = len(tbs)
-    order = sorted(range(n), key=lambda i: (tbs[i][1], tbs[i][0]))
-    dispositions = [None] * n
-    charged = [0.0] * n
-    if budget.mode == CP:
-        remaining = {None: budget.pooled_bit_iters}
-        key = lambda rap: None  # noqa: E731
-    else:
-        remaining = {}
-        key = lambda rap: rap  # noqa: E731
-        for rap, _, _ in tbs:
-            remaining[rap] = budget.per_rap_bit_iters
-    overflowed = set()
-    for i in order:
-        rap, _, tb = tbs[i]
-        pool = key(rap)
-        effort = tb.effort_bit_iters
-        if pool in overflowed:
-            comp = True
-        elif effort <= remaining[pool]:
-            remaining[pool] -= effort
-            charged[i] = float(effort)
-            comp = False
-        else:
-            charged[i] = float(remaining[pool])
-            remaining[pool] = 0.0
-            overflowed.add(pool)
-            comp = True
-        dispositions[i] = _disposition(tb.channel_outage, comp)
-    total = float(sum(charged))
-    budget_total = (
-        budget.pooled_bit_iters
-        if budget.mode == CP
-        else budget.per_rap_bit_iters * len(remaining)
-    )
-    return ScheduleOutcome(
-        dispositions=tuple(dispositions),
-        charged=tuple(charged),
-        total_effort=total,
-        budget_remaining=budget_total - total if math.isfinite(budget_total) else math.inf,
-    )
 
 
 def comp_outage_prob(effort_dists, pooled_budget):
@@ -220,7 +146,7 @@ def _policy_tbs(targets, sinr_lin, table, curves, u, low_snr_fallback):
 
 
 def _schedule_arrays(tbs, budget_bit_iters, pooled):
-    """Vector form of ``schedule_subframe`` for the sweep hot path.
+    """Computational-outage and decoded masks of one subframe's TBs.
 
     Returns ``(decoded_mask, comp_mask)`` aligned with ``tbs`` order.
     ``pooled`` selects CP (single pot) versus LP (per-RAP pot; one TB per
@@ -244,12 +170,14 @@ def _schedule_arrays(tbs, budget_bit_iters, pooled):
     return decoded, comp
 
 
-def sweep_network(layout, params, curves, tables, *, n_subframes, seed,
+def sweep_network(layout, params, curves, tables, *, subframes, seed,
                   density_grid=None, budget_grid=(math.inf,),
                   modes=(LP, CP), policies=("MRS", "CAS"),
                   subframe_s=SUBFRAME_S, low_snr_fallback=True,
-                  keep_subframe_sums=False, subframe_range=None):
+                  keep_subframe_sums=False):
     """Monte Carlo sweep over UE density and/or complexity budget.
+
+    ``subframes`` is the range of subframe indices to simulate.
 
     All (budget, mode, policy) arms at one density share the same subframe
     drops and code-block uniforms (common random numbers), so budget and
@@ -278,10 +206,9 @@ def sweep_network(layout, params, curves, tables, *, n_subframes, seed,
         for p in policies
     }
     cloud_pos = {rap: i for i, rap in enumerate(layout.cloud_group)}
-    t_range = range(n_subframes) if subframe_range is None else subframe_range
     for di, density in enumerate(density_grid):
-        dparams = ChannelParamsView(params, density)
-        for t in t_range:
+        dparams = replace(params, ue_density_per_km2=density)
+        for t in subframes:
             rng = substream(seed, "net", di, t)
             drop = draw_subframe(layout, dparams, rng)
             targets, sinr = cloud_sinrs(drop, layout, dparams)
@@ -307,17 +234,6 @@ def sweep_network(layout, params, curves, tables, *, n_subframes, seed,
                     if keep_subframe_sums:
                         a.per_subframe.append(tput)
     return acc
-
-
-class ChannelParamsView:
-    """ChannelParams with the UE density overridden (sweep helper)."""
-
-    def __init__(self, params, density):
-        self._params = params
-        self.ue_density_per_km2 = density
-
-    def __getattr__(self, name):
-        return getattr(self._params, name)
 
 
 def merge_accumulators(parts):

@@ -1,0 +1,258 @@
+"""Slow scalar reference implementations of the vectorized hot paths.
+
+The package ships one implementation of each behaviour: the vector path the
+experiments run (``simulate_trials``, ``cloud_sinrs``, ``_schedule_arrays``,
+``simulate_tb_batch``).  The scalar versions below spell the same rules out
+one transport block, one RAP or one trial at a time; the tests check the
+production code against them.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from cransim.link import SUBFRAME_S, McsEntry, segment_tb, simulate_cbs
+from cransim.policy import select_mcs
+from cransim.scheduling import CP
+
+# ---------------------------------------------------------------------------
+# link: one transport block
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class TbRealization:
+    """Outcome of decoding one simulated transport block."""
+
+    num_cbs: int
+    cb_bits: tuple
+    cb_iters: tuple
+    cb_failed: tuple
+    channel_outage: bool
+    effort_bit_iters: int
+
+
+def iteration_pmf(curves, mcs, gamma_db):
+    """Distribution of the per-CB iteration count at a given SNR.
+
+    Returns ``(pmf, p_fail)`` where ``pmf[i-1] = P(I = i | success)`` for
+    i = 1..i_max and ``p_fail = cbler(gamma, i_max)``.  When the channel is
+    degenerate (``p_fail == 1``) the conditional pmf is undefined and None
+    is returned in its place; the caller must treat the CB as failed with
+    I = i_max.
+    """
+    idx = mcs.index if isinstance(mcs, McsEntry) else int(mcs)
+    cb = np.array([curves.cbler(idx, gamma_db, i) for i in range(curves.i_max + 1)])
+    p_fail = float(cb[-1])
+    if p_fail >= 1.0:
+        return None, 1.0
+    pmf = (cb[:-1] - cb[1:]) / (1.0 - p_fail)
+    return pmf, p_fail
+
+
+def simulate_tb(mcs, curves, gamma_db, rng):
+    """Simulate the decoding of one transport block at SNR ``gamma_db``.
+
+    Each CB independently fails with probability cbler(gamma, i_max); failed
+    CBs burn i_max iterations, successful ones draw their iteration count
+    from the success-conditioned pmf.
+    """
+    if math.isnan(gamma_db):
+        raise ValueError("SNR must not be NaN")
+    num_cbs, cb_bits = segment_tb(mcs.tb_bits)
+    idx = mcs.index
+    i_max = curves.i_max
+    cdf = np.array(
+        [0.0] + [1.0 - curves.cbler(idx, gamma_db, i) for i in range(1, i_max + 1)]
+    )
+    u = rng.random(num_cbs)
+    iters, failed = simulate_cbs(cdf, u)
+    effort = int(np.dot(np.asarray(cb_bits, dtype=np.int64), iters))
+    return TbRealization(
+        num_cbs=num_cbs,
+        cb_bits=tuple(cb_bits),
+        cb_iters=tuple(int(i) for i in iters),
+        cb_failed=tuple(bool(f) for f in failed),
+        channel_outage=bool(failed.any()),
+        effort_bit_iters=effort,
+    )
+
+
+# ---------------------------------------------------------------------------
+# cell: one single-cell trial
+# ---------------------------------------------------------------------------
+
+OUTAGE_NONE = "none"
+OUTAGE_CHANNEL = "channel"
+OUTAGE_COMPUTATIONAL = "computational"
+OUTAGE_BOTH = "both"
+
+
+@dataclass(frozen=True)
+class CellTrialConfig:
+    """Parameters of one single-cell Monte Carlo run at average SNR ``snr_db``."""
+
+    snr_db: float
+    policy: str = "MRS"
+    c_max_bit_iter_s: float = math.inf
+    subframe_s: float = SUBFRAME_S
+    n_trials: int = 100000
+    seed: int = 0
+    low_snr_fallback: bool = True
+
+    def __post_init__(self):
+        if self.n_trials < 1:
+            raise ValueError("n_trials must be >= 1")
+        if not self.c_max_bit_iter_s > 0:
+            raise ValueError("c_max must be positive (may be inf)")
+
+
+def run_cell_trial(cfg, gamma_db, table, curves, rng):
+    """One trial at instantaneous SNR ``gamma_db``.
+
+    Returns ``(tb, mcs, outage_kind)``; ``tb`` and ``mcs`` are None when the
+    SNR is below the table floor and the low-SNR fallback is disabled.
+    """
+    mcs = select_mcs(table, gamma_db)
+    if mcs is None:
+        if not cfg.low_snr_fallback:
+            return None, None, OUTAGE_NONE
+        mcs = table.catalog[0]
+    tb = simulate_tb(mcs, curves, gamma_db, rng)
+    budget = cfg.c_max_bit_iter_s * cfg.subframe_s
+    comp = tb.effort_bit_iters > budget
+    if tb.channel_outage and comp:
+        kind = OUTAGE_BOTH
+    elif tb.channel_outage:
+        kind = OUTAGE_CHANNEL
+    elif comp:
+        kind = OUTAGE_COMPUTATIONAL
+    else:
+        kind = OUTAGE_NONE
+    return tb, mcs, kind
+
+
+# ---------------------------------------------------------------------------
+# geometry: SINR at one cloud RAP
+# ---------------------------------------------------------------------------
+
+
+def compute_sinr(drop, layout, params, rap_index):
+    """Linear uplink SINR at cloud RAP ``rap_index`` for its own UE.
+
+    The interference sum runs over every active UE in the layout (optionally
+    restricted to ``params.max_interference_km``), each transmitting with
+    fractional power control relative to its own serving RAP.
+    """
+    if rap_index not in layout.cloud_group:
+        raise ValueError(f"RAP {rap_index} is not in the cloud group")
+    if not drop.active[rap_index]:
+        raise ValueError(f"cell {rap_index} has no uplink TB this subframe")
+    col = layout.cloud_group.index(rap_index)
+    row = int(np.flatnonzero(drop.active_idx == rap_index)[0])
+    alpha = params.alpha
+    s = params.s
+    d_serve = drop.serve_dist_km[row]
+    signal = drop.fading[row, col] * d_serve ** (alpha * (s - 1.0))
+    noise = 1.0 / params.snr_ref_linear
+    rap = layout.rap_xy[rap_index]
+    interference = 0.0
+    for other_row, i in enumerate(drop.active_idx):
+        if i == rap_index:
+            continue
+        cross = math.hypot(drop.ue_xy[other_row, 0] - rap[0],
+                           drop.ue_xy[other_row, 1] - rap[1])
+        if params.max_interference_km is not None and cross > params.max_interference_km:
+            continue
+        interference += (
+            drop.fading[other_row, col]
+            * cross ** (-alpha)
+            * drop.tx_powers[other_row]
+        )
+    return signal / (noise + interference)
+
+
+# ---------------------------------------------------------------------------
+# scheduling: one subframe, TB by TB
+# ---------------------------------------------------------------------------
+
+DECODED = "decoded"
+CHANNEL_OUTAGE = "channel_outage"
+COMPUTATIONAL_OUTAGE = "computational_outage"
+CHANNEL_AND_COMPUTATIONAL = "channel_and_computational"
+
+
+@dataclass(frozen=True)
+class ScheduleOutcome:
+    dispositions: tuple     # aligned with the input TB order
+    charged: tuple          # bit-iterations actually consumed per TB
+    total_effort: float
+    budget_remaining: float
+
+
+def _disposition(channel_failed, comp_failed):
+    if comp_failed and channel_failed:
+        return CHANNEL_AND_COMPUTATIONAL
+    if comp_failed:
+        return COMPUTATIONAL_OUTAGE
+    if channel_failed:
+        return CHANNEL_OUTAGE
+    return DECODED
+
+
+def schedule_subframe(tbs, budget):
+    """Disposition every TB of one subframe against the complexity budget.
+
+    ``tbs`` is a list of ``(rap, sinr, tb)`` with ``tb`` exposing
+    ``effort_bit_iters`` and ``channel_outage``.  Under CP the pooled budget
+    is consumed in ascending SINR order (ties broken by RAP index); under LP
+    each RAP's TBs are charged against that RAP's own budget the same way.
+    A TB fits when the cumulative effort stays at or below the budget
+    (outage requires a strict overrun).  A TB that overruns the remaining
+    budget consumes exactly the remainder (work until the deadline);
+    everything after it in its pool is dropped unstarted.
+    """
+    n = len(tbs)
+    order = sorted(range(n), key=lambda i: (tbs[i][1], tbs[i][0]))
+    dispositions = [None] * n
+    charged = [0.0] * n
+    if budget.mode == CP:
+        remaining = {None: budget.pooled_bit_iters}
+        key = lambda rap: None  # noqa: E731
+    else:
+        remaining = {}
+        key = lambda rap: rap  # noqa: E731
+        for rap, _, _ in tbs:
+            remaining[rap] = budget.per_rap_bit_iters
+    overflowed = set()
+    for i in order:
+        rap, _, tb = tbs[i]
+        pool = key(rap)
+        effort = tb.effort_bit_iters
+        if pool in overflowed:
+            comp = True
+        elif effort <= remaining[pool]:
+            remaining[pool] -= effort
+            charged[i] = float(effort)
+            comp = False
+        else:
+            charged[i] = float(remaining[pool])
+            remaining[pool] = 0.0
+            overflowed.add(pool)
+            comp = True
+        dispositions[i] = _disposition(tb.channel_outage, comp)
+    total = float(sum(charged))
+    budget_total = (
+        budget.pooled_bit_iters
+        if budget.mode == CP
+        else budget.per_rap_bit_iters * len(remaining)
+    )
+    return ScheduleOutcome(
+        dispositions=tuple(dispositions),
+        charged=tuple(charged),
+        total_effort=total,
+        budget_remaining=budget_total - total if math.isfinite(budget_total) else math.inf,
+    )

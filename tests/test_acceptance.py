@@ -23,7 +23,7 @@ from cransim.geometry import (
     SubframeDrop,
     activation_probabilities,
     build_layout,
-    compute_sinr,
+    cloud_sinrs,
     draw_subframe,
     synthesize_layout,
 )
@@ -76,7 +76,7 @@ def budget_sweep(curves, tables, net_layout):
     params = ChannelParams(ue_density_per_km2=0.1, alpha=3.7, snr_ref_db=20.0)
     budgets = tuple(4e6 * k for k in range(26)) + (math.inf,)
     acc = sweep_network(
-        net_layout, params, curves, tables, n_subframes=NET_SUBFRAMES,
+        net_layout, params, curves, tables, subframes=range(NET_SUBFRAMES),
         seed=1889, budget_grid=budgets, modes=("LP", "CP"),
         policies=("MRS", "CAS"), keep_subframe_sums=True,
     )
@@ -88,7 +88,7 @@ def density_sweep(curves, tables, net_layout):
     params = ChannelParams(ue_density_per_km2=0.1, alpha=3.7, snr_ref_db=20.0)
     densities = tuple(np.logspace(-2, 0, 10))
     acc = sweep_network(
-        net_layout, params, curves, tables, n_subframes=DENSITY_SUBFRAMES,
+        net_layout, params, curves, tables, subframes=range(DENSITY_SUBFRAMES),
         seed=771, density_grid=densities, budget_grid=(math.inf, 30e6),
         modes=("CP",), policies=("MRS", "CAS"), keep_subframe_sums=True,
     )
@@ -195,10 +195,10 @@ def test_criterion_4_pooled_outage_oracle():
 
 def test_criterion_5_outage_curve_shape(cell_sweeps):
     grid = np.array(SNR_GRID)
-    mrs_c = cell_sweeps[("MRS", 50e6)].records
-    mrs_u = cell_sweeps[("MRS", math.inf)].records
-    cas_c = cell_sweeps[("CAS", 50e6)].records
-    cas_u = cell_sweeps[("CAS", math.inf)].records
+    mrs_c = cell_sweeps[("MRS", 50e6)]
+    mrs_u = cell_sweeps[("MRS", math.inf)]
+    cas_c = cell_sweeps[("CAS", 50e6)]
+    cas_u = cell_sweeps[("CAS", math.inf)]
 
     eps_c = np.array([r.eps for r in mrs_c])
     window = (grid >= 10) & (grid <= 30)
@@ -238,8 +238,8 @@ def test_criterion_5_outage_curve_shape(cell_sweeps):
 
 def test_criterion_6_throughput_band(cell_sweeps):
     grid = np.array(SNR_GRID)
-    mrs = np.array([r.t_eff_bps for r in cell_sweeps[("MRS", 50e6)].records])
-    cas = np.array([r.t_eff_bps for r in cell_sweeps[("CAS", 50e6)].records])
+    mrs = np.array([r.t_eff_bps for r in cell_sweeps[("MRS", 50e6)]])
+    cas = np.array([r.t_eff_bps for r in cell_sweeps[("CAS", 50e6)]])
     better = cas > mrs
     best_width = 0.0
     width = 0
@@ -356,7 +356,7 @@ def test_criterion_9_geometry(net_layout):
         fading=np.array([[g_serve, 0.3], [g_cross, 0.9]]),
         tx_powers=np.array([d_serve ** (s * alpha), d_int_own ** (s * alpha)]),
     )
-    got = compute_sinr(drop, two, ch, 0)
+    got = cloud_sinrs(drop, two, ch)[1][0]
     num = g_serve * d_serve ** (alpha * (s - 1.0))
     den = 10 ** (-snr_db / 10) + g_cross * d_cross ** (-alpha) * d_int_own ** (s * alpha)
     sinr_ok = got == pytest.approx(num / den, rel=1e-12)

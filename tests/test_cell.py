@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from cransim.cell import (
-    OUTAGE_BOTH,
-    OUTAGE_CHANNEL,
-    OUTAGE_COMPUTATIONAL,
-    OUTAGE_NONE,
-    CellTrialConfig,
     draw_cell_trials,
-    run_cell_trial,
     simulate_trials,
     summarize_cell_point,
     sweep_cell,
@@ -19,6 +13,14 @@ from cransim.cell import (
 from cransim.link import load_calibration
 from cransim.policy import build_policy_tables
 from cransim.rng import substream
+from oracles import (
+    OUTAGE_BOTH,
+    OUTAGE_CHANNEL,
+    OUTAGE_COMPUTATIONAL,
+    OUTAGE_NONE,
+    CellTrialConfig,
+    run_cell_trial,
+)
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +101,7 @@ def test_trial_both_outage_kinds(tables, curves):
 def test_simulate_trials_unconstrained_identities(tables, curves):
     rng = substream(10, "cell", 0)
     gamma, u = draw_cell_trials(rng, 10.0, 20_000, curves.max_cbs)
-    block = simulate_trials(gamma, tables["MRS"], curves, u, math.inf)
+    block = simulate_trials(gamma, tables["MRS"], curves, u)
     rec = summarize_cell_point(10.0, "MRS", math.inf, 1e-3, block)
     assert rec.eps_comp == 0.0
     assert rec.eps == rec.eps_channel
@@ -108,11 +110,53 @@ def test_simulate_trials_unconstrained_identities(tables, curves):
     assert 0.0 <= rec.eps <= 1.0
 
 
+@pytest.mark.parametrize("fallback", [True, False])
+def test_simulate_trials_matches_scalar_trials(tables, curves, fallback):
+    # differential oracle: trial i draws its code-block uniforms from a fresh
+    # substream, so the vector path's u[i, :c] are the oracle's first c draws
+    n = 400
+    gamma = np.random.default_rng(21).uniform(-30.0, 40.0, n)
+    u = np.array([substream(21, "cell", 0, i).random(curves.max_cbs)
+                  for i in range(n)])
+    block = simulate_trials(gamma, tables["MRS"], curves, u, fallback)
+    scalar = [
+        run_cell_trial(CellTrialConfig(snr_db=0.0, low_snr_fallback=fallback),
+                       g, tables["MRS"], curves, substream(21, "cell", 0, i))
+        for i, g in enumerate(gamma)
+    ]
+    for i, (tb, mcs, _) in enumerate(scalar):
+        assert block.transmitted[i] == (tb is not None)
+        assert block.bits[i] == (mcs.tb_bits if mcs else 0)
+        assert block.effort[i] == (tb.effort_bit_iters if tb else 0)
+        assert block.channel_fail[i] == (tb.channel_outage if tb else False)
+    efforts = sorted(tb.effort_bit_iters for tb, _, _ in scalar if tb)
+    # a budget equal to a realised effort pins the strict inequality
+    for c_max in (float(efforts[len(efforts) // 2]), 20_000.0, math.inf):
+        kinds = [
+            run_cell_trial(CellTrialConfig(snr_db=0.0, c_max_bit_iter_s=c_max,
+                                           subframe_s=1.0, low_snr_fallback=fallback),
+                           g, tables["MRS"], curves, substream(21, "cell", 0, i))[2]
+            for i, g in enumerate(gamma)
+        ]
+        rec = summarize_cell_point(0.0, "MRS", c_max, 1.0, block)
+        n_tx = sum(tb is not None for tb, _, _ in scalar)
+        n_channel = sum(k in (OUTAGE_CHANNEL, OUTAGE_BOTH) for k in kinds)
+        n_comp = sum(k in (OUTAGE_COMPUTATIONAL, OUTAGE_BOTH) for k in kinds)
+        n_lost = sum(k != OUTAGE_NONE for k in kinds)
+        assert rec.n_transmitted == n_tx
+        assert rec.n_success == n_tx - n_lost
+        assert rec.eps == n_lost / n_tx
+        assert rec.eps_channel == n_channel / n_tx
+        assert rec.eps_comp == n_comp / n_tx
+        if math.isfinite(c_max):
+            assert 0 < n_comp < n_tx  # the budget binds on some trials only
+
+
 def test_sweep_low_snr_outage_near_one(tables, curves):
     res = sweep_cell([-20.0], tables, curves, n_trials=4000, seed=5,
                      c_max_values=(math.inf,), policies=("MRS", "CAS"))
-    for key, sweep in res.items():
-        assert sweep.records[0].eps >= 0.9
+    for key, records in res.items():
+        assert records[0].eps >= 0.9
 
 
 def test_sweep_deterministic(tables, curves):
@@ -123,21 +167,21 @@ def test_sweep_deterministic(tables, curves):
     a = sweep_cell(**kwargs)
     b = sweep_cell(**kwargs)
     for key in a:
-        assert a[key].records == b[key].records
+        assert a[key] == b[key]
 
 
 def test_sweep_single_trial_runs(tables, curves):
     res = sweep_cell([10.0], tables, curves, n_trials=1, seed=0,
                      c_max_values=(math.inf,), policies=("MRS",))
-    rec = res[("MRS", math.inf)].records[0]
+    rec = res[("MRS", math.inf)][0]
     assert rec.n_trials == 1
 
 
 def test_constrained_eps_dominates_unconstrained(tables, curves):
     res = sweep_cell([20.0], tables, curves, n_trials=30_000, seed=11,
                      c_max_values=(math.inf, 50e6), policies=("MRS",))
-    un = res[("MRS", math.inf)].records[0]
-    con = res[("MRS", 50e6)].records[0]
+    un = res[("MRS", math.inf)][0]
+    con = res[("MRS", 50e6)][0]
     # same trials: constrained outage can only add computational losses
     assert con.eps >= un.eps
     assert con.eps_channel == un.eps_channel
@@ -147,8 +191,8 @@ def test_constrained_eps_dominates_unconstrained(tables, curves):
 def test_complexity_metric_counts_outage_effort(curves, tables):
     res = sweep_cell([20.0], tables, curves, n_trials=30_000, seed=12,
                      c_max_values=(math.inf, 50e6), policies=("MRS",))
-    un = res[("MRS", math.inf)].records[0]
-    con = res[("MRS", 50e6)].records[0]
+    un = res[("MRS", math.inf)][0]
+    con = res[("MRS", 50e6)][0]
     # identical trials, fewer successes: per-success effort inflates
     assert con.effort_per_success_bit_iter_s >= un.effort_per_success_bit_iter_s
 
@@ -157,8 +201,7 @@ def test_complexity_inflation_at_every_snr(curves, tables):
     grid = [-10.0, 0.0, 10.0, 20.0, 30.0, 40.0]
     res = sweep_cell(grid, tables, curves, n_trials=20_000, seed=13,
                      c_max_values=(math.inf, 50e6), policies=("MRS",))
-    for un, con in zip(res[("MRS", math.inf)].records,
-                       res[("MRS", 50e6)].records):
+    for un, con in zip(res[("MRS", math.inf)], res[("MRS", 50e6)]):
         # same trials and same nominal-effort numerator, denominator can
         # only shrink under the constraint
         assert con.effort_per_success_bit_iter_s >= un.effort_per_success_bit_iter_s
@@ -170,7 +213,7 @@ def test_cas_outage_below_mrs_under_constraint(curves, tables):
     grid = [10.0, 16.0, 22.0, 28.0, 34.0, 40.0]
     res = sweep_cell(grid, tables, curves, n_trials=50_000, seed=14,
                      c_max_values=(50e6,), policies=("MRS", "CAS"))
-    for mrs, cas in zip(res[("MRS", 50e6)].records, res[("CAS", 50e6)].records):
+    for mrs, cas in zip(res[("MRS", 50e6)], res[("CAS", 50e6)]):
         sigma = math.hypot(mrs.eps_hw, cas.eps_hw) / 1.96
         assert cas.eps <= mrs.eps + 3 * sigma
 

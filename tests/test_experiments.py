@@ -89,6 +89,10 @@ def test_validation_collects_field_errors():
     joined = "\n".join(errors)
     for field in ("experiment", "seed", "eps_hat"):
         assert field in joined
+    cfg["experiment"] = "cell_outage"
+    joined = "\n".join(validate_config(cfg))
+    for field in ("cell.n_trials", "cell.c_max_mbit_iter_s", "cell.policies"):
+        assert field in joined
 
 
 def test_validation_checks_network_fields(tmp_path):
@@ -98,6 +102,22 @@ def test_validation_checks_network_fields(tmp_path):
     errors = validate_config(cfg)
     joined = "\n".join(errors)
     assert "alpha" in joined and "n_subframes" in joined
+    # negative budgets and densities are rejected before any worker runs
+    cfg = tiny_net_config(tmp_path)
+    cfg["network"]["budget_grid_mbit_iter_s"] = [-4.0, 8.0]
+    cfg["network"]["channel"] = {"ue_density_per_km2": -0.1}
+    assert validate_config(cfg) == [
+        "network.channel.ue_density_per_km2: must be >= 0",
+        "network.budget_grid_mbit_iter_s: budgets must be >= 0 or null",
+    ]
+    cfg = tiny_net_config(tmp_path, experiment="net_density_sweep")
+    cfg["network"]["c_max_mbit_iter_s"] = [None, -30.0]
+    assert validate_config(cfg) == [
+        "network.c_max_mbit_iter_s: budgets must be >= 0 or null",
+    ]
+    cfg_path = write_config(tmp_path, cfg)
+    assert cli_main(["validate", "--config", str(cfg_path)]) == 2
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
 
 
 def test_resolve_grid_forms():

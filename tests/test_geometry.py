@@ -11,7 +11,6 @@ from cransim.geometry import (
     activation_probabilities,
     build_layout,
     cloud_sinrs,
-    compute_sinr,
     draw_subframe,
     load_layout_csv,
     save_layout_csv,
@@ -19,6 +18,7 @@ from cransim.geometry import (
     synthesize_layout,
 )
 from cransim.rng import substream
+from oracles import compute_sinr
 
 
 @pytest.fixture(scope="module")
@@ -158,7 +158,7 @@ def test_sinr_unit_distance_no_interference(two_cell_layout):
         fading=np.ones((1, 2)),
         tx_powers=np.array([1.0]),
     )
-    gamma = compute_sinr(drop, two_cell_layout, params, 0)
+    gamma = cloud_sinrs(drop, two_cell_layout, params)[1][0]
     assert 10 * math.log10(gamma) == pytest.approx(20.0, abs=1e-9)
 
 
@@ -173,7 +173,7 @@ def test_sinr_full_compensation_distance_free(two_cell_layout):
             fading=np.ones((1, 2)),
             tx_powers=np.array([d ** (params.s * params.alpha)]),
         )
-        gamma = compute_sinr(drop, two_cell_layout, params, 0)
+        gamma = cloud_sinrs(drop, two_cell_layout, params)[1][0]
         assert gamma == pytest.approx(params.snr_ref_linear)
 
 
@@ -196,7 +196,7 @@ def test_sinr_single_interferer_hand_oracle(two_cell_layout):
         fading=np.array([[g_serve, 0.3], [g_cross, 0.9]]),
         tx_powers=np.array([d_serve ** (s * alpha), d_int_own ** (s * alpha)]),
     )
-    gamma = compute_sinr(drop, two_cell_layout, params, 0)
+    gamma = cloud_sinrs(drop, two_cell_layout, params)[1][0]
     num = g_serve * d_serve ** (alpha * (s - 1.0))
     den = 10 ** (-snr_db / 10) + g_cross * d_cross ** (-alpha) * d_int_own ** (s * alpha)
     assert gamma == pytest.approx(num / den, rel=1e-12)
@@ -209,7 +209,7 @@ def test_sinr_single_interferer_hand_oracle(two_cell_layout):
         fading=np.array([[g_serve, 0.3]]),
         tx_powers=np.array([d_serve ** (s * alpha)]),
     )
-    assert compute_sinr(lone, two_cell_layout, params, 0) > gamma
+    assert cloud_sinrs(lone, two_cell_layout, params)[1][0] > gamma
 
 
 def test_cloud_sinrs_matches_scalar(big_layout):
@@ -245,8 +245,8 @@ def test_interference_range_restriction(two_cell_layout):
         fading=np.ones((2, 2)),
         tx_powers=np.array([0.5 ** 0.37, 0.25 ** 0.37]),
     )
-    with_int = compute_sinr(drop, two_cell_layout, params_all, 0)
-    without = compute_sinr(drop, two_cell_layout, params_cut, 0)
+    with_int = cloud_sinrs(drop, two_cell_layout, params_all)[1][0]
+    without = cloud_sinrs(drop, two_cell_layout, params_cut)[1][0]
     assert without > with_int  # far interferer excluded
 
 

@@ -10,13 +10,12 @@ from cransim.link import (
     LinkCurves,
     catalog_from_dict,
     default_calibration,
-    iteration_pmf,
     load_calibration,
     segment_tb,
-    simulate_tb,
     simulate_tb_batch,
     tb_channel_outage_prob,
 )
+from oracles import iteration_pmf, simulate_tb
 
 
 @pytest.fixture(scope="module")

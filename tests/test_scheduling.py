@@ -9,14 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cransim.scheduling import (
+    CP,
+    LP,
+    ComplexityBudget,
+    _schedule_arrays,
+    _SubframeTbs,
+    comp_outage_prob,
+)
+from oracles import (
     CHANNEL_AND_COMPUTATIONAL,
     CHANNEL_OUTAGE,
     COMPUTATIONAL_OUTAGE,
-    CP,
     DECODED,
-    LP,
-    ComplexityBudget,
-    comp_outage_prob,
     schedule_subframe,
 )
 
@@ -191,6 +195,36 @@ def test_cp_decoded_set_monotone_in_budget(tbs, pool, extra):
     for d_small, d_large in zip(small.dispositions, large.dispositions):
         if d_small == DECODED:
             assert d_large == DECODED
+
+
+@settings(max_examples=300, deadline=None)
+@given(tb_lists(), st.booleans(), st.data())
+def test_schedule_arrays_matches_oracle(tbs, pooled, data):
+    # differential oracle for the sweep hot path; LP carries one TB per RAP
+    if not pooled:
+        tbs = [(rap, sinr, tb) for rap, (_, sinr, tb) in enumerate(tbs)]
+    order = sorted(range(len(tbs)), key=lambda i: (tbs[i][1], tbs[i][0]))
+    efforts = [tbs[i][2].effort_bit_iters for i in order]
+    # zero, exact-fit (a prefix sum under CP, one TB's effort under LP) and
+    # unconstrained budgets, plus arbitrary ones
+    edges = [0.0, math.inf] + list(itertools.accumulate(efforts)) + efforts
+    c_max = data.draw(st.one_of(st.sampled_from(edges),
+                                st.integers(0, 400).map(float)))
+    budget = cp_budget(c_max, 1) if pooled else lp_budget(c_max)
+    arrays = _SubframeTbs(
+        raps=np.array([rap for rap, _, _ in tbs]),
+        sinr_db=np.array([sinr for _, sinr, _ in tbs]),
+        bits=np.zeros(len(tbs), dtype=np.int64),
+        efforts=np.array([int(tb.effort_bit_iters) for _, _, tb in tbs]),
+        channel_fail=np.array([tb.channel_outage for _, _, tb in tbs]),
+    )
+    limit = budget.pooled_bit_iters if pooled else budget.per_rap_bit_iters
+    decoded, comp = _schedule_arrays(arrays, limit, pooled)
+    out = schedule_subframe(tbs, budget)
+    assert comp.tolist() == [
+        d in (COMPUTATIONAL_OUTAGE, CHANNEL_AND_COMPUTATIONAL) for d in out.dispositions
+    ]
+    assert decoded.tolist() == [d == DECODED for d in out.dispositions]
 
 
 # ---------------------------------------------------------------------------
