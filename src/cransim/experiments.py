@@ -200,6 +200,13 @@ def validate_config(cfg):
         layout_csv = net.get("layout_csv")
         if layout_csv is not None and not Path(layout_csv).exists():
             errors.append(f"network.layout_csv: {layout_csv} does not exist")
+        synth = net.get("synthesize", {})
+        n_total, n_cloud = synth.get("n_total"), synth.get("n_cloud")
+        if not (isinstance(n_total, int) and n_total >= 2):
+            errors.append("network.synthesize.n_total: must be an integer >= 2")
+        elif not (isinstance(n_cloud, int) and 1 <= n_cloud <= n_total):
+            errors.append(f"network.synthesize.n_cloud: must be an integer in "
+                          f"1..{n_total} (n_total)")
         ch = net.get("channel", {})
         if not ch.get("alpha", 3.7) > 2:
             errors.append("network.channel.alpha: must exceed 2")
@@ -419,7 +426,7 @@ def run(cfg, workers=1):
             densities = (float(channel_kwargs["ue_density_per_km2"]),)
             modes = tuple(net["modes"])
         else:
-            budgets = list(net["c_max_mbit_iter_s"])
+            budgets = resolve_grid(net["c_max_mbit_iter_s"], "grid", [])
             densities = tuple(
                 float(v) for v in resolve_grid(
                     net["density_grid_per_km2"], "grid", [], log_grid=True)

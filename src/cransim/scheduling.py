@@ -9,12 +9,19 @@ the longest prefix of that order whose cumulative effort is at most the
 budget (under LP, each RAP's blocks against its own budget); the first
 block that would overrun it, and every block after it, is in computational
 outage.
+
+Because that rule is a prefix condition, a subframe is scheduled against the
+whole budget grid at once: under CP one cumulative sum of the sorted efforts
+compared with every pooled budget, under LP (one block per RAP) one
+comparison of each effort with every per-RAP budget.  The sweep accumulates
+into arrays indexed ``[density, budget, mode, policy]``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -23,30 +30,6 @@ from .policy import select_mcs_index
 
 LP = "LP"
 CP = "CP"
-
-
-@dataclass(frozen=True)
-class ComplexityBudget:
-    mode: str
-    c_max_bit_iter_s: float
-    n_cloud: int
-    subframe_s: float = SUBFRAME_S
-
-    def __post_init__(self):
-        if self.mode not in (LP, CP):
-            raise ValueError(f"mode must be LP or CP, got {self.mode}")
-        if not self.c_max_bit_iter_s >= 0:
-            raise ValueError("c_max must be nonnegative (may be inf)")
-        if self.n_cloud < 1:
-            raise ValueError("n_cloud must be >= 1")
-
-    @property
-    def per_rap_bit_iters(self):
-        return self.c_max_bit_iter_s * self.subframe_s
-
-    @property
-    def pooled_bit_iters(self):
-        return self.n_cloud * self.c_max_bit_iter_s * self.subframe_s
 
 
 def comp_outage_prob(effort_dists, pooled_budget):
@@ -90,20 +73,25 @@ class NetworkRecord:
     channel_outage_rate: float
 
 
-@dataclass
-class _ArmAccumulator:
-    n_cloud: int
-    bits_per_cell: np.ndarray = None
-    n_tbs: int = 0
-    n_comp: int = 0
-    n_channel: int = 0
-    sum_tput: float = 0.0
-    sumsq_tput: float = 0.0
-    per_subframe: list = field(default_factory=list)
+@dataclass(frozen=True)
+class NetworkAccumulator:
+    """Sweep totals as arrays indexed ``[density, budget, mode, policy]``.
 
-    def __post_init__(self):
-        if self.bits_per_cell is None:
-            self.bits_per_cell = np.zeros(self.n_cloud, dtype=np.int64)
+    ``axes`` holds the labels of those four axes.  TB and channel-outage
+    counts do not depend on the budget or the mode and are indexed
+    ``[density, policy]``; ``bits_per_cell`` adds a trailing cloud-cell axis
+    and ``per_subframe`` a trailing subframe axis (of length 0 unless the
+    per-subframe throughputs were kept).
+    """
+
+    axes: tuple
+    n_tbs: np.ndarray
+    n_channel: np.ndarray
+    n_comp: np.ndarray
+    sum_tput: np.ndarray
+    sumsq_tput: np.ndarray
+    bits_per_cell: np.ndarray
+    per_subframe: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -145,29 +133,21 @@ def _policy_tbs(targets, sinr_lin, table, curves, u, low_snr_fallback):
     )
 
 
-def _schedule_arrays(tbs, budget_bit_iters, pooled):
-    """Computational-outage and decoded masks of one subframe's TBs.
+def comp_outage_masks(raps, sinr_db, efforts, limits, pooled):
+    """Computational-outage masks of one subframe's TBs, one row per budget.
 
-    Returns ``(decoded_mask, comp_mask)`` aligned with ``tbs`` order.
-    ``pooled`` selects CP (single pot) versus LP (per-RAP pot; one TB per
-    RAP here, so the check is per-TB).
+    ``limits`` are the budgets in bit-iterations: the pooled budget under CP
+    (``pooled``), the per-RAP one under LP, where each RAP carries one TB so
+    the check is per TB.  Returns a ``(len(limits), len(efforts))`` boolean
+    array with the TBs in input order.
     """
-    n = len(tbs.raps)
-    comp = np.zeros(n, dtype=bool)
-    if pooled:
-        order = np.lexsort((tbs.raps, tbs.sinr_db))
-        remaining = budget_bit_iters
-        overflowed = False
-        for i in order:
-            if overflowed or tbs.efforts[i] > remaining:
-                comp[i] = True
-                overflowed = True
-            else:
-                remaining -= tbs.efforts[i]
-    else:
-        comp = tbs.efforts > budget_bit_iters
-    decoded = ~comp & ~tbs.channel_fail
-    return decoded, comp
+    limits = np.asarray(limits, dtype=float)[:, None]
+    if not pooled:
+        return efforts > limits
+    order = np.lexsort((raps, sinr_db))
+    comp = np.empty((len(limits), len(efforts)), dtype=bool)
+    comp[:, order] = np.cumsum(efforts[order]) > limits
+    return comp
 
 
 def sweep_network(layout, params, curves, tables, *, subframes, seed,
@@ -185,91 +165,96 @@ def sweep_network(layout, params, curves, tables, *, subframes, seed,
     ``(seed, "net", density_index, subframe_index)``; results are therefore
     independent of how subframes are chunked across workers.
 
-    Returns ``{(density, budget, mode, policy): _ArmAccumulator}``; use
-    ``finalize_records`` to turn them into NetworkRecords.
+    Returns a NetworkAccumulator over the grid (repeated grid values count
+    once); use ``finalize_records`` to turn it into NetworkRecords.
     """
     from .geometry import cloud_sinrs, draw_subframe
     from .rng import substream
 
     if density_grid is None:
         density_grid = (params.ue_density_per_km2,)
-    budget_objs = {
-        (c, mode): ComplexityBudget(mode, c, layout.n_cloud, subframe_s)
-        for c in budget_grid
-        for mode in modes
-    }
-    acc = {
-        (d, c, mode, p): _ArmAccumulator(n_cloud=layout.n_cloud)
-        for d in density_grid
-        for c in budget_grid
-        for mode in modes
-        for p in policies
-    }
-    cloud_pos = {rap: i for i, rap in enumerate(layout.cloud_group)}
-    for di, density in enumerate(density_grid):
+    axes = tuple(tuple(dict.fromkeys(a))
+                 for a in (density_grid, budget_grid, modes, policies))
+    densities, budgets, modes, policies = axes
+    if not set(modes) <= {LP, CP}:
+        raise ValueError(f"modes must be LP or CP, got {modes}")
+    if not all(b >= 0 for b in budgets):
+        raise ValueError("budgets must be nonnegative (may be inf)")
+    if layout.n_cloud < 1:
+        raise ValueError("n_cloud must be >= 1")
+    shape = tuple(len(a) for a in axes)
+    acc = NetworkAccumulator(
+        axes=axes,
+        n_tbs=np.zeros((shape[0], shape[3]), dtype=np.int64),
+        n_channel=np.zeros((shape[0], shape[3]), dtype=np.int64),
+        n_comp=np.zeros(shape, dtype=np.int64),
+        sum_tput=np.zeros(shape),
+        sumsq_tput=np.zeros(shape),
+        bits_per_cell=np.zeros(shape + (layout.n_cloud,), dtype=np.int64),
+        per_subframe=np.zeros(shape + (len(subframes) if keep_subframe_sums else 0,)),
+    )
+    cloud = np.array(layout.cloud_group)
+    per_rap = np.array(budgets, dtype=float)
+    limits = {LP: per_rap * subframe_s, CP: layout.n_cloud * per_rap * subframe_s}
+    for di, density in enumerate(densities):
         dparams = replace(params, ue_density_per_km2=density)
-        for t in subframes:
+        for ti, t in enumerate(subframes):
             rng = substream(seed, "net", di, t)
             drop = draw_subframe(layout, dparams, rng)
             targets, sinr = cloud_sinrs(drop, layout, dparams)
             u = rng.random((len(targets), curves.max_cbs))
-            for policy in policies:
+            for pi, policy in enumerate(policies):
                 tbs = _policy_tbs(targets, sinr, tables[policy], curves, u,
                                   low_snr_fallback)
-                cell_rows = np.array([cloud_pos[r] for r in tbs.raps], dtype=int)
-                for (c, mode), budget in budget_objs.items():
-                    limit = (budget.pooled_bit_iters if mode == CP
-                             else budget.per_rap_bit_iters)
-                    decoded, comp = _schedule_arrays(tbs, limit, mode == CP)
-                    a = acc[(density, c, mode, policy)]
-                    bits = np.where(decoded, tbs.bits, 0)
-                    if len(cell_rows):
-                        np.add.at(a.bits_per_cell, cell_rows, bits)
-                    a.n_tbs += len(tbs.raps)
-                    a.n_comp += int(comp.sum())
-                    a.n_channel += int(tbs.channel_fail.sum())
-                    tput = float(bits.sum()) / subframe_s
-                    a.sum_tput += tput
-                    a.sumsq_tput += tput * tput
+                cells = np.searchsorted(cloud, tbs.raps)
+                acc.n_tbs[di, pi] += len(tbs.raps)
+                acc.n_channel[di, pi] += tbs.channel_fail.sum()
+                for mi, mode in enumerate(modes):
+                    comp = comp_outage_masks(tbs.raps, tbs.sinr_db, tbs.efforts,
+                                             limits[mode], mode == CP)
+                    bits = np.where(comp | tbs.channel_fail, 0, tbs.bits)
+                    np.add.at(acc.bits_per_cell[di, :, mi, pi],
+                              (slice(None), cells), bits)
+                    acc.n_comp[di, :, mi, pi] += comp.sum(axis=1)
+                    tput = bits.sum(axis=1) / subframe_s
+                    acc.sum_tput[di, :, mi, pi] += tput
+                    acc.sumsq_tput[di, :, mi, pi] += tput * tput
                     if keep_subframe_sums:
-                        a.per_subframe.append(tput)
+                        acc.per_subframe[di, :, mi, pi, ti] = tput
     return acc
 
 
 def merge_accumulators(parts):
-    """Merge per-block accumulators (in block order) into one."""
-    out = None
-    for part in parts:
-        if out is None:
-            out = {
-                k: _ArmAccumulator(n_cloud=len(a.bits_per_cell))
-                for k, a in part.items()
-            }
-        for k, a in part.items():
-            o = out[k]
-            o.bits_per_cell = o.bits_per_cell + a.bits_per_cell
-            o.n_tbs += a.n_tbs
-            o.n_comp += a.n_comp
-            o.n_channel += a.n_channel
-            o.sum_tput += a.sum_tput
-            o.sumsq_tput += a.sumsq_tput
-            o.per_subframe.extend(a.per_subframe)
-    return out
+    """Merge per-block accumulators, given in block order, into one.
+
+    Counts and sums add elementwise; kept per-subframe throughputs are
+    concatenated.
+    """
+    parts = list(parts)
+    merged = {}
+    for f in fields(NetworkAccumulator):
+        if f.name != "axes":
+            values = [getattr(part, f.name) for part in parts]
+            merged[f.name] = (np.concatenate(values, axis=-1)
+                              if f.name == "per_subframe" else sum(values))
+    return replace(parts[0], **merged)
 
 
 def finalize_records(acc, n_subframes, subframe_s=SUBFRAME_S):
-    """Reduce sweep accumulators to NetworkRecords."""
+    """Reduce a sweep accumulator to NetworkRecords, sorted by arm."""
     from .cell import Z_95
 
     records = []
-    for (density, c, mode, policy), a in sorted(
-        acc.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2], kv[0][3])
+    for (di, density), (bi, c), (mi, mode), (pi, policy) in itertools.product(
+        *(enumerate(a) for a in acc.axes)
     ):
-        mean_tput = a.sum_tput / n_subframes
-        var = max(a.sumsq_tput / n_subframes - mean_tput ** 2, 0.0)
+        arm = (di, bi, mi, pi)
+        n_tbs = int(acc.n_tbs[di, pi])
+        mean_tput = float(acc.sum_tput[arm]) / n_subframes
+        var = max(float(acc.sumsq_tput[arm]) / n_subframes - mean_tput ** 2, 0.0)
         hw = Z_95 * math.sqrt(var / n_subframes)
         per_cell = tuple(
-            float(b) / (n_subframes * subframe_s) for b in a.bits_per_cell
+            float(b) / (n_subframes * subframe_s) for b in acc.bits_per_cell[arm]
         )
         records.append(
             NetworkRecord(
@@ -278,12 +263,15 @@ def finalize_records(acc, n_subframes, subframe_s=SUBFRAME_S):
                 mode=mode,
                 policy=policy,
                 n_subframes=n_subframes,
-                n_tbs=a.n_tbs,
+                n_tbs=n_tbs,
                 sum_throughput_bps=mean_tput,
                 sum_throughput_hw_bps=hw,
                 per_cell_throughput_bps=per_cell,
-                comp_outage_rate=a.n_comp / a.n_tbs if a.n_tbs else 0.0,
-                channel_outage_rate=a.n_channel / a.n_tbs if a.n_tbs else 0.0,
+                comp_outage_rate=int(acc.n_comp[arm]) / n_tbs if n_tbs else 0.0,
+                channel_outage_rate=(int(acc.n_channel[di, pi]) / n_tbs
+                                     if n_tbs else 0.0),
             )
         )
+    records.sort(key=lambda r: (r.ue_density_per_km2, r.c_max_bit_iter_s,
+                                r.mode, r.policy))
     return records

@@ -1,7 +1,7 @@
 """Slow scalar reference implementations of the vectorized hot paths.
 
 The package ships one implementation of each behaviour: the vector path the
-experiments run (``simulate_trials``, ``cloud_sinrs``, ``_schedule_arrays``,
+experiments run (``simulate_trials``, ``cloud_sinrs``, ``comp_outage_masks``,
 ``simulate_tb_batch``).  The scalar versions below spell the same rules out
 one transport block, one RAP or one trial at a time; the tests check the
 production code against them.
@@ -203,11 +203,13 @@ def _disposition(channel_failed, comp_failed):
     return DECODED
 
 
-def schedule_subframe(tbs, budget):
+def schedule_subframe(tbs, mode, limit_bit_iters):
     """Disposition every TB of one subframe against the complexity budget.
 
     ``tbs`` is a list of ``(rap, sinr, tb)`` with ``tb`` exposing
-    ``effort_bit_iters`` and ``channel_outage``.  Under CP the pooled budget
+    ``effort_bit_iters`` and ``channel_outage``.  ``limit_bit_iters`` is the
+    pooled budget under CP and each RAP's own budget under LP, both in
+    bit-iterations for this subframe.  Under CP the pooled budget
     is consumed in ascending SINR order (ties broken by RAP index); under LP
     each RAP's TBs are charged against that RAP's own budget the same way.
     A TB fits when the cumulative effort stays at or below the budget
@@ -219,14 +221,14 @@ def schedule_subframe(tbs, budget):
     order = sorted(range(n), key=lambda i: (tbs[i][1], tbs[i][0]))
     dispositions = [None] * n
     charged = [0.0] * n
-    if budget.mode == CP:
-        remaining = {None: budget.pooled_bit_iters}
+    if mode == CP:
+        remaining = {None: limit_bit_iters}
         key = lambda rap: None  # noqa: E731
     else:
         remaining = {}
         key = lambda rap: rap  # noqa: E731
         for rap, _, _ in tbs:
-            remaining[rap] = budget.per_rap_bit_iters
+            remaining[rap] = limit_bit_iters
     overflowed = set()
     for i in order:
         rap, _, tb = tbs[i]
@@ -245,11 +247,7 @@ def schedule_subframe(tbs, budget):
             comp = True
         dispositions[i] = _disposition(tb.channel_outage, comp)
     total = float(sum(charged))
-    budget_total = (
-        budget.pooled_bit_iters
-        if budget.mode == CP
-        else budget.per_rap_bit_iters * len(remaining)
-    )
+    budget_total = limit_bit_iters * len(remaining)
     return ScheduleOutcome(
         dispositions=tuple(dispositions),
         charged=tuple(charged),

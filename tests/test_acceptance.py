@@ -252,7 +252,8 @@ def test_criterion_6_throughput_band(cell_sweeps):
 
 
 def _per_subframe(acc, key):
-    return np.array(acc[key].per_subframe)
+    """Per-subframe sum throughputs of one (density, budget, mode, policy) arm."""
+    return acc.per_subframe[tuple(axis.index(v) for axis, v in zip(acc.axes, key))]
 
 
 def test_criterion_7_pooling_dominance(budget_sweep):

@@ -118,6 +118,37 @@ def test_validation_checks_network_fields(tmp_path):
     cfg_path = write_config(tmp_path, cfg)
     assert cli_main(["validate", "--config", str(cfg_path)]) == 2
     assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    # the cloud group must be a nonempty subset of the layout, checked
+    # alongside the other fields before any worker runs
+    for n_cloud in (0, 25, 2.5, "4"):
+        cfg = tiny_net_config(tmp_path)
+        cfg["network"]["synthesize"]["n_cloud"] = n_cloud
+        cfg["network"]["modes"] = ["LP", "XX"]
+        assert validate_config(cfg) == [
+            "network.modes: unknown mode XX",
+            "network.synthesize.n_cloud: must be an integer in 1..24 (n_total)",
+        ]
+    cfg["network"]["modes"] = ["CP"]
+    cfg["network"]["synthesize"]["n_total"] = 1
+    assert validate_config(cfg) == ["network.synthesize.n_total: must be an integer >= 2"]
+    cfg["network"]["synthesize"] = {"n_cloud": 0}
+    cfg_path = write_config(tmp_path, cfg)
+    assert cli_main(["validate", "--config", str(cfg_path)]) == 2
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+
+
+def test_net_density_budget_range(tmp_path):
+    # the density sweep's budget grid takes the same range objects as the
+    # budget sweep's
+    out = tmp_path / "dens"
+    cfg = tiny_net_config(out, experiment="net_density_sweep")
+    cfg["network"]["c_max_mbit_iter_s"] = {"start": 10.0, "stop": 30.0, "step": 20.0,
+                                           "include_unconstrained": True}
+    cfg["network"]["n_subframes"] = 20
+    cfg_path = write_config(tmp_path, cfg)
+    assert cli_main(["run", "--config", str(cfg_path)]) == 0
+    records = json.loads((out / "results.json").read_text())["records"]
+    assert {r["c_max_bit_iter_s"] for r in records} == {10e6, 30e6, None}
 
 
 def test_resolve_grid_forms():
@@ -293,3 +324,28 @@ def test_shipped_configs_validate():
     for path in Path("configs").glob("*.json"):
         cfg = load_config(path)
         assert validate_config(cfg) == [], path
+
+
+# SHA-256 of (results.json, results.csv) for the shipped network configs cut to
+# 300 subframes: two work blocks, so the block merge is exercised.  A change
+# that alters result bytes must update these and say why in CHANGES.md.
+GOLDEN_NET_DIGESTS = {
+    "net_budget_sweep": (
+        "eeb99500dc474403d5a0d03c5f11e6f6609756cc7efd99f4077050f2373edd6b",
+        "c9f508d60f538e1910d3dd3ba51a1eacf52ecb75a9546592086673c97dce5af5",
+    ),
+    "net_density_sweep": (
+        "af41c88413513cfd712e443ead8d6ea64537230ad3a1e3632239813356ba0e04",
+        "9dffbbac24f99b348f4ebe03b0ed832c2c1afc0374e04247a808f90f2a91601d",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_NET_DIGESTS))
+def test_net_result_digests(tmp_path, monkeypatch, name):
+    monkeypatch.delenv("CRANSIM_OUTPUT_DIR", raising=False)
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / f"{name}.json")
+    cfg["output_dir"] = str(tmp_path)
+    cfg["network"]["n_subframes"] = 300
+    outputs = run(cfg)["outputs"]
+    assert (outputs["results.json"], outputs["results.csv"]) == GOLDEN_NET_DIGESTS[name]

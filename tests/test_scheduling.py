@@ -8,13 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cransim.geometry import ChannelParams, cloud_sinrs, draw_subframe, synthesize_layout
+from cransim.link import SUBFRAME_S, load_calibration
+from cransim.policy import build_policy_tables
+from cransim.rng import substream
 from cransim.scheduling import (
     CP,
     LP,
-    ComplexityBudget,
-    _schedule_arrays,
-    _SubframeTbs,
+    _policy_tbs,
+    comp_outage_masks,
     comp_outage_prob,
+    sweep_network,
 )
 from oracles import (
     CHANNEL_AND_COMPUTATIONAL,
@@ -31,32 +35,29 @@ class FakeTb:
     channel_outage: bool = False
 
 
-def cp_budget(c_max, n_cloud, subframe=1.0):
-    return ComplexityBudget(CP, c_max, n_cloud, subframe)
-
-
-def lp_budget(c_max, n_cloud=1, subframe=1.0):
-    return ComplexityBudget(LP, c_max, n_cloud, subframe)
-
-
-def test_budget_units():
-    b = ComplexityBudget(CP, 50e6, 8, 1e-3)
-    assert b.per_rap_bit_iters == pytest.approx(50_000.0)
-    assert b.pooled_bit_iters == pytest.approx(400_000.0)
-
-
 def test_budget_validation():
-    with pytest.raises(ValueError):
-        ComplexityBudget("XX", 1.0, 1)
-    with pytest.raises(ValueError):
-        ComplexityBudget(CP, -1.0, 1)
-    with pytest.raises(ValueError):
-        ComplexityBudget(CP, 1.0, 0)
+    # the library entry point rejects what validate_config rejects for configs
+    curves = load_calibration()
+    tables = build_policy_tables(curves)
+    layout = synthesize_layout(substream(5, "layout", 0), n_total=24, n_cloud=4,
+                               region=(0.0, 0.0, 9.0, 9.0), min_sep_km=1.0)
+    kwargs = dict(subframes=range(1), seed=11)
+    with pytest.raises(ValueError, match="LP or CP"):
+        sweep_network(layout, ChannelParams(), curves, tables,
+                      modes=(LP, "XX"), **kwargs)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="nonnegative"):
+            sweep_network(layout, ChannelParams(), curves, tables,
+                          budget_grid=(10e6, bad), **kwargs)
+    empty = synthesize_layout(substream(5, "layout", 0), n_total=24, n_cloud=0,
+                              region=(0.0, 0.0, 9.0, 9.0), min_sep_km=1.0)
+    with pytest.raises(ValueError, match="n_cloud"):
+        sweep_network(empty, ChannelParams(), curves, tables, **kwargs)
 
 
 def test_zero_budget_drops_everything():
     tbs = [(0, 1.0, FakeTb(5)), (1, 2.0, FakeTb(5))]
-    out = schedule_subframe(tbs, cp_budget(0.0, 1))
+    out = schedule_subframe(tbs, CP, 0.0)
     assert all(
         d in (COMPUTATIONAL_OUTAGE, CHANNEL_AND_COMPUTATIONAL)
         for d in out.dispositions
@@ -66,7 +67,7 @@ def test_zero_budget_drops_everything():
 def test_cp_hand_trace():
     # exhaustive hand-trace oracle: efforts [10, 20, 40]k, pool 35k
     tbs = [(0, 1.0, FakeTb(10_000)), (1, 2.0, FakeTb(20_000)), (2, 3.0, FakeTb(40_000))]
-    out = schedule_subframe(tbs, cp_budget(35_000, 1))
+    out = schedule_subframe(tbs, CP, 35_000)
     assert out.dispositions == (DECODED, DECODED, COMPUTATIONAL_OUTAGE)
     assert out.charged == (10_000.0, 20_000.0, 5_000.0)
     assert out.total_effort == 35_000.0
@@ -75,9 +76,9 @@ def test_cp_hand_trace():
 
 def test_exact_budget_is_not_outage():
     tbs = [(0, 1.0, FakeTb(35_000))]
-    out = schedule_subframe(tbs, cp_budget(35_000, 1))
+    out = schedule_subframe(tbs, CP, 35_000)
     assert out.dispositions == (DECODED,)
-    out = schedule_subframe(tbs, lp_budget(35_000))
+    out = schedule_subframe(tbs, LP, 35_000)
     assert out.dispositions == (DECODED,)
 
 
@@ -86,33 +87,33 @@ def test_infinite_budget_defers_to_channel_flags():
         (0, 1.0, FakeTb(1e12, channel_outage=True)),
         (1, 2.0, FakeTb(1e12, channel_outage=False)),
     ]
-    out = schedule_subframe(tbs, cp_budget(math.inf, 2))
+    out = schedule_subframe(tbs, CP, math.inf)
     assert out.dispositions == (CHANNEL_OUTAGE, DECODED)
 
 
 def test_lp_single_tb_over_budget():
     tbs = [(4, 0.0, FakeTb(60_001))]
-    out = schedule_subframe(tbs, lp_budget(60_000))
+    out = schedule_subframe(tbs, LP, 60_000)
     assert out.dispositions == (COMPUTATIONAL_OUTAGE,)
     assert out.charged == (60_000.0,)
 
 
 def test_channel_and_computational_combination():
     tbs = [(0, 1.0, FakeTb(50, True)), (1, 2.0, FakeTb(100, True))]
-    out = schedule_subframe(tbs, cp_budget(60, 1))
+    out = schedule_subframe(tbs, CP, 60)
     assert out.dispositions == (CHANNEL_OUTAGE, CHANNEL_AND_COMPUTATIONAL)
 
 
 def test_low_sinr_processed_first():
     # the high-SINR TB is the one sacrificed regardless of input order
     tbs = [(0, 9.0, FakeTb(30)), (1, 1.0, FakeTb(30))]
-    out = schedule_subframe(tbs, cp_budget(40, 1))
+    out = schedule_subframe(tbs, CP, 40)
     assert out.dispositions == (COMPUTATIONAL_OUTAGE, DECODED)
 
 
 def test_tie_broken_by_rap_index():
     tbs = [(5, 1.0, FakeTb(30)), (2, 1.0, FakeTb(30))]
-    out = schedule_subframe(tbs, cp_budget(40, 1))
+    out = schedule_subframe(tbs, CP, 40)
     # rap 2 wins the tie, rap 5 overflows
     assert out.dispositions == (COMPUTATIONAL_OUTAGE, DECODED)
 
@@ -123,7 +124,7 @@ def test_dropped_tbs_consume_nothing():
         (1, 2.0, FakeTb(50)),
         (2, 3.0, FakeTb(10)),
     ]
-    out = schedule_subframe(tbs, cp_budget(40, 1))
+    out = schedule_subframe(tbs, CP, 40)
     assert out.dispositions == (DECODED, COMPUTATIONAL_OUTAGE, COMPUTATIONAL_OUTAGE)
     assert out.charged == (30.0, 10.0, 0.0)
     assert out.budget_remaining == 0.0
@@ -131,7 +132,7 @@ def test_dropped_tbs_consume_nothing():
 
 def test_lp_per_rap_independence():
     tbs = [(0, 1.0, FakeTb(80)), (1, 5.0, FakeTb(80)), (1, 4.0, FakeTb(30))]
-    out = schedule_subframe(tbs, lp_budget(100))
+    out = schedule_subframe(tbs, LP, 100)
     # rap 0 fits; rap 1 decodes its low-SINR TB then overflows on the other
     assert out.dispositions == (DECODED, COMPUTATIONAL_OUTAGE, DECODED)
     assert out.charged == (80.0, 70.0, 30.0)
@@ -153,8 +154,7 @@ def tb_lists(draw):
 @settings(max_examples=300, deadline=None)
 @given(tb_lists(), st.integers(min_value=1, max_value=400))
 def test_cp_schedule_properties(tbs, pool):
-    budget = cp_budget(float(pool), 1)
-    out = schedule_subframe(tbs, budget)
+    out = schedule_subframe(tbs, CP, float(pool))
     comp = [
         d in (COMPUTATIONAL_OUTAGE, CHANNEL_AND_COMPUTATIONAL)
         for d in out.dispositions
@@ -180,8 +180,8 @@ def test_cp_schedule_properties(tbs, pool):
 def test_lp_equals_cp_for_single_rap_pool(tbs, pool):
     # with n_cloud = 1 and all TBs on one RAP, CP and LP agree exactly
     single = [(0, sinr, tb) for _, sinr, tb in tbs]
-    cp = schedule_subframe(single, cp_budget(float(pool), 1))
-    lp = schedule_subframe(single, lp_budget(float(pool)))
+    cp = schedule_subframe(single, CP, float(pool))
+    lp = schedule_subframe(single, LP, float(pool))
     assert cp.dispositions == lp.dispositions
     assert cp.charged == lp.charged
 
@@ -190,8 +190,8 @@ def test_lp_equals_cp_for_single_rap_pool(tbs, pool):
 @given(tb_lists(), st.integers(min_value=1, max_value=300),
        st.integers(min_value=0, max_value=100))
 def test_cp_decoded_set_monotone_in_budget(tbs, pool, extra):
-    small = schedule_subframe(tbs, cp_budget(float(pool), 1))
-    large = schedule_subframe(tbs, cp_budget(float(pool + extra), 1))
+    small = schedule_subframe(tbs, CP, float(pool))
+    large = schedule_subframe(tbs, CP, float(pool + extra))
     for d_small, d_large in zip(small.dispositions, large.dispositions):
         if d_small == DECODED:
             assert d_large == DECODED
@@ -200,31 +200,89 @@ def test_cp_decoded_set_monotone_in_budget(tbs, pool, extra):
 @settings(max_examples=300, deadline=None)
 @given(tb_lists(), st.booleans(), st.data())
 def test_schedule_arrays_matches_oracle(tbs, pooled, data):
-    # differential oracle for the sweep hot path; LP carries one TB per RAP
+    # differential oracle for the sweep hot path: the whole budget grid in one
+    # call, every row checked; LP carries one TB per RAP
     if not pooled:
         tbs = [(rap, sinr, tb) for rap, (_, sinr, tb) in enumerate(tbs)]
     order = sorted(range(len(tbs)), key=lambda i: (tbs[i][1], tbs[i][0]))
     efforts = [tbs[i][2].effort_bit_iters for i in order]
     # zero, exact-fit (a prefix sum under CP, one TB's effort under LP) and
     # unconstrained budgets, plus arbitrary ones
-    edges = [0.0, math.inf] + list(itertools.accumulate(efforts)) + efforts
-    c_max = data.draw(st.one_of(st.sampled_from(edges),
-                                st.integers(0, 400).map(float)))
-    budget = cp_budget(c_max, 1) if pooled else lp_budget(c_max)
-    arrays = _SubframeTbs(
-        raps=np.array([rap for rap, _, _ in tbs]),
-        sinr_db=np.array([sinr for _, sinr, _ in tbs]),
-        bits=np.zeros(len(tbs), dtype=np.int64),
-        efforts=np.array([int(tb.effort_bit_iters) for _, _, tb in tbs]),
-        channel_fail=np.array([tb.channel_outage for _, _, tb in tbs]),
+    edges = ([0.0, math.inf] + list(itertools.accumulate(efforts)) + efforts
+             + data.draw(st.lists(st.integers(0, 400).map(float), max_size=4)))
+    channel_fail = np.array([tb.channel_outage for _, _, tb in tbs])
+    comp = comp_outage_masks(
+        np.array([rap for rap, _, _ in tbs]),
+        np.array([sinr for _, sinr, _ in tbs]),
+        np.array([int(tb.effort_bit_iters) for _, _, tb in tbs]),
+        edges, pooled,
     )
-    limit = budget.pooled_bit_iters if pooled else budget.per_rap_bit_iters
-    decoded, comp = _schedule_arrays(arrays, limit, pooled)
-    out = schedule_subframe(tbs, budget)
-    assert comp.tolist() == [
-        d in (COMPUTATIONAL_OUTAGE, CHANNEL_AND_COMPUTATIONAL) for d in out.dispositions
-    ]
-    assert decoded.tolist() == [d == DECODED for d in out.dispositions]
+    assert comp.shape == (len(edges), len(tbs))
+    for limit, row in zip(edges, comp):
+        out = schedule_subframe(tbs, CP if pooled else LP, limit)
+        assert row.tolist() == [
+            d in (COMPUTATIONAL_OUTAGE, CHANNEL_AND_COMPUTATIONAL)
+            for d in out.dispositions
+        ]
+        assert (~row & ~channel_fail).tolist() == [
+            d == DECODED for d in out.dispositions
+        ]
+
+
+def test_sweep_network_matches_oracle():
+    # every arm of a small sweep against the scalar scheduler, subframe by
+    # subframe; LP gets c_max * subframe per RAP, CP n_cloud times that pooled
+    curves = load_calibration()
+    tables = build_policy_tables(curves)
+    layout = synthesize_layout(substream(5, "layout", 0), n_total=24, n_cloud=4,
+                               region=(0.0, 0.0, 9.0, 9.0), min_sep_km=1.0)
+    params = ChannelParams(ue_density_per_km2=0.3)
+    budgets = (0.0, 10e6, 40e6, math.inf)
+    subframes = range(20)
+    acc = sweep_network(layout, params, curves, tables, subframes=subframes,
+                        seed=11, budget_grid=budgets, keep_subframe_sums=True)
+    assert acc.axes == ((0.3,), budgets, (LP, CP), ("MRS", "CAS"))
+    n_cells = layout.n_cloud
+    for pi, policy in enumerate(("MRS", "CAS")):
+        tput = np.zeros((len(budgets), 2, len(subframes)))
+        n_comp = np.zeros((len(budgets), 2), dtype=int)
+        cell_bits = np.zeros((len(budgets), 2, n_cells), dtype=int)
+        n_tbs = n_channel = 0
+        for ti, t in enumerate(subframes):
+            rng = substream(11, "net", 0, t)
+            drop = draw_subframe(layout, params, rng)
+            targets, sinr = cloud_sinrs(drop, layout, params)
+            u = rng.random((len(targets), curves.max_cbs))
+            tbs = _policy_tbs(targets, sinr, tables[policy], curves, u, True)
+            tb_list = [
+                (int(rap), float(g), FakeTb(int(e), bool(f)))
+                for rap, g, e, f in zip(tbs.raps, tbs.sinr_db, tbs.efforts,
+                                        tbs.channel_fail)
+            ]
+            n_tbs += len(tb_list)
+            n_channel += int(tbs.channel_fail.sum())
+            for bi, c in enumerate(budgets):
+                for mi, limit in enumerate((c * SUBFRAME_S,
+                                            n_cells * c * SUBFRAME_S)):
+                    out = schedule_subframe(tb_list, (LP, CP)[mi], limit)
+                    bits = 0
+                    for (rap, _, _), d, b in zip(tb_list, out.dispositions, tbs.bits):
+                        n_comp[bi, mi] += d in (COMPUTATIONAL_OUTAGE,
+                                                CHANNEL_AND_COMPUTATIONAL)
+                        if d == DECODED:
+                            bits += int(b)
+                            cell_bits[bi, mi, layout.cloud_group.index(rap)] += int(b)
+                    tput[bi, mi, ti] = bits / SUBFRAME_S
+        assert acc.per_subframe[0, :, :, pi].tolist() == tput.tolist()
+        assert acc.n_comp[0, :, :, pi].tolist() == n_comp.tolist()
+        assert acc.bits_per_cell[0, :, :, pi].tolist() == cell_bits.tolist()
+        assert acc.n_tbs[0, pi] == n_tbs and acc.n_channel[0, pi] == n_channel
+        assert acc.sum_tput[0, :, :, pi] == pytest.approx(tput.sum(axis=-1))
+        assert acc.sumsq_tput[0, :, :, pi] == pytest.approx((tput ** 2).sum(axis=-1))
+        # the grid straddles the outage regime, and pooling changes decisions
+        assert n_comp[0].tolist() == [n_tbs, n_tbs] and n_comp[-1].tolist() == [0, 0]
+        assert 0 < n_comp[1:-1].sum() < 4 * n_tbs
+        assert (n_comp[1:-1, 0] != n_comp[1:-1, 1]).any()
 
 
 # ---------------------------------------------------------------------------
