@@ -159,8 +159,22 @@ def resolve_grid(spec, field, errors, log_grid=False):
     return []
 
 
+def _section(parent, key, field, errors):
+    """``parent[key]`` when it is an object (missing counts as empty), else None."""
+    value = parent.get(key, {})
+    if isinstance(value, dict):
+        return value
+    errors.append(f"{field}: must be an object")
+    return None
+
+
 def validate_config(cfg):
-    """Field-level checks; returns the list of problems (empty when valid)."""
+    """Field-level checks; returns the list of problems (empty when valid).
+
+    Network configs also build their layout here (cached for the run), so
+    a layout that cannot be built is reported before any worker starts.
+    """
+    cfg = _merge_defaults(cfg, DEFAULT_CONFIG)
     errors = []
     exp = cfg.get("experiment")
     if exp not in EXPERIMENTS:
@@ -175,8 +189,8 @@ def validate_config(cfg):
     if calib is not None and not Path(calib).exists():
         errors.append(f"calibration_file: {calib} does not exist")
 
-    cell = cfg.get("cell", {})
-    if exp in ("cell_outage", "cell_throughput", "cell_complexity"):
+    cell = _section(cfg, "cell", "cell", errors)
+    if cell is not None and exp in ("cell_outage", "cell_throughput", "cell_complexity"):
         resolve_grid(cell.get("snr_grid_db"), "cell.snr_grid_db", errors)
         if not isinstance(cell.get("n_trials"), int) or cell["n_trials"] < 1:
             errors.append("cell.n_trials: must be a positive integer")
@@ -187,8 +201,8 @@ def validate_config(cfg):
             if c is not None and not c > 0:
                 errors.append("cell.c_max_mbit_iter_s: entries must be positive or null")
 
-    net = cfg.get("network", {})
-    if exp in ("net_budget_sweep", "net_density_sweep"):
+    net = _section(cfg, "network", "network", errors)
+    if net is not None and exp in ("net_budget_sweep", "net_density_sweep"):
         if not isinstance(net.get("n_subframes"), int) or net["n_subframes"] < 1:
             errors.append("network.n_subframes: must be a positive integer")
         for p in net.get("policies", []):
@@ -198,16 +212,26 @@ def validate_config(cfg):
             if m not in ("LP", "CP"):
                 errors.append(f"network.modes: unknown mode {m}")
         layout_csv = net.get("layout_csv")
-        if layout_csv is not None and not Path(layout_csv).exists():
+        csv_found = layout_csv is None or Path(layout_csv).exists()
+        if not csv_found:
             errors.append(f"network.layout_csv: {layout_csv} does not exist")
-        synth = net.get("synthesize", {})
-        n_total, n_cloud = synth.get("n_total"), synth.get("n_cloud")
-        if not (isinstance(n_total, int) and n_total >= 2):
-            errors.append("network.synthesize.n_total: must be an integer >= 2")
-        elif not (isinstance(n_cloud, int) and 1 <= n_cloud <= n_total):
-            errors.append(f"network.synthesize.n_cloud: must be an integer in "
-                          f"1..{n_total} (n_total)")
-        ch = net.get("channel", {})
+        synth = _section(net, "synthesize", "network.synthesize", errors)
+        if synth is not None:
+            n_total, n_cloud = synth.get("n_total"), synth.get("n_cloud")
+            if not (isinstance(n_total, int) and n_total >= 2):
+                errors.append("network.synthesize.n_total: must be an integer >= 2")
+            elif not (isinstance(n_cloud, int) and 1 <= n_cloud <= n_total):
+                errors.append(f"network.synthesize.n_cloud: must be an integer in "
+                              f"1..{n_total} (n_total)")
+            elif csv_found:
+                layout_field = ("network.synthesize" if layout_csv is None
+                                else "network.layout_csv")
+                try:
+                    if not _layout(*_layout_args(net)).n_cloud:
+                        errors.append(f"{layout_field}: no RAP is in the cloud group")
+                except (TypeError, ValueError) as exc:
+                    errors.append(f"{layout_field}: {exc}")
+        ch = _section(net, "channel", "network.channel", errors) or {}
         if not ch.get("alpha", 3.7) > 2:
             errors.append("network.channel.alpha: must exceed 2")
         if not 0.0 <= ch.get("s", 0.1) <= 1.0:
@@ -238,6 +262,14 @@ def _models(calibration_file, eps_hat):
     curves = load_calibration(calibration_file)
     tables = build_policy_tables(curves, eps_hat)
     return curves, tables
+
+
+def _layout_args(net):
+    """``(layout_csv, synth_spec, region)``: the hashable arguments of ``_layout``."""
+    synth = net["synthesize"]
+    synth_spec = (int(synth["n_total"]), int(synth["n_cloud"]),
+                  float(synth["min_sep_km"]), int(synth["layout_seed"]))
+    return net["layout_csv"], synth_spec, tuple(float(v) for v in synth["region_km"])
 
 
 @lru_cache(maxsize=8)
@@ -416,10 +448,6 @@ def run(cfg, workers=1):
 
     elif experiment in ("net_budget_sweep", "net_density_sweep"):
         net = cfg["network"]
-        synth = net["synthesize"]
-        region = tuple(float(v) for v in synth["region_km"])
-        synth_spec = (int(synth["n_total"]), int(synth["n_cloud"]),
-                      float(synth["min_sep_km"]), int(synth["layout_seed"]))
         channel_kwargs = dict(net["channel"])
         if experiment == "net_budget_sweep":
             budgets = resolve_grid(net["budget_grid_mbit_iter_s"], "grid", [])
@@ -437,9 +465,9 @@ def run(cfg, workers=1):
         for t0 in range(0, n_subframes, NET_BLOCK_SUBFRAMES):
             blocks.append((t0, min(t0 + NET_BLOCK_SUBFRAMES, n_subframes)))
         tasks = [
-            (bi, t0, t1, calib, eps_hat, net["layout_csv"], synth_spec, region,
-             channel_kwargs, densities, tuple(budgets), modes,
-             tuple(net["policies"]), seed, subframe_s, fallback)
+            (bi, t0, t1, calib, eps_hat, *_layout_args(net), channel_kwargs,
+             densities, tuple(budgets), modes, tuple(net["policies"]), seed,
+             subframe_s, fallback)
             for bi, (t0, t1) in enumerate(blocks)
         ]
         results = _run_tasks(_net_block_task, tasks, workers)

@@ -59,6 +59,8 @@ class NetworkLayout:
     cell_vertices: tuple               # per-RAP CCW polygon arrays
     areas_km2: np.ndarray              # (n,)
     cloud_group: tuple                 # sorted RAP indices
+    lo: np.ndarray                     # (n, 2) lower-left corner of each cell's bounding box
+    hi: np.ndarray                     # (n, 2) upper-right corner
     kdtree: cKDTree = field(repr=False, compare=False, default=None)
 
     @property
@@ -141,6 +143,8 @@ def build_layout(rap_xy, region, cloud_group):
         cell_vertices=tuple(polys),
         areas_km2=areas,
         cloud_group=cloud,
+        lo=np.array([v.min(axis=0) for v in polys]),
+        hi=np.array([v.max(axis=0) for v in polys]),
         kdtree=cKDTree(pts),
     )
 
@@ -150,9 +154,9 @@ def synthesize_layout(rng, n_total=129, region=(0.0, 0.0, 20.0, 20.0),
     """Hard-core (minimum-separation) RAP layout; cloud group = cells
     nearest the region centroid."""
     xmin, ymin, xmax, ymax = region
-    pts = []
-    attempts = 0
-    while len(pts) < n_total:
+    pts = np.empty((n_total, 2))
+    n = attempts = 0
+    while n < n_total:
         attempts += 1
         if attempts > max_attempts:
             raise LayoutError(
@@ -162,9 +166,10 @@ def synthesize_layout(rng, n_total=129, region=(0.0, 0.0, 20.0, 20.0),
             xmin + rng.random() * (xmax - xmin),
             ymin + rng.random() * (ymax - ymin),
         ])
-        if all(np.hypot(*(cand - p)) >= min_sep_km for p in pts):
-            pts.append(cand)
-    pts = np.array(pts)
+        gap = cand - pts[:n]
+        if np.all(np.hypot(gap[:, 0], gap[:, 1]) >= min_sep_km):
+            pts[n] = cand
+            n += 1
     centroid = np.array([(xmin + xmax) / 2.0, (ymin + ymax) / 2.0])
     dist = np.hypot(pts[:, 0] - centroid[0], pts[:, 1] - centroid[1])
     cloud = tuple(sorted(int(i) for i in np.argsort(dist)[:n_cloud]))
@@ -179,37 +184,29 @@ def activation_probabilities(layout, ue_density_per_km2):
 def _sample_positions(layout, cells, rng, min_dist_km, batch=8, max_rounds=10000):
     """Uniform point in each listed cell via bounding-box rejection.
 
-    Candidates are accepted when their nearest RAP is the cell's own RAP and
-    they clear the minimum UE-RAP separation.
+    Each round draws ``batch`` candidates in the bounding box of every
+    pending cell with one ``rng.random`` call, whose rows (in pending order)
+    hold the doubles that one call per cell would draw, and keeps each
+    cell's first candidate whose nearest RAP is the cell's own RAP and that
+    clears the minimum UE-RAP separation.
     """
     out = np.empty((len(cells), 2))
-    pending = list(range(len(cells)))
+    pending = np.arange(len(cells))
     rounds = 0
-    while pending:
+    while len(pending):
         rounds += 1
         if rounds > max_rounds:
             raise RuntimeError("position rejection sampling failed to converge")
-        idx = np.array(pending)
-        cell_ids = np.array([cells[i] for i in pending])
-        cand = np.empty((len(idx), batch, 2))
-        for row, c in enumerate(cell_ids):
-            verts = layout.cell_vertices[c]
-            lo = verts.min(axis=0)
-            hi = verts.max(axis=0)
-            cand[row] = lo + rng.random((batch, 2)) * (hi - lo)
-        flat = cand.reshape(-1, 2)
-        dist, nearest = layout.kdtree.query(flat)
-        ok = (nearest.reshape(len(idx), batch) == cell_ids[:, None]) & (
-            dist.reshape(len(idx), batch) >= min_dist_km
+        cell_ids = cells[pending]
+        lo = layout.lo[cell_ids, None, :]
+        cand = lo + rng.random((len(pending), batch, 2)) * (layout.hi[cell_ids, None, :] - lo)
+        dist, nearest = layout.kdtree.query(cand.reshape(-1, 2))
+        ok = (nearest.reshape(-1, batch) == cell_ids[:, None]) & (
+            dist.reshape(-1, batch) >= min_dist_km
         )
-        still = []
-        for row, i in enumerate(pending):
-            hits = np.flatnonzero(ok[row])
-            if len(hits):
-                out[i] = cand[row, hits[0]]
-            else:
-                still.append(i)
-        pending = still
+        hit = ok.any(axis=1)
+        out[pending[hit]] = cand[hit, ok[hit].argmax(axis=1)]
+        pending = pending[~hit]
     return out
 
 

@@ -2,9 +2,9 @@
 
 The package ships one implementation of each behaviour: the vector path the
 experiments run (``simulate_trials``, ``cloud_sinrs``, ``comp_outage_masks``,
-``simulate_tb_batch``).  The scalar versions below spell the same rules out
-one transport block, one RAP or one trial at a time; the tests check the
-production code against them.
+``simulate_tb_batch``, ``_sample_positions``).  The scalar versions below
+spell the same rules out one transport block, one RAP, one cell or one trial
+at a time; the tests check the production code against them.
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ def run_cell_trial(cfg, gamma_db, table, curves, rng):
 
 
 # ---------------------------------------------------------------------------
-# geometry: SINR at one cloud RAP
+# geometry: SINR at one cloud RAP, UE placement cell by cell
 # ---------------------------------------------------------------------------
 
 
@@ -173,6 +173,44 @@ def compute_sinr(drop, layout, params, rap_index):
             * drop.tx_powers[other_row]
         )
     return signal / (noise + interference)
+
+
+def sample_positions(layout, cells, rng, min_dist_km, batch=8, max_rounds=10000):
+    """Uniform point in each listed cell via bounding-box rejection, drawing
+    each pending cell's candidates with its own ``rng.random`` call.
+
+    Candidates are accepted when their nearest RAP is the cell's own RAP and
+    they clear the minimum UE-RAP separation.
+    """
+    out = np.empty((len(cells), 2))
+    pending = list(range(len(cells)))
+    rounds = 0
+    while pending:
+        rounds += 1
+        if rounds > max_rounds:
+            raise RuntimeError("position rejection sampling failed to converge")
+        idx = np.array(pending)
+        cell_ids = np.array([cells[i] for i in pending])
+        cand = np.empty((len(idx), batch, 2))
+        for row, c in enumerate(cell_ids):
+            verts = layout.cell_vertices[c]
+            lo = verts.min(axis=0)
+            hi = verts.max(axis=0)
+            cand[row] = lo + rng.random((batch, 2)) * (hi - lo)
+        flat = cand.reshape(-1, 2)
+        dist, nearest = layout.kdtree.query(flat)
+        ok = (nearest.reshape(len(idx), batch) == cell_ids[:, None]) & (
+            dist.reshape(len(idx), batch) >= min_dist_km
+        )
+        still = []
+        for row, i in enumerate(pending):
+            hits = np.flatnonzero(ok[row])
+            if len(hits):
+                out[i] = cand[row, hits[0]]
+            else:
+                still.append(i)
+        pending = still
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,39 @@ def test_validation_checks_network_fields(tmp_path):
     assert cli_main(["run", "--config", str(cfg_path)]) == 2
 
 
+@pytest.mark.parametrize("section", ["cell", "network", "network.synthesize",
+                                     "network.channel"])
+def test_validation_rejects_non_object_sections(tmp_path, section):
+    experiment = "cell_outage" if section == "cell" else "net_budget_sweep"
+    cfg = {"experiment": experiment}
+    *parents, key = section.split(".")
+    node = cfg
+    for name in parents:
+        node = node.setdefault(name, {})
+    node[key] = 5
+    assert validate_config(cfg) == [f"{section}: must be an object"]
+    cfg_path = write_config(tmp_path, cfg)
+    assert cli_main(["validate", "--config", str(cfg_path)]) == 2
+
+
+def test_validation_builds_the_layout(tmp_path, capsys):
+    # a layout CSV with no cloud rows used to pass validate and crash in run
+    csv_path = tmp_path / "layout.csv"
+    rows = [f"{i},{1.5 * (i % 6) + 0.5!r},{2.0 * (i // 6) + 0.5!r},0" for i in range(24)]
+    csv_path.write_text("id,x_km,y_km,in_cloud_group\n" + "\n".join(rows) + "\n")
+    cfg = tiny_net_config(tmp_path)
+    cfg["network"]["layout_csv"] = str(csv_path)
+    assert validate_config(cfg) == ["network.layout_csv: no RAP is in the cloud group"]
+    cfg_path = write_config(tmp_path, cfg)
+    for command in ("validate", "run"):
+        assert cli_main([command, "--config", str(cfg_path)]) == 2
+    assert "network.layout_csv: no RAP is in the cloud group" in capsys.readouterr().err
+    # a LayoutError from the synthesizer names the synthesize section
+    cfg = tiny_net_config(tmp_path)
+    cfg["network"]["synthesize"]["region_km"] = [9.0, 0.0, 0.0, 9.0]
+    assert validate_config(cfg) == ["network.synthesize: region must have positive extent"]
+
+
 def test_net_density_budget_range(tmp_path):
     # the density sweep's budget grid takes the same range objects as the
     # budget sweep's

@@ -8,6 +8,7 @@ from cransim.geometry import (
     ChannelParams,
     LayoutError,
     SubframeDrop,
+    _sample_positions,
     activation_probabilities,
     build_layout,
     cloud_sinrs,
@@ -18,7 +19,7 @@ from cransim.geometry import (
     synthesize_layout,
 )
 from cransim.rng import substream
-from oracles import compute_sinr
+from oracles import compute_sinr, sample_positions
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +34,14 @@ def big_layout():
     rng = substream(4242, "layout", 0)
     return synthesize_layout(rng, n_total=129, region=(0, 0, 20, 20),
                              min_sep_km=1.3, n_cloud=8)
+
+
+@pytest.fixture(scope="module")
+def sliver_layout():
+    # the middle RAP's cell is a 0.07 km wide diagonal band: 0.61 km^2 in a
+    # 37.8 km^2 bounding box, so most rounds reject every candidate
+    raps = np.array([[3.0, 3.0], [3.05, 3.05], [3.1, 3.1]])
+    return build_layout(raps, (0.0, 0.0, 10.0, 10.0), cloud_group=(1,))
 
 
 def test_two_cell_symmetric_areas(two_cell_layout):
@@ -146,6 +155,28 @@ def test_in_cell_uniformity_chi2(two_cell_layout):
     expected = len(pts) / 40.0
     stat = float(((counts - expected) ** 2 / expected).sum())
     assert chi2.sf(stat, df=39) > 0.01
+
+
+@pytest.mark.parametrize("batch", [1, 2, 8])
+@pytest.mark.parametrize("layout_name", ["two_cell_layout", "big_layout", "sliver_layout"])
+def test_sample_positions_matches_oracle(layout_name, batch, request):
+    # same substream into both samplers: same points, same stream position
+    layout = request.getfixturevalue(layout_name)
+    n = layout.n_total
+    cell_sets = (np.array([], dtype=int), np.array([n // 2]), np.arange(n))
+    for k, cells in enumerate(cell_sets):
+        for min_dist in (1e-3, 0.5):
+            fast, slow = (substream(11, "net", batch, k) for _ in range(2))
+            got = _sample_positions(layout, cells, fast, min_dist, batch=batch)
+            want = sample_positions(layout, cells, slow, min_dist, batch=batch)
+            assert np.array_equal(got, want)
+            np.testing.assert_equal(fast.bit_generator.state, slow.bit_generator.state)
+    # a separation no candidate clears: both give up after max_rounds rounds
+    fast, slow = (substream(12, "net", batch) for _ in range(2))
+    for sampler, rng in ((_sample_positions, fast), (sample_positions, slow)):
+        with pytest.raises(RuntimeError, match="converge"):
+            sampler(layout, np.arange(n), rng, 1e3, batch=batch, max_rounds=3)
+    np.testing.assert_equal(fast.bit_generator.state, slow.bit_generator.state)
 
 
 def test_sinr_unit_distance_no_interference(two_cell_layout):
