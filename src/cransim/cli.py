@@ -30,14 +30,6 @@ from .experiments import (
 )
 
 
-def _load_and_validate(path):
-    cfg = load_config(path)
-    errors = validate_config(cfg)
-    if errors:
-        raise ConfigError(errors)
-    return cfg
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="cransim",
@@ -58,6 +50,7 @@ def main(argv=None):
 
     p_tables = sub.add_parser("policy-tables", help="write policy threshold tables")
     p_tables.add_argument("--config", required=True)
+    p_tables.set_defaults(workers=1)
 
     p_val = sub.add_parser("validate", help="validate a config")
     p_val.add_argument("--config", required=True)
@@ -65,28 +58,24 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     try:
-        if args.command == "run":
-            cfg = _load_and_validate(args.config)
-            if args.seed is not None:
-                cfg["seed"] = args.seed
-            manifest = run(cfg, workers=max(1, args.workers))
-            print(json.dumps(manifest, indent=2, sort_keys=True))
-            return EXIT_OK
         if args.command == "emit-plots":
             written = emit_plot_data(args.in_dir, args.out_dir)
             for path in written:
                 print(path)
             return EXIT_OK
-        if args.command == "policy-tables":
-            cfg = _load_and_validate(args.config)
-            cfg["experiment"] = "policy_tables"
-            manifest = run(cfg)
-            print(json.dumps(manifest, indent=2, sort_keys=True))
-            return EXIT_OK
+        cfg = load_config(args.config)
         if args.command == "validate":
-            _load_and_validate(args.config)
+            errors = validate_config(cfg)
+            if errors:
+                raise ConfigError(errors)
             print("config ok")
             return EXIT_OK
+        if args.command == "policy-tables":
+            cfg["experiment"] = "policy_tables"
+        elif args.seed is not None:
+            cfg["seed"] = args.seed
+        manifest = run(cfg, workers=max(1, args.workers))
+        print(json.dumps(manifest, indent=2, sort_keys=True))
     except ConfigError as exc:
         for err in exc.errors:
             print(f"config error: {err}", file=sys.stderr)

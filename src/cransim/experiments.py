@@ -10,13 +10,15 @@ subframe, never per worker; parallelism only changes wall-clock time.
 from __future__ import annotations
 
 import csv
+import difflib
 import hashlib
 import json
 import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import lru_cache, partial
 from importlib import resources
 from pathlib import Path
 
@@ -26,12 +28,13 @@ from . import __version__
 from .cell import sweep_cell
 from .geometry import ChannelParams, load_layout_csv, synthesize_layout
 from .link import SUBFRAME_S, load_calibration
-from .policy import build_policy_tables
+from .policy import build_policy_tables, snr_margin
 from .rng import substream
 from .scheduling import finalize_records, merge_accumulators, sweep_network
 
 RESULTS_SCHEMA_VERSION = 1
 NET_BLOCK_SUBFRAMES = 250
+MAX_GRID_POINTS = 10000
 
 EXPERIMENTS = (
     "cell_outage",
@@ -60,8 +63,11 @@ class SchemaError(ValueError):
     """Result files missing or with an unsupported schema."""
 
 
+# The config schema: these keys are the only ones accepted, and each leaf
+# has one rule in _RULES.
 DEFAULT_CONFIG = {
     "schema_version": RESULTS_SCHEMA_VERSION,
+    "experiment": None,
     "seed": 1,
     "output_dir": "results",
     "calibration_file": None,
@@ -76,20 +82,10 @@ DEFAULT_CONFIG = {
     },
     "network": {
         "layout_csv": None,
-        "synthesize": {
-            "n_total": 129,
-            "n_cloud": 8,
-            "region_km": [0.0, 0.0, 20.0, 20.0],
-            "min_sep_km": 1.3,
-            "layout_seed": 4242,
-        },
-        "channel": {
-            "alpha": 3.7,
-            "s": 0.1,
-            "snr_ref_db": 20.0,
-            "ue_density_per_km2": 0.1,
-            "max_interference_km": None,
-        },
+        "synthesize": {"n_total": 129, "n_cloud": 8, "region_km": [0.0, 0.0, 20.0, 20.0],
+                       "min_sep_km": 1.3, "layout_seed": 4242},
+        "channel": {"alpha": 3.7, "s": 0.1, "snr_ref_db": 20.0,
+                    "ue_density_per_km2": 0.1, "max_interference_km": None},
         "modes": ["LP", "CP"],
         "policies": ["MRS", "CAS"],
         "budget_grid_mbit_iter_s": {"start": 0.0, "stop": 100.0, "step": 4.0,
@@ -101,22 +97,20 @@ DEFAULT_CONFIG = {
 }
 
 
-def _merge_defaults(cfg, defaults):
-    out = {}
+def _merge_defaults(cfg, defaults, path=""):
+    """``cfg`` over ``defaults``: sections merge key by key, a leaf (a grid
+    too) replaces its default whole, and anything else is kept for ``_flatten``."""
+    out = dict(cfg)
     for key, base in defaults.items():
-        if key in cfg and isinstance(base, dict) and isinstance(cfg[key], dict):
-            out[key] = _merge_defaults(cfg[key], base)
-        elif key in cfg:
-            out[key] = cfg[key]
-        else:
-            out[key] = base
-    for key in cfg:
-        if key not in out:
-            out[key] = cfg[key]
+        if path + key in _RULES:
+            out.setdefault(key, base)
+        elif isinstance(out.get(key, {}), dict):
+            out[key] = _merge_defaults(out.get(key, {}), base, f"{path}{key}.")
     return out
 
 
 def load_config(path):
+    """The config file merged over ``DEFAULT_CONFIG``; ``_resolve`` checks it."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -129,128 +123,227 @@ def load_config(path):
     return _merge_defaults(raw, DEFAULT_CONFIG)
 
 
+def _num(value):
+    """A JSON number (not a bool) well inside the float range."""
+    return type(value) in (int, float) and abs(value) < 1e300
+
+
+def _unknown_key(field, key, known):
+    hint = difflib.get_close_matches(key, list(known), n=1)
+    return f"{field}: unknown key" + (f" (did you mean {hint[0]!r}?)" if hint else "")
+
+
 def resolve_grid(spec, field, errors, log_grid=False):
-    """A grid is an explicit list or a {start, stop, step} / log-grid spec."""
-    if isinstance(spec, list):
-        if not spec:
-            errors.append(f"{field}: grid must be nonempty")
+    """A grid: a nonempty list of numbers and nulls, or a {start, stop, step}
+    or {log_start, log_stop, num} object that may add "include_unconstrained":
+    true.  Every grid takes all three forms, so ``log_grid`` is ignored.
+    Problems go to ``errors``, and the grid is then empty."""
+    if isinstance(spec, list) and spec and all(v is None or _num(v) for v in spec):
         return [None if v is None else float(v) for v in spec]
-    if isinstance(spec, dict):
-        try:
-            if log_grid and "num" in spec:
-                values = np.logspace(
-                    float(spec["log_start"]), float(spec["log_stop"]), int(spec["num"])
-                ).tolist()
-            else:
-                start, stop, step = (
-                    float(spec["start"]), float(spec["stop"]), float(spec["step"]))
-                if step <= 0 or stop < start:
-                    errors.append(f"{field}: bad range")
-                    return []
-                n = int(math.floor((stop - start) / step + 1e-9)) + 1
-                values = [start + step * k for k in range(n)]
-            if spec.get("include_unconstrained"):
-                values = values + [None]
-            return values
-        except (KeyError, TypeError, ValueError) as exc:
-            errors.append(f"{field}: {exc}")
-            return []
-    errors.append(f"{field}: must be a list or a range object")
-    return []
+    obj = spec if isinstance(spec, dict) else {}
+    log = "num" in obj
+    keys = ("log_start", "log_stop", "num") if log else ("start", "stop", "step")
+    known = keys + ("include_unconstrained",)
+    unknown = [_unknown_key(f"{field}.{k}", k, known) for k in obj if k not in known]
+    a, b, c = map(obj.get, keys)
+    if log:
+        ok = _num(a) and _num(b) and type(c) is int and 1 <= c <= MAX_GRID_POINTS
+    else:
+        ok = all(map(_num, (a, b, c))) and c > 0 and 0 <= (b - a) / c < MAX_GRID_POINTS
+    if unknown or not ok or type(obj.get("include_unconstrained", False)) is not bool:
+        errors.extend(unknown or [
+            f"{field}: must be a nonempty list of numbers and nulls, or an object of "
+            f"numbers {', '.join(keys)} ({keys[2]} > 0, at most {MAX_GRID_POINTS} points)"])
+        return []
+    if log:
+        values = np.logspace(float(a), float(b), c).tolist()
+    else:
+        start, stop, step = float(a), float(b), float(c)
+        n = int(math.floor((stop - start) / step + 1e-9)) + 1
+        values = [start + step * k for k in range(n)]
+    return values + [None] if spec.get("include_unconstrained") else values
 
 
-def _section(parent, key, field, errors):
-    """``parent[key]`` when it is an object (missing counts as empty), else None."""
-    value = parent.get(key, {})
-    if isinstance(value, dict):
-        return value
-    errors.append(f"{field}: must be an object")
-    return None
+def _rule(kind, ok, message):
+    """A leaf of type ``kind`` (float: any number, resolved to a float; None:
+    any JSON value) that passes ``ok`` (None: no further condition), else the
+    error ``<field>: <message>``."""
+    def rule(value, field, errors, got):
+        typed = kind is None or type(value) is kind or kind is float and _num(value)
+        if typed and (ok is None or ok(value)):
+            return value if kind is None else kind(value)
+        errors.append(f"{field}: {message}")
+    return rule
+
+
+def _choices(allowed, noun):
+    """A nonempty list drawn from ``allowed``, resolved to a tuple."""
+    def rule(value, field, errors, got):
+        if not (isinstance(value, list) and value):
+            errors.append(f"{field}: must be a nonempty list of {', '.join(allowed)}")
+            return ()
+        errors.extend(f"{field}: unknown {noun} {v}" for v in value if v not in allowed)
+        return tuple(value)
+    return rule
+
+
+def _mbit(value):
+    return math.inf if value is None else value * 1e6
+
+
+def _grid(ok, message, convert=None):
+    """A grid (see ``resolve_grid``) whose values all pass ``ok``, as a tuple."""
+    def rule(value, field, errors, got):
+        values = resolve_grid(value, field, errors)
+        if not all(map(ok, values)):
+            errors.append(f"{field}: {message}")
+        return tuple(values if convert is None else map(convert, values))
+    return rule
+
+
+def _n_cloud(value, field, errors, got):
+    n_total = got["network.synthesize.n_total"]  # None when itself invalid
+    if n_total is not None and not (type(value) is int and 1 <= value <= n_total):
+        errors.append(f"{field}: must be an integer in 1..{n_total} (n_total)")
+    return value
+
+
+def _path(value):
+    return value is None or isinstance(value, str) and os.path.isfile(value)
+
+
+# budget grids resolve to bit-iterations/s, with inf for null (unconstrained)
+_BUDGETS = _grid(lambda v: v is None or v >= 0, "budgets must be >= 0 or null", _mbit)
+_NONNEGATIVE = _rule(int, lambda v: v >= 0, "must be a nonnegative integer")
+
+# One rule per leaf of DEFAULT_CONFIG, checked in this order.
+_RULES = {
+    "experiment": _rule(None, lambda v: v in EXPERIMENTS,
+                        f"must be one of {', '.join(EXPERIMENTS)}"),
+    "schema_version": _rule(int, lambda v: v == RESULTS_SCHEMA_VERSION,
+                            f"must be {RESULTS_SCHEMA_VERSION}"),
+    "seed": _NONNEGATIVE,
+    "output_dir": _rule(str, None, "must be a string"),
+    "calibration_file": _rule(None, _path, "must be null or an existing file"),
+    "eps_hat": _rule(float, lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
+    "low_snr_fallback": _rule(bool, None, "must be true or false"),
+    "subframe_s": _rule(float, lambda v: v > 0, "must be positive"),
+    "cell.snr_grid_db": _grid(lambda v: v is not None, "entries must be numbers"),
+    "cell.n_trials": _rule(int, lambda v: v >= 1, "must be a positive integer"),
+    "cell.policies": _choices(("MRS", "CAS"), "policy"),
+    "cell.c_max_mbit_iter_s": _grid(lambda v: v is None or v > 0,
+                                    "entries must be positive or null", _mbit),
+    "network.n_subframes": _rule(int, lambda v: v >= 1, "must be a positive integer"),
+    "network.policies": _choices(("MRS", "CAS"), "policy"),
+    "network.modes": _choices(("LP", "CP"), "mode"),
+    "network.layout_csv": _rule(None, _path, "must be null or an existing file"),
+    "network.synthesize.n_total": _rule(int, lambda v: v >= 2, "must be an integer >= 2"),
+    "network.synthesize.n_cloud": _n_cloud,
+    "network.synthesize.region_km": _rule(
+        None, lambda v: isinstance(v, list) and len(v) == 4 and all(map(_num, v)),
+        "must be [xmin, ymin, xmax, ymax]"),
+    "network.synthesize.min_sep_km": _rule(float, lambda v: v >= 0, "must be >= 0"),
+    "network.synthesize.layout_seed": _NONNEGATIVE,
+    "network.channel.alpha": _rule(float, lambda v: v > 2, "must exceed 2"),
+    "network.channel.s": _rule(float, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
+    "network.channel.snr_ref_db": _rule(float, None, "must be a number"),
+    "network.channel.ue_density_per_km2": _rule(float, lambda v: v >= 0, "must be >= 0"),
+    "network.channel.max_interference_km": _rule(
+        None, lambda v: v is None or _num(v) and v > 0, "must be positive or null"),
+    "network.budget_grid_mbit_iter_s": _BUDGETS,
+    "network.density_grid_per_km2": _grid(lambda v: v is not None and v >= 0,
+                                          "densities must be >= 0"),
+    "network.c_max_mbit_iter_s": _BUDGETS,
+}
+
+
+def _flatten(cfg, schema, errors, path=""):
+    """The leaves of a merged config by dotted field; reports unknown keys
+    and non-object sections (whose leaves are then left out)."""
+    leaves = {}
+    for key, value in cfg.items():
+        field = path + key
+        if key not in schema:
+            errors.append(_unknown_key(field, key, schema))
+        elif field in _RULES:
+            leaves[field] = value
+        elif isinstance(value, dict):
+            leaves.update(_flatten(value, schema[key], errors, field + "."))
+        else:
+            errors.append(f"{field}: must be an object")
+    return leaves
+
+
+@dataclass(frozen=True)
+class Plan:
+    """A checked config, resolved into what ``run`` and its workers execute."""
+
+    config: dict                 # the merged config less output_dir: what results record
+    output_dir: str
+    experiment: str
+    seed: int
+    calibration_file: str | None
+    eps_hat: float
+    subframe_s: float
+    low_snr_fallback: bool
+    policies: tuple = ()
+    budgets: tuple = ()          # bit-iterations/s; inf = unconstrained
+    snr_grid_db: tuple = ()      # cell experiments
+    n_trials: int = 0
+    layout: tuple = ()           # network experiments: the arguments of _layout
+    channel: ChannelParams = None
+    densities: tuple = ()
+    modes: tuple = ()
+    n_subframes: int = 0
+
+
+def _resolve(cfg):
+    """Check ``cfg`` once: ``(plan, [])``, or ``(None, errors)`` by field.
+    Network configs also build their (cached) layout here, so a layout that
+    cannot be built is reported before any worker starts."""
+    cfg = _merge_defaults(cfg, DEFAULT_CONFIG)
+    errors, got = [], {}
+    leaves = _flatten(cfg, DEFAULT_CONFIG, errors)
+    for field, rule in _RULES.items():
+        if field in leaves:
+            got[field] = rule(leaves[field], field, errors, got)
+    if errors:
+        return None, errors
+    exp = got["experiment"]
+    plan = Plan(config={k: v for k, v in cfg.items() if k != "output_dir"},
+                **{k: v for k, v in got.items() if "." not in k and k != "schema_version"})
+    if exp.startswith("cell_"):
+        return replace(plan, policies=got["cell.policies"], n_trials=got["cell.n_trials"],
+                       budgets=got["cell.c_max_mbit_iter_s"],
+                       snr_grid_db=got["cell.snr_grid_db"]), []
+    if not exp.startswith("net_"):
+        return plan, []
+    net = {k.removeprefix("network."): v for k, v in got.items()}
+    channel = ChannelParams(**{k: net["channel." + k]
+                               for k in DEFAULT_CONFIG["network"]["channel"]})
+    net["synthesize.region_km"] = tuple(map(float, net["synthesize.region_km"]))
+    layout = (net["layout_csv"], *(net["synthesize." + k]
+                                   for k in DEFAULT_CONFIG["network"]["synthesize"]))
+    layout_field = "network.synthesize" if layout[0] is None else "network.layout_csv"
+    try:
+        if not _layout(*layout).n_cloud:
+            return None, [f"{layout_field}: no RAP is in the cloud group"]
+    except (ValueError, csv.Error) as exc:
+        return None, [f"{layout_field}: {exc}"]
+    if exp == "net_budget_sweep":
+        budgets, densities = net["budget_grid_mbit_iter_s"], (channel.ue_density_per_km2,)
+        modes = net["modes"]
+    else:
+        budgets, densities = net["c_max_mbit_iter_s"], net["density_grid_per_km2"]
+        modes = ("CP",) if "CP" in net["modes"] else net["modes"]
+    return replace(plan, policies=net["policies"], budgets=budgets, layout=layout,
+                   channel=channel, densities=densities, modes=modes,
+                   n_subframes=net["n_subframes"]), []
 
 
 def validate_config(cfg):
-    """Field-level checks; returns the list of problems (empty when valid).
-
-    Network configs also build their layout here (cached for the run), so
-    a layout that cannot be built is reported before any worker starts.
-    """
-    cfg = _merge_defaults(cfg, DEFAULT_CONFIG)
-    errors = []
-    exp = cfg.get("experiment")
-    if exp not in EXPERIMENTS:
-        errors.append(f"experiment: must be one of {', '.join(EXPERIMENTS)}")
-    if not isinstance(cfg.get("seed"), int) or cfg["seed"] < 0:
-        errors.append("seed: must be a nonnegative integer")
-    if not 0.0 < cfg.get("eps_hat", 0.1) <= 1.0:
-        errors.append("eps_hat: must lie in (0, 1]")
-    if not cfg.get("subframe_s", SUBFRAME_S) > 0:
-        errors.append("subframe_s: must be positive")
-    calib = cfg.get("calibration_file")
-    if calib is not None and not Path(calib).exists():
-        errors.append(f"calibration_file: {calib} does not exist")
-
-    cell = _section(cfg, "cell", "cell", errors)
-    if cell is not None and exp in ("cell_outage", "cell_throughput", "cell_complexity"):
-        resolve_grid(cell.get("snr_grid_db"), "cell.snr_grid_db", errors)
-        if not isinstance(cell.get("n_trials"), int) or cell["n_trials"] < 1:
-            errors.append("cell.n_trials: must be a positive integer")
-        for p in cell.get("policies", []):
-            if p not in ("MRS", "CAS"):
-                errors.append(f"cell.policies: unknown policy {p}")
-        for c in cell.get("c_max_mbit_iter_s", []):
-            if c is not None and not c > 0:
-                errors.append("cell.c_max_mbit_iter_s: entries must be positive or null")
-
-    net = _section(cfg, "network", "network", errors)
-    if net is not None and exp in ("net_budget_sweep", "net_density_sweep"):
-        if not isinstance(net.get("n_subframes"), int) or net["n_subframes"] < 1:
-            errors.append("network.n_subframes: must be a positive integer")
-        for p in net.get("policies", []):
-            if p not in ("MRS", "CAS"):
-                errors.append(f"network.policies: unknown policy {p}")
-        for m in net.get("modes", []):
-            if m not in ("LP", "CP"):
-                errors.append(f"network.modes: unknown mode {m}")
-        layout_csv = net.get("layout_csv")
-        csv_found = layout_csv is None or Path(layout_csv).exists()
-        if not csv_found:
-            errors.append(f"network.layout_csv: {layout_csv} does not exist")
-        synth = _section(net, "synthesize", "network.synthesize", errors)
-        if synth is not None:
-            n_total, n_cloud = synth.get("n_total"), synth.get("n_cloud")
-            if not (isinstance(n_total, int) and n_total >= 2):
-                errors.append("network.synthesize.n_total: must be an integer >= 2")
-            elif not (isinstance(n_cloud, int) and 1 <= n_cloud <= n_total):
-                errors.append(f"network.synthesize.n_cloud: must be an integer in "
-                              f"1..{n_total} (n_total)")
-            elif csv_found:
-                layout_field = ("network.synthesize" if layout_csv is None
-                                else "network.layout_csv")
-                try:
-                    if not _layout(*_layout_args(net)).n_cloud:
-                        errors.append(f"{layout_field}: no RAP is in the cloud group")
-                except (TypeError, ValueError) as exc:
-                    errors.append(f"{layout_field}: {exc}")
-        ch = _section(net, "channel", "network.channel", errors) or {}
-        if not ch.get("alpha", 3.7) > 2:
-            errors.append("network.channel.alpha: must exceed 2")
-        if not 0.0 <= ch.get("s", 0.1) <= 1.0:
-            errors.append("network.channel.s: must lie in [0, 1]")
-        if not ch.get("ue_density_per_km2", 0.1) >= 0:
-            errors.append("network.channel.ue_density_per_km2: must be >= 0")
-        if exp == "net_budget_sweep":
-            budget_field = "network.budget_grid_mbit_iter_s"
-            budgets = resolve_grid(net.get("budget_grid_mbit_iter_s"), budget_field, errors)
-        else:
-            grid = resolve_grid(net.get("density_grid_per_km2"),
-                                "network.density_grid_per_km2", errors, log_grid=True)
-            if any(v is None or v < 0 for v in grid):
-                errors.append("network.density_grid_per_km2: densities must be >= 0")
-            budget_field = "network.c_max_mbit_iter_s"
-            budgets = resolve_grid(net.get("c_max_mbit_iter_s"), budget_field, errors)
-        if any(c is not None and c < 0 for c in budgets):
-            errors.append(f"{budget_field}: budgets must be >= 0 or null")
-    return errors
+    """Field-level problems of ``cfg`` (empty when valid)."""
+    return _resolve(cfg)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -264,68 +357,42 @@ def _models(calibration_file, eps_hat):
     return curves, tables
 
 
-def _layout_args(net):
-    """``(layout_csv, synth_spec, region)``: the hashable arguments of ``_layout``."""
-    synth = net["synthesize"]
-    synth_spec = (int(synth["n_total"]), int(synth["n_cloud"]),
-                  float(synth["min_sep_km"]), int(synth["layout_seed"]))
-    return net["layout_csv"], synth_spec, tuple(float(v) for v in synth["region_km"])
-
-
 @lru_cache(maxsize=8)
-def _layout(layout_csv, synth_spec, region):
+def _layout(layout_csv, n_total, n_cloud, region_km, min_sep_km, layout_seed):
     if layout_csv is not None:
-        return load_layout_csv(layout_csv, region)
-    n_total, n_cloud, min_sep, layout_seed = synth_spec
-    rng = substream(layout_seed, "layout", 0)
-    return synthesize_layout(
-        rng, n_total=n_total, region=region, min_sep_km=min_sep, n_cloud=n_cloud
-    )
+        return load_layout_csv(layout_csv, region_km)
+    return synthesize_layout(substream(layout_seed, "layout", 0), n_total=n_total,
+                             region=region_km, min_sep_km=min_sep_km, n_cloud=n_cloud)
 
 
-def _mbit(value):
-    return math.inf if value is None else float(value) * 1e6
-
-
-def _cell_point_task(args):
-    (gi, snr_db, calib, eps_hat, policies, c_values, n_trials, seed,
-     subframe_s, fallback) = args
-    curves, tables = _models(calib, eps_hat)
+def _cell_point_task(plan, gi):
+    curves, tables = _models(plan.calibration_file, plan.eps_hat)
     res = sweep_cell(
-        [snr_db], tables, curves, n_trials, seed,
-        c_max_values=tuple(_mbit(c) for c in c_values),
-        policies=tuple(policies), subframe_s=subframe_s,
-        low_snr_fallback=fallback,
-        rng_factory=lambda _gi: substream(seed, "cell", gi),
+        [plan.snr_grid_db[gi]], tables, curves, plan.n_trials, plan.seed,
+        c_max_values=plan.budgets, policies=plan.policies,
+        subframe_s=plan.subframe_s, low_snr_fallback=plan.low_snr_fallback,
+        rng_factory=lambda _gi: substream(plan.seed, "cell", gi),
     )
-    return gi, [rec for recs in res.values() for rec in recs]
+    return [rec for recs in res.values() for rec in recs]
 
 
-def _net_block_task(args):
-    (block_idx, t0, t1, calib, eps_hat, layout_csv, synth_spec, region,
-     channel_kwargs, densities, budgets, modes, policies, seed, subframe_s,
-     fallback) = args
-    curves, tables = _models(calib, eps_hat)
-    layout = _layout(layout_csv, synth_spec, region)
-    params = ChannelParams(**channel_kwargs)
-    acc = sweep_network(
-        layout, params, curves, tables,
-        subframes=range(t0, t1), seed=seed,
-        density_grid=densities,
-        budget_grid=tuple(_mbit(c) for c in budgets),
-        modes=tuple(modes), policies=tuple(policies),
-        subframe_s=subframe_s, low_snr_fallback=fallback,
+def _net_block_task(plan, subframes):
+    curves, tables = _models(plan.calibration_file, plan.eps_hat)
+    return sweep_network(
+        _layout(*plan.layout), plan.channel, curves, tables,
+        subframes=subframes, seed=plan.seed, density_grid=plan.densities,
+        budget_grid=plan.budgets, modes=plan.modes, policies=plan.policies,
+        subframe_s=plan.subframe_s, low_snr_fallback=plan.low_snr_fallback,
     )
-    return block_idx, acc
 
 
-def _run_tasks(task_fn, tasks, workers):
+def _run_tasks(task_fn, plan, items, workers):
+    """``[task_fn(plan, item) for item in items]``, on a pool when workers > 1."""
+    task = partial(task_fn, plan)
     if workers <= 1:
-        results = [task_fn(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(task_fn, tasks))
-    return sorted(results, key=lambda pair: pair[0])
+        return [task(item) for item in items]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(task, items))
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +401,7 @@ def _run_tasks(task_fn, tasks, workers):
 
 def _jsonable(value):
     if isinstance(value, float):
-        if math.isinf(value):
-            return None
-        return value
+        return None if math.isinf(value) else value
     if isinstance(value, (np.floating, np.integer)):
         return _jsonable(value.item())
     if isinstance(value, (tuple, list)):
@@ -345,13 +410,7 @@ def _jsonable(value):
 
 
 def _record_dicts(records):
-    out = []
-    for rec in records:
-        d = {}
-        for key, value in rec.__dict__.items():
-            d[key] = _jsonable(value)
-        out.append(d)
-    return out
+    return [{k: _jsonable(v) for k, v in rec.__dict__.items()} for rec in records]
 
 
 def _csv_cell(value):
@@ -364,23 +423,21 @@ def _csv_cell(value):
     return str(value)
 
 
-def _semantic_config(cfg):
-    """The config without its output location (which does not affect results)."""
-    return {k: v for k, v in cfg.items() if k != "output_dir"}
-
-
-def _write_results(out_dir, experiment, cfg, record_dicts):
-    payload = {
-        "schema_version": RESULTS_SCHEMA_VERSION,
-        "artifact_version": __version__,
-        "experiment": experiment,
-        "config": _semantic_config(cfg),
-        "records": record_dicts,
-    }
-    json_path = out_dir / "results.json"
-    with open(json_path, "w") as fh:
+def _write_json(path, payload):
+    with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return path
+
+
+def _write_results(out_dir, plan, record_dicts):
+    json_path = _write_json(out_dir / "results.json", {
+        "schema_version": RESULTS_SCHEMA_VERSION,
+        "artifact_version": __version__,
+        "experiment": plan.experiment,
+        "config": plan.config,
+        "records": record_dicts,
+    })
     csv_path = out_dir / "results.csv"
     if record_dicts:
         fields = ["schema_version"] + list(record_dicts[0].keys())
@@ -403,12 +460,8 @@ def _sha256(path):
 
 def _calibration_sha(calibration_file):
     if calibration_file is None:
-        data = (
-            resources.files("cransim.data")
-            .joinpath("default_calibration.json")
-            .read_bytes()
-        )
-        return hashlib.sha256(data).hexdigest()
+        data = resources.files("cransim.data").joinpath("default_calibration.json")
+        return hashlib.sha256(data.read_bytes()).hexdigest()
     return _sha256(calibration_file)
 
 
@@ -417,68 +470,30 @@ def run(cfg, workers=1):
 
     Raises ConfigError for invalid configs and OSError for I/O failures.
     """
-    cfg = _merge_defaults(cfg, DEFAULT_CONFIG)
-    errors = validate_config(cfg)
+    plan, errors = _resolve(cfg)
     if errors:
         raise ConfigError(errors)
     t_start = time.time()
-    experiment = cfg["experiment"]
-    out_dir = Path(os.environ.get("CRANSIM_OUTPUT_DIR", cfg["output_dir"]))
+    experiment = plan.experiment
+    out_dir = Path(os.environ.get("CRANSIM_OUTPUT_DIR", plan.output_dir))
     out_dir.mkdir(parents=True, exist_ok=True)
-    calib = cfg["calibration_file"]
-    eps_hat = float(cfg["eps_hat"])
-    seed = int(cfg["seed"])
-    subframe_s = float(cfg["subframe_s"])
-    fallback = bool(cfg["low_snr_fallback"])
     outputs = []
 
-    if experiment in ("cell_outage", "cell_throughput", "cell_complexity"):
-        cell = cfg["cell"]
-        grid = resolve_grid(cell["snr_grid_db"], "cell.snr_grid_db", [])
-        tasks = [
-            (gi, snr, calib, eps_hat, tuple(cell["policies"]),
-             tuple(cell["c_max_mbit_iter_s"]), int(cell["n_trials"]), seed,
-             subframe_s, fallback)
-            for gi, snr in enumerate(grid)
-        ]
-        results = _run_tasks(_cell_point_task, tasks, workers)
-        records = [rec for _, recs in results for rec in recs]
-        records.sort(key=lambda r: (r.policy, r.c_max_bit_iter_s, r.snr_db))
-        outputs += _write_results(out_dir, experiment, cfg, _record_dicts(records))
+    if experiment.startswith("cell_"):
+        results = _run_tasks(_cell_point_task, plan, range(len(plan.snr_grid_db)), workers)
+        record_dicts = _record_dicts(sorted(
+            (rec for recs in results for rec in recs),
+            key=lambda r: (r.policy, r.c_max_bit_iter_s, r.snr_db)))
 
-    elif experiment in ("net_budget_sweep", "net_density_sweep"):
-        net = cfg["network"]
-        channel_kwargs = dict(net["channel"])
-        if experiment == "net_budget_sweep":
-            budgets = resolve_grid(net["budget_grid_mbit_iter_s"], "grid", [])
-            densities = (float(channel_kwargs["ue_density_per_km2"]),)
-            modes = tuple(net["modes"])
-        else:
-            budgets = resolve_grid(net["c_max_mbit_iter_s"], "grid", [])
-            densities = tuple(
-                float(v) for v in resolve_grid(
-                    net["density_grid_per_km2"], "grid", [], log_grid=True)
-            )
-            modes = ("CP",) if "CP" in net["modes"] else tuple(net["modes"])
-        n_subframes = int(net["n_subframes"])
-        blocks = []
-        for t0 in range(0, n_subframes, NET_BLOCK_SUBFRAMES):
-            blocks.append((t0, min(t0 + NET_BLOCK_SUBFRAMES, n_subframes)))
-        tasks = [
-            (bi, t0, t1, calib, eps_hat, *_layout_args(net), channel_kwargs,
-             densities, tuple(budgets), modes, tuple(net["policies"]), seed,
-             subframe_s, fallback)
-            for bi, (t0, t1) in enumerate(blocks)
-        ]
-        results = _run_tasks(_net_block_task, tasks, workers)
-        acc = merge_accumulators([a for _, a in results])
-        records = finalize_records(acc, n_subframes, subframe_s)
-        outputs += _write_results(out_dir, experiment, cfg, _record_dicts(records))
+    elif experiment.startswith("net_"):
+        n = plan.n_subframes
+        blocks = [range(t0, min(t0 + NET_BLOCK_SUBFRAMES, n))
+                  for t0 in range(0, n, NET_BLOCK_SUBFRAMES)]
+        acc = merge_accumulators(_run_tasks(_net_block_task, plan, blocks, workers))
+        record_dicts = _record_dicts(finalize_records(acc, n, plan.subframe_s))
 
     else:  # policy_tables
-        curves, tables = _models(calib, eps_hat)
-        from .policy import snr_margin
-
+        curves, tables = _models(plan.calibration_file, plan.eps_hat)
         record_dicts = []
         for name, table in sorted(tables.items()):
             path = out_dir / f"policy_{name.lower()}.csv"
@@ -489,32 +504,23 @@ def run(cfg, workers=1):
                     {"policy": name, "mcs_index": m, "threshold_db": thr,
                      "iteration_budget": table.iteration_budget}
                 )
-        margins = snr_margin(tables["CAS"], tables["MRS"])
-        margins_path = out_dir / "margins.json"
-        with open(margins_path, "w") as fh:
-            json.dump(
-                {"schema_version": RESULTS_SCHEMA_VERSION,
-                 "margins_db": list(margins.margins_db)},
-                fh, indent=2, sort_keys=True,
-            )
-            fh.write("\n")
-        outputs.append(margins_path)
-        outputs += _write_results(out_dir, experiment, cfg, record_dicts)
+        margins = {"schema_version": RESULTS_SCHEMA_VERSION,
+                   "margins_db": list(snr_margin(tables["CAS"], tables["MRS"]).margins_db)}
+        outputs.append(_write_json(out_dir / "margins.json", margins))
+    outputs += _write_results(out_dir, plan, record_dicts)
 
     manifest = {
         "schema_version": RESULTS_SCHEMA_VERSION,
         "artifact_version": __version__,
         "experiment": experiment,
         "config_sha256": hashlib.sha256(
-            json.dumps(_semantic_config(cfg), sort_keys=True).encode()
+            json.dumps(plan.config, sort_keys=True).encode()
         ).hexdigest(),
-        "calibration_sha256": _calibration_sha(calib),
+        "calibration_sha256": _calibration_sha(plan.calibration_file),
         "wall_clock_s": round(time.time() - t_start, 3),
         "outputs": {p.name: _sha256(p) for p in sorted(outputs)},
     }
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "manifest.json", manifest)
     return manifest
 
 

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cransim.cli import main as cli_main
 from cransim.experiments import (
@@ -382,3 +386,125 @@ def test_net_result_digests(tmp_path, monkeypatch, name):
     cfg["network"]["n_subframes"] = 300
     outputs = run(cfg)["outputs"]
     assert (outputs["results.json"], outputs["results.csv"]) == GOLDEN_NET_DIGESTS[name]
+
+
+# ---------------------------------------------------------------------------
+# the config boundary: every malformed config exits 2 with a field message
+# ---------------------------------------------------------------------------
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def with_leaf(cfg, field, value):
+    cfg = json.loads(json.dumps(cfg))
+    *parents, key = field.split(".")
+    node = cfg
+    for name in parents:
+        node = node.setdefault(name, {})
+    node[key] = value
+    return cfg
+
+
+def small_cell_config(out_dir):
+    cfg = tiny_cell_config(out_dir)
+    cfg["cell"].update(snr_grid_db=[10.0], n_trials=20)
+    return cfg
+
+
+def small_net_config(out_dir):
+    cfg = tiny_net_config(out_dir)
+    cfg["network"].update(n_subframes=5, budget_grid_mbit_iter_s=[10.0])
+    return cfg
+
+
+# (base config, field, bad value, text stderr must contain)
+MALFORMED = [
+    ("cell", "cell.snr_grid_db", ["a"], "cell.snr_grid_db"),
+    ("cell", "eps_hat", "x", "eps_hat"),
+    ("cell", "subframe_s", "x", "subframe_s"),
+    ("cell", "calibration_file", 5, "calibration_file"),
+    ("net", "network.channel.ue_density_per_km2", None,
+     "network.channel.ue_density_per_km2"),
+    ("net", "network.channel.alhpa", 3.0,
+     "network.channel.alhpa: unknown key (did you mean 'alpha'?)"),
+    ("cell", "cell.n_trial", 20, "cell.n_trial: unknown key (did you mean 'n_trials'?)"),
+    ("cell", "schema_version", 7, "schema_version"),
+    ("cell", "seed", True, "seed"),
+    ("cell", "low_snr_fallback", "no", "low_snr_fallback"),
+    ("cell", "cell.policies", [], "cell.policies"),
+    ("cell", "cell.c_max_mbit_iter_s", [], "cell.c_max_mbit_iter_s"),
+    ("net", "network.policies", [], "network.policies"),
+    ("net", "network.modes", [], "network.modes"),
+    ("net", "network.channel.min_ue_rap_km", 50.0,
+     "network.channel.min_ue_rap_km: unknown key"),
+]
+
+
+@pytest.mark.parametrize("base, field, value, message", MALFORMED,
+                         ids=[f"{field}={value!r}" for _, field, value, _ in MALFORMED])
+def test_malformed_config_exits_2(tmp_path, capsys, base, field, value, message):
+    make = small_cell_config if base == "cell" else small_net_config
+    cfg_path = write_config(tmp_path, with_leaf(make(tmp_path / "out"), field, value))
+    for command in ("validate", "run"):
+        assert cli_main([command, "--config", str(cfg_path)]) == 2, command
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err, (command, err)
+
+
+def test_grid_objects_replace_the_default(tmp_path):
+    # a range object replaces the default log grid whole, and the cell
+    # budget grid takes a range object too
+    out = tmp_path / "dens"
+    cfg = small_net_config(out)
+    cfg["experiment"] = "net_density_sweep"
+    cfg["network"]["density_grid_per_km2"] = {"start": 0.1, "stop": 0.3, "step": 0.1}
+    assert cli_main(["run", "--config", str(write_config(tmp_path, cfg))]) == 0
+    records = json.loads((out / "results.json").read_text())["records"]
+    densities = sorted({r["ue_density_per_km2"] for r in records})
+    assert densities == pytest.approx([0.1, 0.2, 0.3])
+    out = tmp_path / "cell"
+    cfg = small_cell_config(out)
+    cfg["cell"]["c_max_mbit_iter_s"] = {"start": 10.0, "stop": 30.0, "step": 20.0,
+                                        "include_unconstrained": True}
+    assert cli_main(["run", "--config", str(write_config(tmp_path, cfg))]) == 0
+    records = json.loads((out / "results.json").read_text())["records"]
+    assert {r["c_max_bit_iter_s"] for r in records} == {10e6, 30e6, None}
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=3)),
+    max_leaves=6,
+)
+
+
+def config_nodes(cfg, path=()):
+    """Dotted path and value of every key of a config, nested ones too."""
+    for key, value in cfg.items():
+        yield ".".join(path + (key,)), value
+        if isinstance(value, dict):
+            yield from config_nodes(value, path + (key,))
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIG_DIR.glob("*.json")))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_validate_never_crashes(tmp_path_factory, name, data):
+    # network.synthesize is left alone: valid but huge layouts take seconds
+    cfg = load_config(CONFIG_DIR / f"{name}.json")
+    nodes = [(f, v) for f, v in config_nodes(cfg)
+             if not f.startswith("network.synthesize")]
+    if data.draw(st.booleans(), label="replace a leaf"):
+        field = data.draw(st.sampled_from([f for f, _ in nodes]), label="field")
+    else:
+        section = data.draw(st.sampled_from(
+            [""] + [f + "." for f, v in nodes if isinstance(v, dict)]), label="section")
+        field = section + data.draw(st.text(max_size=8), label="key")
+    cfg = with_leaf(cfg, field, data.draw(json_values, label="value"))
+    cfg_path = write_config(tmp_path_factory.mktemp("fuzz"), cfg)
+    err, out = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+        code = cli_main(["validate", "--config", str(cfg_path)])
+    assert code in (0, 2)
+    assert code == 0 or err.getvalue().startswith("config error: ")
