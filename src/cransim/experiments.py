@@ -28,7 +28,7 @@ from . import __version__
 from .cell import sweep_cell
 from .geometry import ChannelParams, load_layout_csv, synthesize_layout
 from .link import SUBFRAME_S, load_calibration
-from .policy import build_policy_tables, snr_margin
+from .policy import ConfigurationError, build_policy_tables, snr_margin
 from .rng import substream
 from .scheduling import finalize_records, merge_accumulators, sweep_network
 
@@ -299,8 +299,9 @@ class Plan:
 
 def _resolve(cfg):
     """Check ``cfg`` once: ``(plan, [])``, or ``(None, errors)`` by field.
-    Network configs also build their (cached) layout here, so a layout that
-    cannot be built is reported before any worker starts."""
+    The (cached) models, and the layout of a network config, are built here
+    too, so a calibration or layout that cannot be built is reported before
+    any worker starts."""
     cfg = _merge_defaults(cfg, DEFAULT_CONFIG)
     errors, got = [], {}
     leaves = _flatten(cfg, DEFAULT_CONFIG, errors)
@@ -312,6 +313,12 @@ def _resolve(cfg):
     exp = got["experiment"]
     plan = Plan(config={k: v for k, v in cfg.items() if k != "output_dir"},
                 **{k: v for k, v in got.items() if "." not in k and k != "schema_version"})
+    try:
+        _models(plan.calibration_file, plan.eps_hat)
+    except ConfigurationError as exc:  # no policy table meets eps_hat
+        return None, [f"eps_hat: {exc}"]
+    except (OSError, ValueError) as exc:
+        return None, [f"calibration_file: {exc}"]
     if exp.startswith("cell_"):
         return replace(plan, policies=got["cell.policies"], n_trials=got["cell.n_trials"],
                        budgets=got["cell.c_max_mbit_iter_s"],
@@ -376,11 +383,13 @@ def _cell_point_task(plan, gi):
     return [rec for recs in res.values() for rec in recs]
 
 
-def _net_block_task(plan, subframes):
+def _net_block_task(plan, block):
+    density_index, subframes = block
     curves, tables = _models(plan.calibration_file, plan.eps_hat)
     return sweep_network(
         _layout(*plan.layout), plan.channel, curves, tables,
         subframes=subframes, seed=plan.seed, density_grid=plan.densities,
+        density_indices=(density_index,),
         budget_grid=plan.budgets, modes=plan.modes, policies=plan.policies,
         subframe_s=plan.subframe_s, low_snr_fallback=plan.low_snr_fallback,
     )
@@ -486,8 +495,11 @@ def run(cfg, workers=1):
             key=lambda r: (r.policy, r.c_max_bit_iter_s, r.snr_db)))
 
     elif experiment.startswith("net_"):
+        # one task per (density, block), in that order, so that merging
+        # folds each density's sums in block order
         n = plan.n_subframes
-        blocks = [range(t0, min(t0 + NET_BLOCK_SUBFRAMES, n))
+        blocks = [(di, range(t0, min(t0 + NET_BLOCK_SUBFRAMES, n)))
+                  for di in range(len(dict.fromkeys(plan.densities)))
                   for t0 in range(0, n, NET_BLOCK_SUBFRAMES)]
         acc = merge_accumulators(_run_tasks(_net_block_task, plan, blocks, workers))
         record_dicts = _record_dicts(finalize_records(acc, n, plan.subframe_s))

@@ -272,24 +272,26 @@ def validate_catalog(catalog, i_max):
 
 def catalog_from_dict(data):
     """Parse and validate a calibration dict into (catalog, i_max)."""
-    if data.get("schema_version") != CALIBRATION_SCHEMA_VERSION:
-        raise CalibrationError(
-            f"unsupported calibration schema_version {data.get('schema_version')}"
-        )
-    i_max = int(data.get("i_max", DEFAULT_I_MAX))
-    entries = sorted(data["mcs"], key=lambda r: r["index"])
-    catalog = []
-    for rec in entries:
-        waterfall = rec["waterfall"]
-        catalog.append(
-            McsEntry(
-                index=int(rec["index"]),
-                modulation=str(rec["modulation"]),
-                tb_bits=int(rec["tb_bits"]),
-                slopes_per_db=tuple(float(ab[0]) for ab in waterfall),
-                midpoints_db=tuple(float(ab[1]) for ab in waterfall),
+    version = data.get("schema_version") if isinstance(data, dict) else None
+    if version != CALIBRATION_SCHEMA_VERSION:
+        raise CalibrationError(f"unsupported calibration schema_version {version}")
+    try:
+        i_max = int(data.get("i_max", DEFAULT_I_MAX))
+        entries = sorted(data["mcs"], key=lambda r: r["index"])
+        catalog = []
+        for rec in entries:
+            waterfall = rec["waterfall"]
+            catalog.append(
+                McsEntry(
+                    index=int(rec["index"]),
+                    modulation=str(rec["modulation"]),
+                    tb_bits=int(rec["tb_bits"]),
+                    slopes_per_db=tuple(float(ab[0]) for ab in waterfall),
+                    midpoints_db=tuple(float(ab[1]) for ab in waterfall),
+                )
             )
-        )
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise CalibrationError(f"malformed calibration: {exc!r}") from exc
     validate_catalog(catalog, i_max)
     return catalog, i_max
 

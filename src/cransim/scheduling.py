@@ -13,8 +13,16 @@ outage.
 Because that rule is a prefix condition, a subframe is scheduled against the
 whole budget grid at once: under CP one cumulative sum of the sorted efforts
 compared with every pooled budget, under LP (one block per RAP) one
-comparison of each effort with every per-RAP budget.  The sweep accumulates
-into arrays indexed ``[density, budget, mode, policy]``.
+comparison of each effort with every per-RAP budget.
+
+The sweep takes a block of subframes at a time: its loop over subframes only
+draws, then each policy decodes the whole block in one call and CP schedules
+it with one cumulative sum of the integer efforts in (subframe, SINR, RAP)
+order, less each subframe's offset (exact).  Bits per subframe and per cell
+are integer sums; the float throughput sums are folded in subframe order (a
+cumulative sum, never the pairwise ``sum``), so they equal a subframe loop's
+bit for bit.  Results accumulate into arrays indexed ``[density, budget,
+mode, policy]``; ``merge_accumulators`` adds a run's (density, block) parts.
 """
 
 from __future__ import annotations
@@ -22,10 +30,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 
-from .link import SUBFRAME_S
+from . import geometry, link, rng
+from .cell import Z_95
 from .policy import select_mcs_index
 
 LP = "LP"
@@ -94,83 +104,71 @@ class NetworkAccumulator:
     per_subframe: np.ndarray
 
 
-@dataclass(frozen=True)
-class _SubframeTbs:
-    """Decoded-or-not raw material for one subframe and one policy."""
-
-    raps: np.ndarray
-    sinr_db: np.ndarray
-    bits: np.ndarray
-    efforts: np.ndarray
-    channel_fail: np.ndarray
-
-
-def _policy_tbs(targets, sinr_lin, table, curves, u, low_snr_fallback):
-    """MCS selection and TB decoding for the active cloud cells."""
-    from .link import simulate_cbs
-
+def _policy_tbs(targets, sinr_lin, table, curves, u, low_snr_fallback, subframe=0):
+    """MCS selection and TB decoding for the active cloud cells of a block,
+    ``subframe`` giving each target's subframe: the transmitted TBs."""
     sinr_db = 10.0 * np.log10(sinr_lin)
     sel = select_mcs_index(table, sinr_db, low_snr_fallback)
     keep = sel >= 0
-    raps = targets[keep]
     sel = sel[keep]
-    gammas = sinr_db[keep]
-    if len(raps) == 0:
-        empty = np.empty(0)
-        return _SubframeTbs(raps, empty, empty.astype(np.int64),
-                            empty.astype(np.int64), empty.astype(bool))
-    cdf = curves.success_cdf(sel, gammas)
-    iters, failed = simulate_cbs(cdf, u[keep])
+    iters, failed = link.simulate_cbs(curves.success_cdf(sel, sinr_db[keep]), u[keep])
     valid = np.arange(curves.max_cbs)[None, :] < curves.num_cbs[sel][:, None]
-    efforts = np.where(valid, iters * curves.cb_bits[sel], 0).sum(axis=1)
-    channel_fail = (failed & valid).any(axis=1)
-    return _SubframeTbs(
-        raps=raps,
-        sinr_db=gammas,
+    return SimpleNamespace(
+        subframe=np.broadcast_to(subframe, keep.shape)[keep],
+        raps=targets[keep],
+        sinr_db=sinr_db[keep],
         bits=curves.tb_bits[sel],
-        efforts=efforts,
-        channel_fail=channel_fail,
+        efforts=np.where(valid, iters * curves.cb_bits[sel], 0).sum(axis=1),
+        channel_fail=(failed & valid).any(axis=1),
     )
 
 
-def comp_outage_masks(raps, sinr_db, efforts, limits, pooled):
-    """Computational-outage masks of one subframe's TBs, one row per budget.
+def comp_outage_masks(raps, sinr_db, efforts, limits, pooled, subframe=0):
+    """Computational-outage masks of a block's TBs, one row per budget.
 
-    ``limits`` are the budgets in bit-iterations: the pooled budget under CP
-    (``pooled``), the per-RAP one under LP, where each RAP carries one TB so
-    the check is per TB.  Returns a ``(len(limits), len(efforts))`` boolean
-    array with the TBs in input order.
+    ``limits`` are the per-subframe budgets in bit-iterations: the pooled
+    budget under CP (``pooled``), the per-RAP one under LP, where each RAP
+    carries one TB per subframe so the check is per TB.  ``subframe`` gives
+    each TB's nonnegative subframe id (one subframe by default); every
+    subframe is scheduled against its own budget.  Returns a ``(len(limits),
+    len(efforts))`` boolean array with the TBs in input order.
     """
     limits = np.asarray(limits, dtype=float)[:, None]
     if not pooled:
         return efforts > limits
-    order = np.lexsort((raps, sinr_db))
+    subframe = np.broadcast_to(subframe, np.shape(efforts))
+    order = np.lexsort((raps, sinr_db, subframe))
+    sorted_efforts = efforts[order]
+    spent = np.cumsum(sorted_efforts)
+    # less the effort of the earlier subframes: exact, as efforts are integers
+    first = np.flatnonzero(np.diff(subframe[order], prepend=-1))
+    earlier = np.repeat((spent - sorted_efforts)[first], np.diff(first, append=len(order)))
     comp = np.empty((len(limits), len(efforts)), dtype=bool)
-    comp[:, order] = np.cumsum(efforts[order]) > limits
+    comp[:, order] = spent - earlier > limits
     return comp
 
 
 def sweep_network(layout, params, curves, tables, *, subframes, seed,
-                  density_grid=None, budget_grid=(math.inf,),
+                  density_grid=None, density_indices=None, budget_grid=(math.inf,),
                   modes=(LP, CP), policies=("MRS", "CAS"),
-                  subframe_s=SUBFRAME_S, low_snr_fallback=True,
+                  subframe_s=link.SUBFRAME_S, low_snr_fallback=True,
                   keep_subframe_sums=False):
     """Monte Carlo sweep over UE density and/or complexity budget.
 
-    ``subframes`` is the range of subframe indices to simulate.
+    ``subframes`` is the (nonempty) range of subframe indices to simulate, and
+    ``density_indices`` the indices into the (deduplicated) density grid to
+    sweep, all by default; the others stay zero.
 
     All (budget, mode, policy) arms at one density share the same subframe
     drops and code-block uniforms (common random numbers), so budget and
     mode comparisons are paired.  Per-subframe substreams are derived from
-    ``(seed, "net", density_index, subframe_index)``; results are therefore
-    independent of how subframes are chunked across workers.
+    ``(seed, "net", density_index, subframe_index)``, so a subframe's draws
+    do not depend on how the subframes are split into blocks or spread
+    across workers.
 
     Returns a NetworkAccumulator over the grid (repeated grid values count
     once); use ``finalize_records`` to turn it into NetworkRecords.
     """
-    from .geometry import cloud_sinrs, draw_subframe
-    from .rng import substream
-
     if density_grid is None:
         density_grid = (params.ue_density_per_km2,)
     axes = tuple(tuple(dict.fromkeys(a))
@@ -182,6 +180,8 @@ def sweep_network(layout, params, curves, tables, *, subframes, seed,
         raise ValueError("budgets must be nonnegative (may be inf)")
     if layout.n_cloud < 1:
         raise ValueError("n_cloud must be >= 1")
+    if not len(subframes):
+        raise ValueError("subframes must be nonempty")
     shape = tuple(len(a) for a in axes)
     acc = NetworkAccumulator(
         axes=axes,
@@ -196,39 +196,47 @@ def sweep_network(layout, params, curves, tables, *, subframes, seed,
     cloud = np.array(layout.cloud_group)
     per_rap = np.array(budgets, dtype=float)
     limits = {LP: per_rap * subframe_s, CP: layout.n_cloud * per_rap * subframe_s}
-    for di, density in enumerate(densities):
-        dparams = replace(params, ue_density_per_km2=density)
-        for ti, t in enumerate(subframes):
-            rng = substream(seed, "net", di, t)
-            drop = draw_subframe(layout, dparams, rng)
-            targets, sinr = cloud_sinrs(drop, layout, dparams)
-            u = rng.random((len(targets), curves.max_cbs))
-            for pi, policy in enumerate(policies):
-                tbs = _policy_tbs(targets, sinr, tables[policy], curves, u,
-                                  low_snr_fallback)
-                cells = np.searchsorted(cloud, tbs.raps)
-                acc.n_tbs[di, pi] += len(tbs.raps)
-                acc.n_channel[di, pi] += tbs.channel_fail.sum()
-                for mi, mode in enumerate(modes):
-                    comp = comp_outage_masks(tbs.raps, tbs.sinr_db, tbs.efforts,
-                                             limits[mode], mode == CP)
-                    bits = np.where(comp | tbs.channel_fail, 0, tbs.bits)
-                    np.add.at(acc.bits_per_cell[di, :, mi, pi],
-                              (slice(None), cells), bits)
-                    acc.n_comp[di, :, mi, pi] += comp.sum(axis=1)
-                    tput = bits.sum(axis=1) / subframe_s
-                    acc.sum_tput[di, :, mi, pi] += tput
-                    acc.sumsq_tput[di, :, mi, pi] += tput * tput
-                    if keep_subframe_sums:
-                        acc.per_subframe[di, :, mi, pi, ti] = tput
+    for di in range(len(densities)) if density_indices is None else density_indices:
+        dparams = replace(params, ue_density_per_km2=densities[di])
+        drawn = []
+        for t in subframes:
+            stream = rng.substream(seed, "net", di, t)
+            drop = geometry.draw_subframe(layout, dparams, stream)
+            targets, sinr = geometry.cloud_sinrs(drop, layout, dparams)
+            drawn.append((targets, sinr, stream.random((len(targets), curves.max_cbs))))
+        targets, sinr, u = (np.concatenate(parts) for parts in zip(*drawn))
+        subframe = np.repeat(np.arange(len(subframes)), [len(d[0]) for d in drawn])
+        for pi, policy in enumerate(policies):
+            tbs = _policy_tbs(targets, sinr, tables[policy], curves, u,
+                              low_snr_fallback, subframe)
+            acc.n_tbs[di, pi] = len(tbs.raps)
+            acc.n_channel[di, pi] = tbs.channel_fail.sum()
+            comp = np.stack([comp_outage_masks(tbs.raps, tbs.sinr_db, tbs.efforts,
+                                               limits[mode], mode == CP, tbs.subframe)
+                             for mode in modes], axis=1)   # [budget, mode, TB]
+            acc.n_comp[di, :, :, pi] = comp.sum(axis=-1)
+            bits = np.where(comp | tbs.channel_fail, 0, tbs.bits)
+            np.add.at(acc.bits_per_cell[di, :, :, pi],
+                      (..., np.searchsorted(cloud, tbs.raps)), bits)
+            subframe_bits = np.zeros(comp.shape[:2] + (len(subframes),), dtype=np.int64)
+            np.add.at(subframe_bits, (..., tbs.subframe), bits)
+            tput = subframe_bits / subframe_s
+            # cumsum folds in subframe order; .sum() would add pairwise
+            acc.sum_tput[di, :, :, pi] = np.cumsum(tput, axis=-1)[..., -1]
+            acc.sumsq_tput[di, :, :, pi] = np.cumsum(tput * tput, axis=-1)[..., -1]
+            if keep_subframe_sums:
+                acc.per_subframe[di, :, :, pi] = tput
     return acc
 
 
 def merge_accumulators(parts):
-    """Merge per-block accumulators, given in block order, into one.
+    """Merge the accumulators of a run's parts, given in (density, block)
+    order, into one.
 
-    Counts and sums add elementwise; kept per-subframe throughputs are
-    concatenated.
+    Counts and sums add elementwise.  A part holds zeros at the densities it
+    did not sweep, and adding 0.0 is exact, so each density's float sums add
+    up its blocks in block order however the densities are split.  Kept
+    per-subframe throughputs are concatenated (parts over the same densities).
     """
     parts = list(parts)
     merged = {}
@@ -240,10 +248,8 @@ def merge_accumulators(parts):
     return replace(parts[0], **merged)
 
 
-def finalize_records(acc, n_subframes, subframe_s=SUBFRAME_S):
+def finalize_records(acc, n_subframes, subframe_s=link.SUBFRAME_S):
     """Reduce a sweep accumulator to NetworkRecords, sorted by arm."""
-    from .cell import Z_95
-
     records = []
     for (di, density), (bi, c), (mi, mode), (pi, policy) in itertools.product(
         *(enumerate(a) for a in acc.axes)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -378,13 +379,15 @@ GOLDEN_NET_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_NET_DIGESTS))
-def test_net_result_digests(tmp_path, monkeypatch, name):
+@pytest.mark.parametrize("name, workers", [
+    pytest.param(name, workers, id=name if workers == 1 else f"{name}-{workers}workers")
+    for workers in (1, 2) for name in sorted(GOLDEN_NET_DIGESTS)])
+def test_net_result_digests(tmp_path, monkeypatch, name, workers):
     monkeypatch.delenv("CRANSIM_OUTPUT_DIR", raising=False)
     cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / f"{name}.json")
     cfg["output_dir"] = str(tmp_path)
     cfg["network"]["n_subframes"] = 300
-    outputs = run(cfg)["outputs"]
+    outputs = run(cfg, workers)["outputs"]
     assert (outputs["results.json"], outputs["results.csv"]) == GOLDEN_NET_DIGESTS[name]
 
 
@@ -417,10 +420,18 @@ def small_net_config(out_dir):
     return cfg
 
 
+@dataclass(frozen=True)
+class FileWith:
+    """A config value naming a file that holds ``text``."""
+
+    text: str
+
+
 # (base config, field, bad value, text stderr must contain)
 MALFORMED = [
     ("cell", "cell.snr_grid_db", ["a"], "cell.snr_grid_db"),
     ("cell", "eps_hat", "x", "eps_hat"),
+    ("cell", "eps_hat", 1e-300, "eps_hat: MCS 0 never meets"),
     ("cell", "subframe_s", "x", "subframe_s"),
     ("cell", "calibration_file", 5, "calibration_file"),
     ("net", "network.channel.ue_density_per_km2", None,
@@ -437,6 +448,12 @@ MALFORMED = [
     ("net", "network.modes", [], "network.modes"),
     ("net", "network.channel.min_ue_rap_km", 50.0,
      "network.channel.min_ue_rap_km: unknown key"),
+    # files that exist but are not calibrations: a config, no JSON, no MCS table
+    ("cell", "calibration_file", FileWith(json.dumps({"experiment": "cell_outage"})),
+     "calibration_file: unsupported calibration schema_version None"),
+    ("net", "calibration_file", FileWith("i_max = 8"), "calibration_file: Expecting value"),
+    ("cell", "calibration_file", FileWith(json.dumps({"schema_version": 1})),
+     "calibration_file: malformed calibration: KeyError('mcs')"),
 ]
 
 
@@ -444,6 +461,9 @@ MALFORMED = [
                          ids=[f"{field}={value!r}" for _, field, value, _ in MALFORMED])
 def test_malformed_config_exits_2(tmp_path, capsys, base, field, value, message):
     make = small_cell_config if base == "cell" else small_net_config
+    if isinstance(value, FileWith):
+        (tmp_path / "value").write_text(value.text)
+        value = str(tmp_path / "value")
     cfg_path = write_config(tmp_path, with_leaf(make(tmp_path / "out"), field, value))
     for command in ("validate", "run"):
         assert cli_main([command, "--config", str(cfg_path)]) == 2, command

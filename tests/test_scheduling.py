@@ -1,6 +1,6 @@
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cransim import geometry
 from cransim.geometry import ChannelParams, cloud_sinrs, draw_subframe, synthesize_layout
 from cransim.link import SUBFRAME_S, load_calibration
 from cransim.policy import build_policy_tables
@@ -15,9 +16,11 @@ from cransim.rng import substream
 from cransim.scheduling import (
     CP,
     LP,
+    NetworkAccumulator,
     _policy_tbs,
     comp_outage_masks,
     comp_outage_prob,
+    merge_accumulators,
     sweep_network,
 )
 from oracles import (
@@ -53,6 +56,8 @@ def test_budget_validation():
                               region=(0.0, 0.0, 9.0, 9.0), min_sep_km=1.0)
     with pytest.raises(ValueError, match="n_cloud"):
         sweep_network(empty, ChannelParams(), curves, tables, **kwargs)
+    with pytest.raises(ValueError, match="subframes"):
+        sweep_network(layout, ChannelParams(), curves, tables, subframes=range(0), seed=11)
 
 
 def test_zero_budget_drops_everything():
@@ -283,6 +288,142 @@ def test_sweep_network_matches_oracle():
         assert n_comp[0].tolist() == [n_tbs, n_tbs] and n_comp[-1].tolist() == [0, 0]
         assert 0 < n_comp[1:-1].sum() < 4 * n_tbs
         assert (n_comp[1:-1, 0] != n_comp[1:-1, 1]).any()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(tb_lists() | st.just([]), min_size=1, max_size=5),
+       st.lists(st.integers(1, 3), min_size=5, max_size=5), st.data())
+def test_block_masks_match_oracle(blocks, gaps, data):
+    # one CP call for a block of subframes, checked subframe by subframe:
+    # subframe ids with gaps, empty subframes, SINRs that tie across
+    # subframes, TBs in any order, and budgets at every per-subframe prefix
+    # sum; a RAP carries one TB per subframe, as in a drop
+    blocks = [[(rap, float(round(sinr) % 3), tb) for rap, (_, sinr, tb) in enumerate(tbs)]
+              for tbs in blocks]
+    ids = list(itertools.accumulate(gaps[:len(blocks)]))
+    rows = [(sf, rap, sinr, int(tb.effort_bit_iters))
+            for sf, tbs in zip(ids, blocks) for rap, sinr, tb in tbs]
+    perm = data.draw(st.permutations(range(len(rows))))
+    edges = [0.0, math.inf] + data.draw(st.lists(st.integers(0, 400).map(float), max_size=3))
+    for tbs in blocks:
+        order = sorted(tbs, key=lambda row: (row[1], row[0]))
+        edges += itertools.accumulate(tb.effort_bit_iters for _, _, tb in order)
+    sf, raps, sinr, efforts = (np.array([rows[i][k] for i in perm], dtype=dtype)
+                               for k, dtype in enumerate((int, int, float, int)))
+    comp = np.empty((len(edges), len(rows)), dtype=bool)
+    comp[:, perm] = comp_outage_masks(raps, sinr, efforts, edges, True, sf)
+    for limit, row in zip(edges, comp):
+        assert row.tolist() == [
+            d in (COMPUTATIONAL_OUTAGE, CHANNEL_AND_COMPUTATIONAL)
+            for tbs in blocks for d in schedule_subframe(tbs, CP, limit).dispositions
+        ]
+
+
+def _fold(values):
+    """Left-to-right float sum, the order in which the sweep must add."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def test_block_sweep_matches_oracle(monkeypatch):
+    # the block-batched sweep against the scalar scheduler, one subframe at a
+    # time: sparse drops leave empty subframes between busy ones, SINRs
+    # rounded to 1 dB tie across subframes, CP budgets sit at exact
+    # per-subframe prefix sums, per-subframe throughputs are kept, and a
+    # subframe length without round throughputs makes the float sums depend
+    # on the order of addition
+    curves = load_calibration()
+    tables = build_policy_tables(curves)
+    layout = synthesize_layout(substream(5, "layout", 0), n_total=24, n_cloud=4,
+                               region=(0.0, 0.0, 9.0, 9.0), min_sep_km=1.0)
+    n_cells, subframe_s, seed = layout.n_cloud, 0.7e-3, 3
+    densities, subframes = (0.05, 0.3), range(5, 45)
+
+    def rounded_sinrs(drop, layout, params):
+        targets, sinr = cloud_sinrs(drop, layout, params)
+        return targets, 10.0 ** (np.round(10.0 * np.log10(sinr)) / 10.0)
+
+    monkeypatch.setattr(geometry, "cloud_sinrs", rounded_sinrs)
+    drops = {}  # (density index, policy) -> one TB list per subframe
+    for di, density in enumerate(densities):
+        params = ChannelParams(ue_density_per_km2=density)
+        for t in subframes:
+            stream = substream(seed, "net", di, t)
+            targets, sinr = rounded_sinrs(draw_subframe(layout, params, stream),
+                                          layout, params)
+            u = stream.random((len(targets), curves.max_cbs))
+            for policy in ("MRS", "CAS"):
+                tbs = _policy_tbs(targets, sinr, tables[policy], curves, u, True)
+                drops.setdefault((di, policy), []).append([
+                    (int(rap), float(g), FakeTb(int(e), bool(f)), int(b))
+                    for rap, g, e, f, b in zip(tbs.raps, tbs.sinr_db, tbs.efforts,
+                                               tbs.channel_fail, tbs.bits)])
+    sizes = [len(tbs) for tbs in drops[0, "MRS"]]
+    busy = [i for i, n in enumerate(sizes) if n]
+    assert 0 in sizes[busy[0]:busy[-1]]
+    ties = {}
+    for di, policy in drops:
+        for t, tbs in zip(subframes, drops[di, policy]):
+            for _, g, _, _ in tbs:
+                ties.setdefault((di, policy, g), set()).add(t)
+    assert max(len(ts) for ts in ties.values()) > 1
+    # budgets whose pooled limit n_cells * c * subframe_s is exactly the
+    # cumulative effort of a prefix of some subframe's CP order
+    prefix = sorted({p for tbs_list in drops.values() for tbs in tbs_list
+                     for p in itertools.accumulate(
+                         tb.effort_bit_iters for _, _, tb, _ in sorted(
+                             tbs, key=lambda row: (row[1], row[0])))})
+    exact = [p / n_cells / subframe_s for p in prefix]
+    exact = [c for c, p in zip(exact, prefix) if n_cells * c * subframe_s == p]
+    budgets = (0.0, *exact[::max(1, len(exact) // 8)], math.inf)
+    assert len(budgets) > 6
+
+    acc = sweep_network(layout, ChannelParams(), curves, tables, subframes=subframes,
+                        seed=seed, density_grid=densities, budget_grid=budgets,
+                        subframe_s=subframe_s, keep_subframe_sums=True)
+    n_comp = np.zeros(acc.n_comp.shape, dtype=int)
+    for (di, policy), tbs_list in drops.items():
+        pi = ("MRS", "CAS").index(policy)
+        assert acc.n_tbs[di, pi] == sum(map(len, tbs_list))
+        assert acc.n_channel[di, pi] == sum(tb.channel_outage for tbs in tbs_list
+                                            for _, _, tb, _ in tbs)
+        for (bi, c), (mi, mode) in itertools.product(enumerate(budgets),
+                                                     enumerate((LP, CP))):
+            limit = (n_cells if mode == CP else 1) * c * subframe_s
+            tput, cell_bits = [], [0] * n_cells
+            for tbs in tbs_list:
+                out = schedule_subframe([row[:3] for row in tbs], mode, limit)
+                bits = 0
+                for (rap, _, _, b), d in zip(tbs, out.dispositions):
+                    n_comp[di, bi, mi, pi] += d in (COMPUTATIONAL_OUTAGE,
+                                                    CHANNEL_AND_COMPUTATIONAL)
+                    if d == DECODED:
+                        bits += b
+                        cell_bits[layout.cloud_group.index(rap)] += b
+                tput.append(bits / subframe_s)
+            arm = (di, bi, mi, pi)
+            assert acc.per_subframe[arm].tolist() == tput
+            assert acc.bits_per_cell[arm].tolist() == cell_bits
+            assert acc.sum_tput[arm] == _fold(tput)
+            assert acc.sumsq_tput[arm] == _fold(t * t for t in tput)
+    assert acc.n_comp.tolist() == n_comp.tolist()
+    # the prefix-sum budgets straddle the outage regime under CP
+    assert 0 < n_comp[:, 1:-1, 1].sum() < n_comp[:, 0, 1].sum() * (len(budgets) - 2)
+
+    # parts split by (density, block) and merged in that order give the bytes
+    # of parts split by block alone
+    def merged(density_indices):
+        return merge_accumulators(
+            sweep_network(layout, ChannelParams(), curves, tables, subframes=block,
+                          seed=seed, density_grid=densities, density_indices=dis,
+                          budget_grid=budgets, subframe_s=subframe_s)
+            for dis in density_indices for block in (range(5, 22), range(22, 45)))
+
+    by_block, by_density = merged([None]), merged([(0,), (1,)])
+    for f in fields(NetworkAccumulator)[1:]:
+        assert getattr(by_density, f.name).tobytes() == getattr(by_block, f.name).tobytes()
 
 
 # ---------------------------------------------------------------------------
