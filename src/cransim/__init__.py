@@ -2,19 +2,5 @@
 
 __version__ = "0.1.0"
 
-from .link import (  # noqa: F401
-    LinkCurves,
-    McsEntry,
-    default_calibration,
-    load_calibration,
-    segment_tb,
-    tb_channel_outage_prob,
-)
-from .policy import (  # noqa: F401
-    MarginReport,
-    PolicyTable,
-    build_policy_table,
-    raw_throughput,
-    select_mcs,
-    snr_margin,
-)
+from .link import LinkCurves, McsEntry, load_calibration, segment_tb  # noqa: F401
+from .policy import PolicyTable, build_policy_table, snr_margin  # noqa: F401

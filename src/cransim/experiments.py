@@ -133,11 +133,11 @@ def _unknown_key(field, key, known):
     return f"{field}: unknown key" + (f" (did you mean {hint[0]!r}?)" if hint else "")
 
 
-def resolve_grid(spec, field, errors, log_grid=False):
+def resolve_grid(spec, field, errors):
     """A grid: a nonempty list of numbers and nulls, or a {start, stop, step}
     or {log_start, log_stop, num} object that may add "include_unconstrained":
-    true.  Every grid takes all three forms, so ``log_grid`` is ignored.
-    Problems go to ``errors``, and the grid is then empty."""
+    true.  Every value must be a number well inside the float range, as list
+    entries are.  Problems go to ``errors``, and the grid is then empty."""
     if isinstance(spec, list) and spec and all(v is None or _num(v) for v in spec):
         return [None if v is None else float(v) for v in spec]
     obj = spec if isinstance(spec, dict) else {}
@@ -156,11 +156,16 @@ def resolve_grid(spec, field, errors, log_grid=False):
             f"numbers {', '.join(keys)} ({keys[2]} > 0, at most {MAX_GRID_POINTS} points)"])
         return []
     if log:
-        values = np.logspace(float(a), float(b), c).tolist()
+        with np.errstate(over="ignore"):
+            values = np.logspace(float(a), float(b), c).tolist()
     else:
         start, stop, step = float(a), float(b), float(c)
         n = int(math.floor((stop - start) / step + 1e-9)) + 1
         values = [start + step * k for k in range(n)]
+    if not all(map(_num, values)):
+        errors.append(f"{field}: resolves to values that are not finite numbers "
+                      "below 1e300 in magnitude")
+        return []
     return values + [None] if spec.get("include_unconstrained") else values
 
 
@@ -517,7 +522,7 @@ def run(cfg, workers=1):
                      "iteration_budget": table.iteration_budget}
                 )
         margins = {"schema_version": RESULTS_SCHEMA_VERSION,
-                   "margins_db": list(snr_margin(tables["CAS"], tables["MRS"]).margins_db)}
+                   "margins_db": list(snr_margin(tables["CAS"], tables["MRS"]))}
         outputs.append(_write_json(out_dir / "margins.json", margins))
     outputs += _write_results(out_dir, plan, record_dicts)
 

@@ -267,15 +267,6 @@ def cloud_sinrs(drop, layout, params):
     return targets, signal / (1.0 / params.snr_ref_linear + interference)
 
 
-def save_layout_csv(layout, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "x_km", "y_km", "in_cloud_group"])
-        cloud = set(layout.cloud_group)
-        for i, (x, y) in enumerate(layout.rap_xy):
-            writer.writerow([i, repr(float(x)), repr(float(y)), int(i in cloud)])
-
-
 def load_layout_csv(path, region):
     """Read a layout CSV (columns id,x_km,y_km,in_cloud_group)."""
     xs = []

@@ -14,6 +14,9 @@ the iteration count by construction (an extra iteration never hurts) even
 where waterfalls of different steepness would cross.  Decoding effort is
 counted in bit-iterations: each code block of K bits that stops after I
 iterations costs K*I.
+
+The model's parameters are read from a calibration JSON; the package ships
+``data/default_calibration.json``.
 """
 
 from __future__ import annotations
@@ -35,13 +38,6 @@ QAM64 = "QAM64"
 
 # Modulation per MCS index: QPSK 0-10, 16-QAM 11-20, 64-QAM 21-26.
 _MODULATION_BANDS = ((0, 10, QPSK), (11, 20, QAM16), (21, 26, QAM64))
-
-# Transport-block sizes (information bits) for 45 RBs, MCS 0..26.
-TB_BITS_45RB = (
-    1280, 1632, 2048, 2624, 3264, 4032, 4800, 5568, 6272, 7040, 8064,
-    9216, 10368, 11520, 13056, 13632, 14784, 16512, 17664, 19200, 20736,
-    23040, 24640, 25600, 27520, 28480, 33024,
-)
 
 CALIBRATION_SCHEMA_VERSION = 1
 
@@ -141,15 +137,6 @@ def segment_tb(tb_bits):
     return num_cbs, cb_bits
 
 
-def tb_channel_outage_prob(eps_cb, num_cbs):
-    """TB outage probability 1 - (1 - eps_cb)**C for C independent CBs."""
-    if not 0.0 <= eps_cb <= 1.0:
-        raise ValueError(f"eps_cb {eps_cb} outside [0, 1]")
-    if num_cbs < 1:
-        raise ValueError("num_cbs must be >= 1")
-    return 1.0 - (1.0 - eps_cb) ** num_cbs
-
-
 def simulate_cbs(success_cdf, u):
     """Map uniform draws to per-CB iteration counts and failure flags.
 
@@ -186,63 +173,8 @@ def simulate_tb_batch(curves, mcs_index, gamma_db, u):
 
 
 # ---------------------------------------------------------------------------
-# Calibration: default parameter generation, JSON load/save, validation
+# Calibration: JSON load and validation
 # ---------------------------------------------------------------------------
-
-# Default calibration constants.  The 8-iteration midpoints are spaced 1 dB
-# apart starting at -5 dB; the 2-iteration curve sits margin_db above the
-# 8-iteration one (per modulation, wider for the denser modulations whose
-# decoding converges more slowly); intermediate iterations interpolate on a
-# geometric profile whose tail thins quickly, so a block decoded near a
-# 2-iteration selection threshold almost never burns many iterations while
-# one near an 8-iteration threshold is expensive.  The QPSK margin equals
-# the index step so that the 2-iteration curve of MCS 10 coincides with the
-# 8-iteration curve of MCS 11 (their CBLERs are equal at every SNR, in
-# particular at 0.25).
-DEFAULT_B8_BASE_DB = -5.0
-DEFAULT_B8_STEP_DB = 1.0
-# 2-vs-8-iteration margin per MCS.  MCS 10 is the exception: its margin
-# equals the index step so its 2-iteration curve coincides with the
-# 8-iteration curve of MCS 11 (equal CBLER at every SNR, 0.25 included).
-DEFAULT_MARGIN_DB = {QPSK: 1.9, QAM16: 2.0, QAM64: 2.0}
-DEFAULT_MCS10_MARGIN_DB = 1.0
-# Midpoint profile between the 2- and 8-iteration curves (w_2 = 1, w_8 = 0)
-# with per-iteration slopes.  Early and mid iterations barely converge (a
-# block decoded right at an 8-iteration selection threshold usually burns
-# most of its 8 iterations) and their steeper waterfalls cut the iteration
-# tail off quickly, so blocks decoded at a 2-iteration selection threshold
-# essentially never need more than 3 iterations.
-DEFAULT_ITER_WEIGHTS = (1.10, 1.00, 0.88, 0.82, 0.80, 0.74, 0.68, 0.00)
-DEFAULT_ITER_SLOPES = (4.0, 4.0, 6.0, 6.0, 6.0, 6.0, 6.0, 4.0)
-DEFAULT_SLOPE_PER_DB = DEFAULT_ITER_SLOPES[-1]
-
-
-def _iteration_profile(i_max=DEFAULT_I_MAX):
-    """Per-iteration (slope, weight) pairs; weights strictly decreasing."""
-    if i_max == len(DEFAULT_ITER_WEIGHTS):
-        return list(zip(DEFAULT_ITER_SLOPES, DEFAULT_ITER_WEIGHTS))
-    # other iteration caps interpolate the default profile on 1..i_max
-    xs = np.linspace(0.0, 1.0, len(DEFAULT_ITER_WEIGHTS))
-    target = np.linspace(0.0, 1.0, i_max)
-    weights = np.interp(target, xs, DEFAULT_ITER_WEIGHTS)
-    slopes = np.interp(target, xs, DEFAULT_ITER_SLOPES)
-    return list(zip(slopes, weights))
-
-
-def default_calibration(i_max=DEFAULT_I_MAX):
-    """Build the shipped calibration as a plain dict (JSON-serializable)."""
-    profile = _iteration_profile(i_max)
-    mcs = []
-    for m, tb in enumerate(TB_BITS_45RB):
-        mod = modulation_for_index(m)
-        b8 = DEFAULT_B8_BASE_DB + DEFAULT_B8_STEP_DB * m
-        margin = DEFAULT_MCS10_MARGIN_DB if m == 10 else DEFAULT_MARGIN_DB[mod]
-        waterfall = [[a, b8 + margin * w] for a, w in profile]
-        mcs.append(
-            {"index": m, "modulation": mod, "tb_bits": tb, "waterfall": waterfall}
-        )
-    return {"schema_version": CALIBRATION_SCHEMA_VERSION, "i_max": i_max, "mcs": mcs}
-
 
 def validate_catalog(catalog, i_max):
     if len(catalog) != 27:
@@ -310,9 +242,3 @@ def load_calibration(path=None):
             data = json.load(fh)
     catalog, i_max = catalog_from_dict(data)
     return LinkCurves(catalog, i_max)
-
-
-def save_calibration(data, path):
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")

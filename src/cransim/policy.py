@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .link import SUBFRAME_S, tb_channel_outage_prob
-
 DEFAULT_EPS_HAT = 0.1
 MRS_ITER_BUDGET = 8
 CAS_ITER_BUDGET = 2
@@ -47,13 +45,6 @@ class PolicyTable:
             writer.writerow(["mcs_index", "threshold_db"])
             for m, t in enumerate(self.thresholds_db):
                 writer.writerow([m, repr(float(t))])
-
-
-@dataclass(frozen=True)
-class MarginReport:
-    """Per-MCS SNR shift of the 2-iteration table above the 8-iteration one."""
-
-    margins_db: tuple
 
 
 def build_policy_table(curves, iteration_budget, eps_hat=DEFAULT_EPS_HAT):
@@ -95,16 +86,6 @@ def build_policy_table(curves, iteration_budget, eps_hat=DEFAULT_EPS_HAT):
     )
 
 
-def select_mcs(table, gamma_db):
-    """Highest MCS with threshold <= gamma, or None below the table floor."""
-    if np.isnan(gamma_db):
-        raise ValueError("SNR must not be NaN")
-    idx = int(np.searchsorted(table.thresholds_db, gamma_db, side="right")) - 1
-    if idx < 0:
-        return None
-    return table.catalog[idx]
-
-
 def select_mcs_index(table, gamma_db, low_snr_fallback):
     """Vectorized selection returning indices; -1 marks "no transmission".
 
@@ -121,21 +102,13 @@ def select_mcs_index(table, gamma_db, low_snr_fallback):
     return idx
 
 
-def raw_throughput(mcs, subframe_s=SUBFRAME_S):
-    """Selected rate in bits/second; zero when no MCS is feasible."""
-    if mcs is None:
-        return 0.0
-    return mcs.tb_bits / subframe_s
-
-
 def snr_margin(table_2, table_8):
-    """Per-MCS shift Delta-gamma with R_2(gamma + Delta) = R_8(gamma)."""
+    """Per-MCS shift Delta-gamma with R_2(gamma + Delta) = R_8(gamma), as a tuple."""
     if table_2.catalog != table_8.catalog:
         raise ValueError("margin requires tables built from the same curve set")
-    margins = tuple(
+    return tuple(
         t2 - t8 for t2, t8 in zip(table_2.thresholds_db, table_8.thresholds_db)
     )
-    return MarginReport(margins_db=margins)
 
 
 def build_policy_tables(curves, eps_hat=DEFAULT_EPS_HAT, policies=("MRS", "CAS")):

@@ -42,26 +42,6 @@ LP = "LP"
 CP = "CP"
 
 
-def comp_outage_prob(effort_dists, pooled_budget):
-    """P(sum of independent per-RAP efforts strictly exceeds the budget).
-
-    ``effort_dists`` is a list of ``(values, probabilities)`` pairs, one per
-    RAP.  Exact convolution over the discrete supports; works with floats or
-    ``fractions.Fraction``.
-    """
-    acc = {0: 1}
-    for values, probs in effort_dists:
-        if len(values) != len(probs):
-            raise ValueError("values and probabilities must have equal length")
-        nxt = {}
-        for total, p in acc.items():
-            for v, q in zip(values, probs):
-                key = total + v
-                nxt[key] = nxt.get(key, 0) + p * q
-        acc = nxt
-    return sum(p for total, p in acc.items() if total > pooled_budget)
-
-
 # ---------------------------------------------------------------------------
 # Network sweep
 # ---------------------------------------------------------------------------

@@ -1,26 +1,39 @@
-"""Slow scalar reference implementations of the vectorized hot paths.
+"""Slow scalar reference implementations and test-only helpers.
 
 The package ships one implementation of each behaviour: the vector path the
 experiments run (``simulate_trials``, ``cloud_sinrs``, ``comp_outage_masks``,
-``simulate_tb_batch``, ``_sample_positions``).  The scalar versions below
-spell the same rules out one transport block, one RAP, one cell or one trial
-at a time; the tests check the production code against them.
+``simulate_tb_batch``, ``select_mcs_index``, ``_sample_positions``).  The
+scalar versions below spell the same rules out one transport block, one RAP,
+one cell or one trial at a time; the tests check the production code against
+them.  Alongside them sit the closed forms the tests compare estimates with
+(``tb_channel_outage_prob``, the exact convolution ``comp_outage_prob``,
+``raw_throughput``) and a layout writer (``save_layout_csv``) for the
+layout-CSV round trip.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from cransim.link import SUBFRAME_S, McsEntry, segment_tb, simulate_cbs
-from cransim.policy import select_mcs
 from cransim.scheduling import CP
 
 # ---------------------------------------------------------------------------
 # link: one transport block
 # ---------------------------------------------------------------------------
+
+
+def tb_channel_outage_prob(eps_cb, num_cbs):
+    """TB outage probability 1 - (1 - eps_cb)**C for C independent CBs."""
+    if not 0.0 <= eps_cb <= 1.0:
+        raise ValueError(f"eps_cb {eps_cb} outside [0, 1]")
+    if num_cbs < 1:
+        raise ValueError("num_cbs must be >= 1")
+    return 1.0 - (1.0 - eps_cb) ** num_cbs
 
 
 @dataclass(frozen=True)
@@ -82,6 +95,28 @@ def simulate_tb(mcs, curves, gamma_db, rng):
 
 
 # ---------------------------------------------------------------------------
+# policy: one SNR
+# ---------------------------------------------------------------------------
+
+
+def select_mcs(table, gamma_db):
+    """Highest MCS with threshold <= gamma, or None below the table floor."""
+    if np.isnan(gamma_db):
+        raise ValueError("SNR must not be NaN")
+    idx = int(np.searchsorted(table.thresholds_db, gamma_db, side="right")) - 1
+    if idx < 0:
+        return None
+    return table.catalog[idx]
+
+
+def raw_throughput(mcs, subframe_s=SUBFRAME_S):
+    """Selected rate in bits/second; zero when no MCS is feasible."""
+    if mcs is None:
+        return 0.0
+    return mcs.tb_bits / subframe_s
+
+
+# ---------------------------------------------------------------------------
 # cell: one single-cell trial
 # ---------------------------------------------------------------------------
 
@@ -136,7 +171,7 @@ def run_cell_trial(cfg, gamma_db, table, curves, rng):
 
 
 # ---------------------------------------------------------------------------
-# geometry: SINR at one cloud RAP, UE placement cell by cell
+# geometry: SINR at one cloud RAP, the layout CSV, UE placement cell by cell
 # ---------------------------------------------------------------------------
 
 
@@ -173,6 +208,16 @@ def compute_sinr(drop, layout, params, rap_index):
             * drop.tx_powers[other_row]
         )
     return signal / (noise + interference)
+
+
+def save_layout_csv(layout, path):
+    """Write ``layout`` in the CSV form ``load_layout_csv`` reads."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "x_km", "y_km", "in_cloud_group"])
+        cloud = set(layout.cloud_group)
+        for i, (x, y) in enumerate(layout.rap_xy):
+            writer.writerow([i, repr(float(x)), repr(float(y)), int(i in cloud)])
 
 
 def sample_positions(layout, cells, rng, min_dist_km, batch=8, max_rounds=10000):
@@ -214,8 +259,28 @@ def sample_positions(layout, cells, rng, min_dist_km, batch=8, max_rounds=10000)
 
 
 # ---------------------------------------------------------------------------
-# scheduling: one subframe, TB by TB
+# scheduling: exact outage of independent efforts, one subframe TB by TB
 # ---------------------------------------------------------------------------
+
+def comp_outage_prob(effort_dists, pooled_budget):
+    """P(sum of independent per-RAP efforts strictly exceeds the budget).
+
+    ``effort_dists`` is a list of ``(values, probabilities)`` pairs, one per
+    RAP.  Exact convolution over the discrete supports; works with floats or
+    ``fractions.Fraction``.
+    """
+    acc = {0: 1}
+    for values, probs in effort_dists:
+        if len(values) != len(probs):
+            raise ValueError("values and probabilities must have equal length")
+        nxt = {}
+        for total, p in acc.items():
+            for v, q in zip(values, probs):
+                key = total + v
+                nxt[key] = nxt.get(key, 0) + p * q
+        acc = nxt
+    return sum(p for total, p in acc.items() if total > pooled_budget)
+
 
 DECODED = "decoded"
 CHANNEL_OUTAGE = "channel_outage"

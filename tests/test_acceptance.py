@@ -27,15 +27,11 @@ from cransim.geometry import (
     draw_subframe,
     synthesize_layout,
 )
-from cransim.link import (
-    load_calibration,
-    segment_tb,
-    simulate_cbs,
-    tb_channel_outage_prob,
-)
-from cransim.policy import build_policy_tables, raw_throughput
+from cransim.link import load_calibration, segment_tb, simulate_cbs
+from cransim.policy import build_policy_tables
 from cransim.rng import substream
-from cransim.scheduling import comp_outage_prob, finalize_records, sweep_network
+from cransim.scheduling import finalize_records, sweep_network
+from oracles import comp_outage_prob, raw_throughput, tb_channel_outage_prob
 
 SNR_GRID = [float(g) for g in range(-20, 42, 2)]
 CELL_TRIALS = 100_000

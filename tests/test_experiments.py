@@ -193,7 +193,7 @@ def test_resolve_grid_forms():
     errors = []
     assert resolve_grid([1.0, 2.0], "g", errors) == [1.0, 2.0]
     assert resolve_grid({"start": 0, "stop": 1, "step": 0.5}, "g", errors) == [0.0, 0.5, 1.0]
-    log = resolve_grid({"log_start": -1, "log_stop": 0, "num": 3}, "g", errors, log_grid=True)
+    log = resolve_grid({"log_start": -1, "log_stop": 0, "num": 3}, "g", errors)
     assert log == pytest.approx([0.1, 10 ** -0.5, 1.0])
     assert errors == []
     resolve_grid({"start": 1, "stop": 0, "step": 1}, "g", errors)
@@ -448,6 +448,12 @@ MALFORMED = [
     ("net", "network.modes", [], "network.modes"),
     ("net", "network.channel.min_ue_rap_km", 50.0,
      "network.channel.min_ue_rap_km: unknown key"),
+    # log grids whose values overflow the float range
+    ("net", "network.density_grid_per_km2", {"log_start": 0, "log_stop": 400, "num": 2},
+     "network.density_grid_per_km2: resolves to values that are not finite"),
+    ("net", "network.budget_grid_mbit_iter_s",
+     {"log_start": 0, "log_stop": 400, "num": 2, "include_unconstrained": True},
+     "network.budget_grid_mbit_iter_s: resolves to values that are not finite"),
     # files that exist but are not calibrations: a config, no JSON, no MCS table
     ("cell", "calibration_file", FileWith(json.dumps({"experiment": "cell_outage"})),
      "calibration_file: unsupported calibration schema_version None"),

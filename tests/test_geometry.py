@@ -14,12 +14,11 @@ from cransim.geometry import (
     cloud_sinrs,
     draw_subframe,
     load_layout_csv,
-    save_layout_csv,
     shoelace_area,
     synthesize_layout,
 )
 from cransim.rng import substream
-from oracles import compute_sinr, sample_positions
+from oracles import compute_sinr, sample_positions, save_layout_csv
 
 
 @pytest.fixture(scope="module")

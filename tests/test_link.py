@@ -1,21 +1,22 @@
+import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from calibration import default_calibration
 from cransim.link import (
     CalibrationError,
     LinkCurves,
     catalog_from_dict,
-    default_calibration,
     load_calibration,
     segment_tb,
     simulate_tb_batch,
-    tb_channel_outage_prob,
 )
-from oracles import iteration_pmf, simulate_tb
+from oracles import iteration_pmf, simulate_tb, tb_channel_outage_prob
 
 
 @pytest.fixture(scope="module")
@@ -263,15 +264,20 @@ def test_batch_matches_scalar_path(curves):
 # ---------------------------------------------------------------------------
 
 def test_default_calibration_round_trip(tmp_path):
-    from cransim.link import save_calibration
-
     data = default_calibration()
     path = tmp_path / "cal.json"
-    save_calibration(data, path)
+    with open(path, "w") as fh:
+        json.dump(data, fh)
     curves = load_calibration(path)
     assert len(curves.catalog) == 27
     assert curves.catalog[10].tb_bits == 8064
     assert curves.catalog[11].tb_bits == 9216
+
+
+def test_generator_reproduces_shipped_calibration():
+    shipped = resources.files("cransim.data").joinpath("default_calibration.json")
+    generated = json.dumps(default_calibration(), indent=2, sort_keys=True) + "\n"
+    assert generated == shipped.read_text()
 
 
 def test_catalog_modulation_bands(curves):

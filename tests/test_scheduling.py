@@ -19,7 +19,6 @@ from cransim.scheduling import (
     NetworkAccumulator,
     _policy_tbs,
     comp_outage_masks,
-    comp_outage_prob,
     merge_accumulators,
     sweep_network,
 )
@@ -28,6 +27,7 @@ from oracles import (
     CHANNEL_OUTAGE,
     COMPUTATIONAL_OUTAGE,
     DECODED,
+    comp_outage_prob,
     schedule_subframe,
 )
 
