@@ -213,6 +213,17 @@ def _n_cloud(value, field, errors, got):
     return value
 
 
+def _db(value):
+    """A dB value whose linear power 10^(value/10) is a finite positive float."""
+    try:
+        return 0.0 < 10.0 ** (value / 10.0) < math.inf
+    except OverflowError:
+        return False
+
+
+_DB_MESSAGE = "whose linear power 10^(x/10) is a finite positive float"
+
+
 def _path(value):
     return value is None or isinstance(value, str) and os.path.isfile(value)
 
@@ -233,7 +244,8 @@ _RULES = {
     "eps_hat": _rule(float, lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
     "low_snr_fallback": _rule(bool, None, "must be true or false"),
     "subframe_s": _rule(float, lambda v: v > 0, "must be positive"),
-    "cell.snr_grid_db": _grid(lambda v: v is not None, "entries must be numbers"),
+    "cell.snr_grid_db": _grid(lambda v: v is not None and _db(v),
+                              f"entries must be numbers {_DB_MESSAGE}"),
     "cell.n_trials": _rule(int, lambda v: v >= 1, "must be a positive integer"),
     "cell.policies": _choices(("MRS", "CAS"), "policy"),
     "cell.c_max_mbit_iter_s": _grid(lambda v: v is None or v > 0,
@@ -251,7 +263,7 @@ _RULES = {
     "network.synthesize.layout_seed": _NONNEGATIVE,
     "network.channel.alpha": _rule(float, lambda v: v > 2, "must exceed 2"),
     "network.channel.s": _rule(float, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
-    "network.channel.snr_ref_db": _rule(float, None, "must be a number"),
+    "network.channel.snr_ref_db": _rule(float, _db, f"must be a number {_DB_MESSAGE}"),
     "network.channel.ue_density_per_km2": _rule(float, lambda v: v >= 0, "must be >= 0"),
     "network.channel.max_interference_km": _rule(
         None, lambda v: v is None or _num(v) and v > 0, "must be positive or null"),

@@ -5,19 +5,27 @@ tessellation clipped to the region (computed by mirroring the points across
 the four edges, which makes every clipped cell finite and exact).  Users
 form a planar PPP: per subframe, cell i holds a transmitting UE with
 probability 1 - exp(-lambda * A_i) (complement of the void probability),
-placed uniformly in the cell.  The uplink uses fractional power control
-P = P0 * d^(s*alpha), and the SINR at a cloud RAP follows from unit-mean
-exponential (Rayleigh) block fading with the noise folded into the
-unit-distance SNR.
+placed uniformly in the cell by rejection from its bounding box.
+
+A point x of the region lies in cell i iff x . (p_j - p_i) <=
+(|p_j|^2 - |p_i|^2) / 2 for every neighbour j of i.  The neighbours are the
+points that share a ridge with i in the mirrored tessellation, each mirror
+folded back to its RAP (index modulo n).  Folding is exact inside the
+region: a mirror of j is never nearer to x than j itself, and i's own
+mirrors, whose bisectors are the region edges, never bind there.
+
+The uplink uses fractional power control P = P0 * d^(s*alpha), and the
+SINR at a cloud RAP follows from unit-mean exponential (Rayleigh) block
+fading with the noise folded into the unit-distance SNR.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import Voronoi, cKDTree
+from scipy.spatial import Voronoi
 
 
 class LayoutError(ValueError):
@@ -40,6 +48,8 @@ class ChannelParams:
     max_interference_km: float = None
 
     def __post_init__(self):
+        if not self.min_ue_rap_km > 0:
+            raise ValueError("minimum UE-RAP distance must be positive")
         if not self.alpha > 2:
             raise ValueError("path-loss exponent must exceed 2")
         if not 0.0 <= self.s <= 1.0:
@@ -59,9 +69,11 @@ class NetworkLayout:
     cell_vertices: tuple               # per-RAP CCW polygon arrays
     areas_km2: np.ndarray              # (n,)
     cloud_group: tuple                 # sorted RAP indices
+    cloud_idx: np.ndarray              # cloud_group as an index array
     lo: np.ndarray                     # (n, 2) lower-left corner of each cell's bounding box
     hi: np.ndarray                     # (n, 2) upper-right corner
-    kdtree: cKDTree = field(repr=False, compare=False, default=None)
+    normals: np.ndarray                # (n, 2, deg) p_j - p_i per neighbour j of cell i
+    offsets: np.ndarray                # (n, 1, deg) (|p_j|^2 - |p_i|^2) / 2
 
     @property
     def n_total(self):
@@ -95,7 +107,9 @@ def build_layout(rap_xy, region, cloud_group):
 
     Mirrors the points across all four region edges so every original
     point's Voronoi cell is finite and exactly equals the unbounded cell
-    clipped to the rectangle.
+    clipped to the rectangle.  The mirrored tessellation's ridges, folded
+    modulo n, give each cell's neighbours and so its half-planes; rows with
+    fewer neighbours are padded with the cell itself (0 <= 0).
     """
     pts = np.asarray(rap_xy, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
@@ -125,9 +139,10 @@ def build_layout(rap_xy, region, cloud_group):
         m[:, axis] = 2.0 * bound - m[:, axis]
         mirrored.append(m)
     vor = Voronoi(np.vstack(mirrored))
+    n = len(pts)
     polys = []
-    areas = np.empty(len(pts))
-    for i in range(len(pts)):
+    areas = np.empty(n)
+    for i in range(n):
         verts_idx = vor.regions[vor.point_region[i]]
         if -1 in verts_idx or len(verts_idx) < 3:
             raise LayoutError(f"RAP {i}: unbounded Voronoi cell after mirroring")
@@ -137,15 +152,28 @@ def build_layout(rap_xy, region, cloud_group):
         verts = verts[order]
         polys.append(verts)
         areas[i] = shoelace_area(verts)
+    # neighbours: the ridges of the points in the region (the RAPs, or a
+    # mirror that coincides with its RAP on an edge), folded modulo n
+    in_region = ((vor.points >= (xmin, ymin)) & (vor.points <= (xmax, ymax))).all(axis=1)
+    pairs = vor.ridge_points[in_region[vor.ridge_points].any(axis=1)] % n
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    pairs = np.unique(np.vstack([pairs, pairs[:, ::-1]]), axis=0)
+    degree = np.bincount(pairs[:, 0], minlength=n)
+    nbr = np.repeat(np.arange(n)[:, None], degree.max(), axis=1)
+    rank = np.arange(len(pairs)) - np.repeat(np.cumsum(degree) - degree, degree)
+    nbr[pairs[:, 0], rank] = pairs[:, 1]
+    sq = (pts ** 2).sum(axis=1)
     return NetworkLayout(
         rap_xy=pts,
         region=(xmin, ymin, xmax, ymax),
         cell_vertices=tuple(polys),
         areas_km2=areas,
         cloud_group=cloud,
+        cloud_idx=np.array(cloud, dtype=int),
         lo=np.array([v.min(axis=0) for v in polys]),
         hi=np.array([v.max(axis=0) for v in polys]),
-        kdtree=cKDTree(pts),
+        normals=np.ascontiguousarray((pts[nbr] - pts[:, None, :]).transpose(0, 2, 1)),
+        offsets=(sq[nbr] - sq[:, None])[:, None, :] / 2.0,
     )
 
 
@@ -187,8 +215,8 @@ def _sample_positions(layout, cells, rng, min_dist_km, batch=8, max_rounds=10000
     Each round draws ``batch`` candidates in the bounding box of every
     pending cell with one ``rng.random`` call, whose rows (in pending order)
     hold the doubles that one call per cell would draw, and keeps each
-    cell's first candidate whose nearest RAP is the cell's own RAP and that
-    clears the minimum UE-RAP separation.
+    cell's first candidate that satisfies all of the cell's half-planes (its
+    nearest RAP is the cell's own) and clears the minimum UE-RAP separation.
     """
     out = np.empty((len(cells), 2))
     pending = np.arange(len(cells))
@@ -200,10 +228,10 @@ def _sample_positions(layout, cells, rng, min_dist_km, batch=8, max_rounds=10000
         cell_ids = cells[pending]
         lo = layout.lo[cell_ids, None, :]
         cand = lo + rng.random((len(pending), batch, 2)) * (layout.hi[cell_ids, None, :] - lo)
-        dist, nearest = layout.kdtree.query(cand.reshape(-1, 2))
-        ok = (nearest.reshape(-1, batch) == cell_ids[:, None]) & (
-            dist.reshape(-1, batch) >= min_dist_km
-        )
+        normals, offsets = layout.normals[cell_ids], layout.offsets[cell_ids]
+        inside = (np.matmul(cand, normals) <= offsets).all(axis=2)
+        gap = cand - layout.rap_xy[cell_ids, None, :]
+        ok = inside & ((gap * gap).sum(axis=2) >= min_dist_km * min_dist_km)
         hit = ok.any(axis=1)
         out[pending[hit]] = cand[hit, ok[hit].argmax(axis=1)]
         pending = pending[~hit]
@@ -242,7 +270,7 @@ def cloud_sinrs(drop, layout, params):
     Returns ``(rap_indices, sinr_linear)`` where both are aligned arrays for
     the active cloud cells, ordered by RAP index.
     """
-    cloud = np.array(layout.cloud_group)
+    cloud = layout.cloud_idx
     mask = drop.active[cloud]
     targets = cloud[mask]
     if not len(targets):
@@ -252,16 +280,15 @@ def cloud_sinrs(drop, layout, params):
     alpha = params.alpha
     s = params.s
     raps = layout.rap_xy[targets]                       # (k, 2)
-    diff = raps[:, None, :] - drop.ue_xy[None, :, :]    # (k, n_active, 2)
-    cross = np.hypot(diff[..., 0], diff[..., 1])        # (k, n_active)
+    cross = np.hypot(raps[:, 0, None] - drop.ue_xy[:, 0],
+                     raps[:, 1, None] - drop.ue_xy[:, 1])  # (k, n_active)
     g = drop.fading[:, cols].T                          # (k, n_active)
-    with np.errstate(divide="ignore"):
-        terms = g * cross ** (-alpha) * drop.tx_powers[None, :]
+    # cross > 0: a UE is at least min_ue_rap_km > 0 from its own RAP, its nearest
+    terms = g * cross ** (-alpha) * drop.tx_powers[None, :]
     if params.max_interference_km is not None:
-        terms = np.where(cross <= params.max_interference_km, terms, 0.0)
-    own = np.zeros_like(terms, dtype=bool)
-    own[np.arange(len(targets)), rows] = True
-    interference = np.where(own, 0.0, terms).sum(axis=1)
+        terms[cross > params.max_interference_km] = 0.0
+    terms[np.arange(len(targets)), rows] = 0.0          # own UE is the signal
+    interference = terms.sum(axis=1)
     d_serve = drop.serve_dist_km[rows]
     signal = drop.fading[rows, cols] * d_serve ** (alpha * (s - 1.0))
     return targets, signal / (1.0 / params.snr_ref_linear + interference)

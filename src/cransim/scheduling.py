@@ -173,7 +173,7 @@ def sweep_network(layout, params, curves, tables, *, subframes, seed,
         bits_per_cell=np.zeros(shape + (layout.n_cloud,), dtype=np.int64),
         per_subframe=np.zeros(shape + (len(subframes) if keep_subframe_sums else 0,)),
     )
-    cloud = np.array(layout.cloud_group)
+    cloud = layout.cloud_idx
     per_rap = np.array(budgets, dtype=float)
     limits = {LP: per_rap * subframe_s, CP: layout.n_cloud * per_rap * subframe_s}
     for di in range(len(densities)) if density_indices is None else density_indices:

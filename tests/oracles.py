@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from cransim.link import SUBFRAME_S, McsEntry, segment_tb, simulate_cbs
 from cransim.scheduling import CP
@@ -227,6 +228,7 @@ def sample_positions(layout, cells, rng, min_dist_km, batch=8, max_rounds=10000)
     Candidates are accepted when their nearest RAP is the cell's own RAP and
     they clear the minimum UE-RAP separation.
     """
+    tree = cKDTree(layout.rap_xy)
     out = np.empty((len(cells), 2))
     pending = list(range(len(cells)))
     rounds = 0
@@ -243,7 +245,7 @@ def sample_positions(layout, cells, rng, min_dist_km, batch=8, max_rounds=10000)
             hi = verts.max(axis=0)
             cand[row] = lo + rng.random((batch, 2)) * (hi - lo)
         flat = cand.reshape(-1, 2)
-        dist, nearest = layout.kdtree.query(flat)
+        dist, nearest = tree.query(flat)
         ok = (nearest.reshape(len(idx), batch) == cell_ids[:, None]) & (
             dist.reshape(len(idx), batch) >= min_dist_km
         )

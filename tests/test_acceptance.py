@@ -7,7 +7,6 @@ in a few minutes.
 """
 
 import itertools
-import json
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -16,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from cransim.cell import simulate_trials, sweep_cell
+from cransim.cell import sweep_cell
 from cransim.experiments import run as run_experiment
 from cransim.geometry import (
     ChannelParams,
@@ -30,7 +29,7 @@ from cransim.geometry import (
 from cransim.link import load_calibration, segment_tb, simulate_cbs
 from cransim.policy import build_policy_tables
 from cransim.rng import substream
-from cransim.scheduling import finalize_records, sweep_network
+from cransim.scheduling import sweep_network
 from oracles import comp_outage_prob, raw_throughput, tb_channel_outage_prob
 
 SNR_GRID = [float(g) for g in range(-20, 42, 2)]

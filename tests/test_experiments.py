@@ -1,7 +1,6 @@
 import contextlib
 import io
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -430,6 +429,11 @@ class FileWith:
 # (base config, field, bad value, text stderr must contain)
 MALFORMED = [
     ("cell", "cell.snr_grid_db", ["a"], "cell.snr_grid_db"),
+    # dB values whose linear power overflows the float range
+    ("cell", "cell.snr_grid_db", [4000],
+     "cell.snr_grid_db: entries must be numbers whose linear power 10^(x/10)"),
+    ("net", "network.channel.snr_ref_db", 4000,
+     "network.channel.snr_ref_db: must be a number whose linear power 10^(x/10)"),
     ("cell", "eps_hat", "x", "eps_hat"),
     ("cell", "eps_hat", 1e-300, "eps_hat: MCS 0 never meets"),
     ("cell", "subframe_s", "x", "subframe_s"),

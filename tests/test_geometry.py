@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 from scipy.stats import chi2
 
 from cransim.geometry import (
@@ -76,7 +79,7 @@ def test_nearest_rap_point_counts_match_areas(big_layout):
     rng = np.random.default_rng(555)
     n = 1_000_000
     pts = rng.random((n, 2)) * 20.0
-    _, nearest = big_layout.kdtree.query(pts)
+    _, nearest = cKDTree(big_layout.rap_xy).query(pts)
     counts = np.bincount(nearest, minlength=129)
     p = big_layout.areas_km2 / 400.0
     sigma = np.sqrt(n * p * (1 - p))
@@ -130,7 +133,7 @@ def test_positions_inside_own_cell(big_layout):
         drop = draw_subframe(big_layout, params, rng)
         if len(drop.active_idx) == 0:
             continue
-        _, nearest = big_layout.kdtree.query(drop.ue_xy)
+        _, nearest = cKDTree(big_layout.rap_xy).query(drop.ue_xy)
         assert np.array_equal(nearest, drop.active_idx)
         assert np.all(drop.serve_dist_km >= params.min_ue_rap_km)
 
@@ -176,6 +179,56 @@ def test_sample_positions_matches_oracle(layout_name, batch, request):
         with pytest.raises(RuntimeError, match="converge"):
             sampler(layout, np.arange(n), rng, 1e3, batch=batch, max_rounds=3)
     np.testing.assert_equal(fast.bit_generator.state, slow.bit_generator.state)
+
+
+GRID = 64  # layouts below put RAPs on a GRID x GRID lattice of the region
+
+
+@st.composite
+def lattice_layouts(draw):
+    """RAP layouts of the shapes that stress the mirrored tessellation: two
+    RAPs, collinear RAPs, RAPs on the region edge, a sliver cell, any."""
+    kind = draw(st.sampled_from(["two", "collinear", "edge", "sliver", "any"]))
+    lattice = st.integers(0, GRID)
+    if kind == "collinear":
+        x0, y0 = draw(lattice), draw(lattice)
+        dx, dy = draw(st.integers(-4, 4)), draw(st.integers(-4, 4))
+        steps = range(draw(st.integers(2, 8)))
+        ij = [(x0 + k * dx, y0 + k * dy) for k in steps]
+    elif kind == "sliver":
+        x0, y0 = draw(st.integers(1, GRID - 4)), draw(st.integers(1, GRID - 4))
+        ij = [(x0 + k, y0 + k) for k in range(3)]
+    else:
+        n = 2 if kind == "two" else draw(st.integers(3, 12))
+        ij = draw(st.lists(st.tuples(lattice, lattice), min_size=n, max_size=n))
+        if kind == "edge":
+            snap = draw(st.lists(st.sampled_from([(0, 0), (0, GRID), (1, 0), (1, GRID)]),
+                                 min_size=1, max_size=n))
+            ij = [list(p) for p in ij]
+            for p, (axis, bound) in zip(ij, snap):
+                p[axis] = bound
+    ij = np.array(ij, dtype=float)
+    assume(((ij >= 0) & (ij <= GRID)).all())
+    width, height = draw(st.sampled_from([1.0, 2.5, 10.0])), draw(st.sampled_from([1.0, 4.0]))
+    try:
+        return build_layout(ij / GRID * [width, height], (0.0, 0.0, width, height), ())
+    except LayoutError:   # duplicates, or a RAP in a corner (an unbounded cell)
+        assume(False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(layout=lattice_layouts(), seed=st.integers(0, 2**32 - 1))
+def test_half_planes_decide_nearest_rap(layout, seed):
+    # a point of the region is in cell i by the half-plane rule iff RAP i
+    # is its nearest, skipping points (nearly) equidistant from two RAPs
+    xmin, ymin, xmax, ymax = layout.region
+    u = np.random.default_rng(seed).random((500, 2))
+    pts = [xmin, ymin] + u * [xmax - xmin, ymax - ymin]
+    dist, nearest = cKDTree(layout.rap_xy).query(pts, k=2)
+    clear = dist[:, 1] - dist[:, 0] > 1e-9
+    inside = (np.matmul(pts[clear], layout.normals) <= layout.offsets).all(axis=2)
+    owner = nearest[clear, 0] == np.arange(layout.n_total)[:, None]
+    assert np.array_equal(inside, owner)
 
 
 def test_sinr_unit_distance_no_interference(two_cell_layout):
@@ -285,6 +338,8 @@ def test_channel_params_validation():
         ChannelParams(alpha=1.5)
     with pytest.raises(ValueError):
         ChannelParams(s=1.2)
+    with pytest.raises(ValueError, match="UE-RAP distance"):
+        ChannelParams(min_ue_rap_km=0.0)
 
 
 def test_layout_csv_round_trip(two_cell_layout, tmp_path):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from calibration import default_calibration
 from cransim.link import (
     CalibrationError,
-    LinkCurves,
     catalog_from_dict,
     load_calibration,
     segment_tb,

@@ -3,7 +3,8 @@
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "cransim"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "cransim"
 
 
 def _module_level_names(tree):
@@ -37,3 +38,36 @@ def test_src_defines_only_what_src_uses():
     unused = [f"{module}:{name}" for module, tree in trees.items()
               for name in _module_level_names(tree) if name not in loaded]
     assert not unused, f"defined in src/cransim but never used there: {unused}"
+
+
+def _imported_names(tree):
+    """Names bound by a module's imports; ``from __future__`` binds none."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def _used_names(tree):
+    """Names read as a variable, or named as a parameter (how a test asks
+    for a pytest fixture)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.arg):
+            yield node.arg
+
+
+def test_every_import_is_used():
+    # __init__ imports only to export
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    unused = []
+    for path in paths + sorted(TESTS.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = set(_used_names(tree))
+        unused += [f"{path.parent.name}/{path.name}:{name}"
+                   for name in _imported_names(tree) if name not in used]
+    assert not unused, f"imported but never used: {unused}"
