@@ -27,6 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import Voronoi
 
+RESOLUTION_KM = 1e-9   # RAPs closer than this to each other or to an edge are rejected
+
 
 class LayoutError(ValueError):
     """Raised for invalid RAP layouts or layout files."""
@@ -117,14 +119,12 @@ def build_layout(rap_xy, region, cloud_group):
     xmin, ymin, xmax, ymax = (float(v) for v in region)
     if not (xmax > xmin and ymax > ymin):
         raise LayoutError("region must have positive extent")
-    inside = (
-        (pts[:, 0] >= xmin) & (pts[:, 0] <= xmax)
-        & (pts[:, 1] >= ymin) & (pts[:, 1] <= ymax)
-    )
-    if not inside.all():
-        raise LayoutError(f"RAP {int(np.flatnonzero(~inside)[0])} lies outside the region")
-    # duplicate detection
-    scaled = np.round(pts / 1e-9).astype(np.int64)
+    # a RAP on an edge would coincide with its own mirror
+    bad = ~(np.minimum(pts - (xmin, ymin), (xmax, ymax) - pts).min(axis=1) >= RESOLUTION_KM)
+    if bad.any():
+        raise LayoutError(f"RAP {int(np.flatnonzero(bad)[0])} lies outside the region "
+                          f"or within {RESOLUTION_KM} km of its boundary")
+    scaled = np.round(pts / RESOLUTION_KM).astype(np.int64)
     if len(np.unique(scaled, axis=0)) != len(pts):
         raise LayoutError("duplicate RAP positions")
     cloud = tuple(sorted(int(i) for i in cloud_group))
@@ -152,10 +152,8 @@ def build_layout(rap_xy, region, cloud_group):
         verts = verts[order]
         polys.append(verts)
         areas[i] = shoelace_area(verts)
-    # neighbours: the ridges of the points in the region (the RAPs, or a
-    # mirror that coincides with its RAP on an edge), folded modulo n
-    in_region = ((vor.points >= (xmin, ymin)) & (vor.points <= (xmax, ymax))).all(axis=1)
-    pairs = vor.ridge_points[in_region[vor.ridge_points].any(axis=1)] % n
+    # neighbours: the ridges of the RAPs, folded modulo n
+    pairs = vor.ridge_points[(vor.ridge_points < n).any(axis=1)] % n
     pairs = pairs[pairs[:, 0] != pairs[:, 1]]
     pairs = np.unique(np.vstack([pairs, pairs[:, ::-1]]), axis=0)
     degree = np.bincount(pairs[:, 0], minlength=n)

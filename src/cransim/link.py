@@ -75,9 +75,8 @@ class LinkCurves:
         validate_catalog(catalog, i_max)
         self.catalog = tuple(catalog)
         self.i_max = i_max
-        # (27, i_max) parameter arrays for vectorized evaluation
-        self._a = np.array([m.slopes_per_db for m in catalog], dtype=float)
-        self._b = np.array([m.midpoints_db for m in catalog], dtype=float)
+        ab = np.array([(m.slopes_per_db, m.midpoints_db) for m in catalog], dtype=float)
+        self._ab = ab.transpose(1, 2, 0).copy()   # (2, i_max, 27): one row per iteration
         self.tb_bits = np.array([m.tb_bits for m in catalog], dtype=np.int64)
         # zero-padded per-CB bit counts, (27, max_cbs)
         segs = [segment_tb(m.tb_bits)[1] for m in catalog]
@@ -87,11 +86,18 @@ class LinkCurves:
         for m, s in enumerate(segs):
             self.cb_bits[m, : len(s)] = s
 
+    def _waterfalls(self, mcs_index, g, iters):
+        """Slopes and midpoints of iterations 1..``iters``, each ``(iters, ...)``
+        so that it broadcasts against ``g`` behind the iteration axis."""
+        ab = self._ab[:, :iters, mcs_index]
+        return ab.reshape(ab.shape[:2] + (1,) * (g.ndim - ab.ndim + 2) + ab.shape[2:])
+
     def cbler(self, mcs_index, gamma_db, iters):
         """CBLER of ``mcs_index`` at SNR ``gamma_db`` after ``iters`` iterations.
 
         ``iters = 0`` returns 1 by convention.  gamma of +inf/-inf maps to
-        0/1; NaN is rejected.
+        0/1; NaN is rejected.  The running minimum is taken over the rows of
+        an iteration-major ``(iters, ...)`` array.
         """
         if iters < 0 or iters > self.i_max:
             raise ValueError(f"iteration count {iters} outside 0..{self.i_max}")
@@ -99,10 +105,9 @@ class LinkCurves:
             raise ValueError("SNR must not be NaN")
         if iters == 0:
             return np.ones_like(np.asarray(gamma_db, dtype=float))[()] if np.ndim(gamma_db) else 1.0
-        a = self._a[mcs_index, :iters]
-        b = self._b[mcs_index, :iters]
         g = np.asarray(gamma_db, dtype=float)
-        out = expit(-a * (g[..., None] - b)).min(axis=-1)
+        a, b = self._waterfalls(mcs_index, g, iters)
+        out = expit(-a * (g - b)).min(axis=0)
         return out[()] if np.ndim(gamma_db) == 0 else out
 
     def success_cdf(self, mcs_index, gamma_db):
@@ -111,16 +116,21 @@ class LinkCurves:
         Returns shape ``(..., i_max + 1)`` with column 0 identically 0 and
         nondecreasing columns (running max over the per-iteration
         waterfalls).  Vectorized over ``gamma_db`` and ``mcs_index``
-        (broadcast together).
+        (broadcast together).  The result is a view of an iteration-major
+        ``(i_max + 1, ...)`` array: each iteration's column is one contiguous
+        row, which ``simulate_cbs`` reads back row by row.
         """
         g = np.asarray(gamma_db, dtype=float)
         if np.any(np.isnan(g)):
             raise ValueError("SNR must not be NaN")
-        a = self._a[mcs_index]          # (..., i_max)
-        b = self._b[mcs_index]
-        f = np.maximum.accumulate(expit(a * (g[..., None] - b)), axis=-1)
-        zero = np.zeros(f.shape[:-1] + (1,))
-        return np.concatenate([zero, f], axis=-1)
+        a, b = self._waterfalls(mcs_index, g, self.i_max)
+        x = a * (g - b)
+        out = np.empty((self.i_max + 1,) + x.shape[1:])
+        out[0] = 0.0
+        f = expit(x, out=out[1:])
+        for i in range(1, self.i_max):
+            np.maximum(f[i - 1], f[i], out=f[i, ...])   # a view even when 0-d
+        return out.transpose(*range(1, out.ndim), 0)
 
 
 def segment_tb(tb_bits):
@@ -147,14 +157,19 @@ def simulate_cbs(success_cdf, u):
     success-conditioned iteration pmf exactly.
 
     ``success_cdf`` has shape (..., i_max + 1); ``u`` shape (..., n_cbs).
+    The comparisons run iteration-major on the transposes: a CB-major
+    ``(n_cbs, ...)`` copy of ``u`` against one cdf row per iteration (a
+    contiguous row when the cdf comes from ``LinkCurves.success_cdf``).
     Returns ``(iters, failed)`` of the same shape as ``u``.
     """
     i_max = success_cdf.shape[-1] - 1
+    cdf = success_cdf.T
+    u = np.ascontiguousarray(u.T)
     iters = np.ones(u.shape, dtype=np.int64)
     for i in range(1, i_max):
-        iters += u > success_cdf[..., i, None]
-    failed = u > success_cdf[..., i_max, None]
-    return iters, failed
+        iters += u > cdf[i]
+    failed = u > cdf[i_max]
+    return iters.T, failed.T
 
 
 def simulate_tb_batch(curves, mcs_index, gamma_db, u):

@@ -62,3 +62,15 @@ def default_calibration():
         )
     return {"schema_version": CALIBRATION_SCHEMA_VERSION, "i_max": DEFAULT_I_MAX,
             "mcs": mcs}
+
+
+def crossing_calibration():
+    """The shipped calibration with a shallow first-iteration waterfall
+    (slope 0.5 per dB), which crosses the steeper later ones just below
+    their midpoints.  Below the crossing a later iteration's raw success
+    probability is lower than an earlier one's, so the running max over
+    iterations binds."""
+    data = default_calibration()
+    for rec in data["mcs"]:
+        rec["waterfall"][0][0] = 0.5
+    return data

@@ -5,7 +5,10 @@ experiments run (``simulate_trials``, ``cloud_sinrs``, ``comp_outage_masks``,
 ``simulate_tb_batch``, ``select_mcs_index``, ``_sample_positions``).  The
 scalar versions below spell the same rules out one transport block, one RAP,
 one cell or one trial at a time; the tests check the production code against
-them.  Alongside them sit the closed forms the tests compare estimates with
+them.  The link kernels and the trial loop also keep their trial-major
+forms here (``success_cdf``, ``cb_outcomes``, ``simulate_trials``), which
+the iteration-major production code must match bit for bit.  Alongside
+them sit the closed forms the tests compare estimates with
 (``tb_channel_outage_prob``, the exact convolution ``comp_outage_prob``,
 ``raw_throughput``) and a layout writer (``save_layout_csv``) for the
 layout-CSV round trip.
@@ -16,11 +19,14 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.spatial import cKDTree
+from scipy.special import expit
 
-from cransim.link import SUBFRAME_S, McsEntry, segment_tb, simulate_cbs
+from cransim.link import SUBFRAME_S, McsEntry, segment_tb
+from cransim.policy import select_mcs_index
 from cransim.scheduling import CP
 
 # ---------------------------------------------------------------------------
@@ -79,20 +85,43 @@ def simulate_tb(mcs, curves, gamma_db, rng):
     num_cbs, cb_bits = segment_tb(mcs.tb_bits)
     idx = mcs.index
     i_max = curves.i_max
-    cdf = np.array(
-        [0.0] + [1.0 - curves.cbler(idx, gamma_db, i) for i in range(1, i_max + 1)]
-    )
-    u = rng.random(num_cbs)
-    iters, failed = simulate_cbs(cdf, u)
-    effort = int(np.dot(np.asarray(cb_bits, dtype=np.int64), iters))
+    cdf = [0.0] + [1.0 - curves.cbler(idx, gamma_db, i) for i in range(1, i_max + 1)]
+    iters = []
+    failed = []
+    for u in rng.random(num_cbs):
+        # I is the smallest i with F(i) >= u; the CB fails iff u > F(i_max)
+        fail = bool(u > cdf[i_max])
+        iters.append(i_max if fail else next(i for i in range(1, i_max + 1) if cdf[i] >= u))
+        failed.append(fail)
     return TbRealization(
         num_cbs=num_cbs,
         cb_bits=tuple(cb_bits),
-        cb_iters=tuple(int(i) for i in iters),
-        cb_failed=tuple(bool(f) for f in failed),
-        channel_outage=bool(failed.any()),
-        effort_bit_iters=effort,
+        cb_iters=tuple(iters),
+        cb_failed=tuple(failed),
+        channel_outage=any(failed),
+        effort_bit_iters=sum(k * i for k, i in zip(cb_bits, iters)),
     )
+
+
+def success_cdf(curves, mcs_index, gamma_db):
+    """``LinkCurves.success_cdf`` in trial-major form: the waterfalls along
+    the last axis, their running max by ``np.maximum.accumulate`` and a zero
+    column in front."""
+    g = np.asarray(gamma_db, dtype=float)
+    a = np.array([m.slopes_per_db for m in curves.catalog])[mcs_index]
+    b = np.array([m.midpoints_db for m in curves.catalog])[mcs_index]
+    f = np.maximum.accumulate(expit(a * (g[..., None] - b)), axis=-1)
+    return np.concatenate([np.zeros(f.shape[:-1] + (1,)), f], axis=-1)
+
+
+def cb_outcomes(cdf, u):
+    """``simulate_cbs`` by its definition: ``cdf`` (..., i_max + 1), ``u``
+    (..., n_cbs).  I is the smallest i >= 1 with F(i) >= u, or i_max when
+    there is none; the CB fails iff u > F(i_max)."""
+    i_max = cdf.shape[-1] - 1
+    reached = cdf[..., None, 1:] >= u[..., None]
+    iters = np.where(reached.any(axis=-1), reached.argmax(axis=-1) + 1, i_max)
+    return iters, u > cdf[..., i_max, None]
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +198,27 @@ def run_cell_trial(cfg, gamma_db, table, curves, rng):
     else:
         kind = OUTAGE_NONE
     return tb, mcs, kind
+
+
+def simulate_trials(gamma_db, table, curves, u, low_snr_fallback=True):
+    """``cell.simulate_trials`` as a loop over the selected MCSs, gathering
+    and scattering each MCS's rows by index, decoded by ``success_cdf`` and
+    ``cb_outcomes``."""
+    n = len(gamma_db)
+    sel = select_mcs_index(table, gamma_db, low_snr_fallback)
+    transmitted = sel >= 0
+    bits = np.zeros(n, dtype=np.int64)
+    effort = np.zeros(n, dtype=np.int64)
+    channel_fail = np.zeros(n, dtype=bool)
+    for m in np.unique(sel[transmitted]):
+        rows = np.flatnonzero(sel == m)
+        c, cb_bits = segment_tb(curves.catalog[m].tb_bits)
+        iters, failed = cb_outcomes(success_cdf(curves, int(m), gamma_db[rows]), u[rows, :c])
+        bits[rows] = curves.catalog[m].tb_bits
+        effort[rows] = iters @ np.asarray(cb_bits, dtype=np.int64)
+        channel_fail[rows] = failed.any(axis=1)
+    return SimpleNamespace(transmitted=transmitted, bits=bits, effort=effort,
+                           channel_fail=channel_fail)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
+from calibration import crossing_calibration, default_calibration
 from cransim.cell import (
     draw_cell_trials,
     simulate_trials,
@@ -10,7 +14,7 @@ from cransim.cell import (
     sweep_cell,
     wilson_halfwidth,
 )
-from cransim.link import load_calibration
+from cransim.link import LinkCurves, catalog_from_dict, load_calibration
 from cransim.policy import build_policy_tables
 from cransim.rng import substream
 from oracles import (
@@ -150,6 +154,42 @@ def test_simulate_trials_matches_scalar_trials(tables, curves, fallback):
         assert rec.eps_comp == n_comp / n_tx
         if math.isfinite(c_max):
             assert 0 < n_comp < n_tx  # the budget binds on some trials only
+
+
+def _curves_and_tables(calibration):
+    curves = LinkCurves(*catalog_from_dict(calibration))
+    return curves, build_policy_tables(curves)
+
+
+TRIAL_MODELS = {"default": _curves_and_tables(default_calibration()),
+                "crossing": _curves_and_tables(crossing_calibration())}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(TRIAL_MODELS)), policy=st.sampled_from(["MRS", "CAS"]),
+       fallback=st.booleans(), single=st.booleans(),
+       snrs=st.lists(st.one_of(st.floats(-40.0, 60.0),
+                               st.sampled_from([math.inf, -math.inf])), max_size=80),
+       mcs=st.integers(0, 25), seed=st.integers(0, 2**32 - 1))
+def test_simulate_trials_matches_oracle_bitwise(name, policy, fallback, single, snrs,
+                                                mcs, seed):
+    # the one-sort grouping against the per-MCS gather/scatter loop, with
+    # untransmitted trials, +-inf SNRs, empty input and single-MCS blocks
+    curves, tables = TRIAL_MODELS[name]
+    table = tables[policy]
+    rng = np.random.default_rng(seed)
+    gamma = np.array(snrs, dtype=float)
+    if single:
+        lo, hi = table.thresholds_db[mcs], table.thresholds_db[mcs + 1]
+        gamma = lo + (hi - lo) * rng.random(len(snrs))
+    u = rng.random((len(gamma), curves.max_cbs))
+    got = simulate_trials(gamma, table, curves, u, fallback)
+    want = oracles.simulate_trials(gamma, table, curves, u, fallback)
+    if single:
+        assert len(np.unique(got.bits)) <= 1
+    for field in ("transmitted", "bits", "effort", "channel_fail"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes()), field
 
 
 def test_sweep_low_snr_outage_near_one(tables, curves):

@@ -390,6 +390,36 @@ def test_net_result_digests(tmp_path, monkeypatch, name, workers):
     assert (outputs["results.json"], outputs["results.csv"]) == GOLDEN_NET_DIGESTS[name]
 
 
+# SHA-256 of (results.json, results.csv) for the shipped single-cell configs cut
+# to 20000 trials per grid point; the same rule as GOLDEN_NET_DIGESTS applies.
+GOLDEN_CELL_DIGESTS = {
+    "cell_outage": (
+        "4e69a878f1bb557980ca9bc4449790f14032188c65fbd3196f72d79c77abfa52",
+        "e5e63a02ccf7c7d8e57e5f7d4ac24c77b455f4573e617f5e4ea33bcaddc1f9d8",
+    ),
+    "cell_throughput": (
+        "9fa8266aae1a89d9152ef50d8da32948618c26a0a0042343d1c4835a3f825aab",
+        "1bcf1f25a9c55dd99342b61ada6c3ff3c3081494a511d7f8a14cdecc36cc5301",
+    ),
+    "cell_complexity": (
+        "529232f429d8ba89b525c7bb5e6b3a4347c54de00b343d536ef644b2101b32cb",
+        "43f41bed2cc2e9593a82912d3fcb8f9e4183f14ea3f97661d7d730159329ca4b",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, workers", [
+    pytest.param(name, workers, id=name if workers == 1 else f"{name}-{workers}workers")
+    for workers in (1, 2) for name in sorted(GOLDEN_CELL_DIGESTS)])
+def test_cell_result_digests(tmp_path, monkeypatch, name, workers):
+    monkeypatch.delenv("CRANSIM_OUTPUT_DIR", raising=False)
+    cfg = load_config(CONFIG_DIR / f"{name}.json")
+    cfg["output_dir"] = str(tmp_path)
+    cfg["cell"]["n_trials"] = 20000
+    outputs = run(cfg, workers)["outputs"]
+    assert (outputs["results.json"], outputs["results.csv"]) == GOLDEN_CELL_DIGESTS[name]
+
+
 # ---------------------------------------------------------------------------
 # the config boundary: every malformed config exits 2 with a field message
 # ---------------------------------------------------------------------------
@@ -462,6 +492,10 @@ MALFORMED = [
     ("cell", "calibration_file", FileWith(json.dumps({"experiment": "cell_outage"})),
      "calibration_file: unsupported calibration schema_version None"),
     ("net", "calibration_file", FileWith("i_max = 8"), "calibration_file: Expecting value"),
+    # a RAP on the region edge (the region is [0, 9]^2)
+    ("net", "network.layout_csv",
+     FileWith("id,x_km,y_km,in_cloud_group\n0,4.0,4.0,1\n1,9.0,4.0,1\n"),
+     "network.layout_csv: RAP 1 lies outside the region or within 1e-09 km of its boundary"),
     ("cell", "calibration_file", FileWith(json.dumps({"schema_version": 1})),
      "calibration_file: malformed calibration: KeyError('mcs')"),
 ]

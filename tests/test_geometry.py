@@ -187,9 +187,10 @@ GRID = 64  # layouts below put RAPs on a GRID x GRID lattice of the region
 @st.composite
 def lattice_layouts(draw):
     """RAP layouts of the shapes that stress the mirrored tessellation: two
-    RAPs, collinear RAPs, RAPs on the region edge, a sliver cell, any."""
-    kind = draw(st.sampled_from(["two", "collinear", "edge", "sliver", "any"]))
-    lattice = st.integers(0, GRID)
+    RAPs, collinear RAPs, a sliver cell, any; RAPs sit on the interior
+    lattice points 1..GRID-1 (``build_layout`` rejects a RAP on an edge)."""
+    kind = draw(st.sampled_from(["two", "collinear", "sliver", "any"]))
+    lattice = st.integers(1, GRID - 1)
     if kind == "collinear":
         x0, y0 = draw(lattice), draw(lattice)
         dx, dy = draw(st.integers(-4, 4)), draw(st.integers(-4, 4))
@@ -201,19 +202,28 @@ def lattice_layouts(draw):
     else:
         n = 2 if kind == "two" else draw(st.integers(3, 12))
         ij = draw(st.lists(st.tuples(lattice, lattice), min_size=n, max_size=n))
-        if kind == "edge":
-            snap = draw(st.lists(st.sampled_from([(0, 0), (0, GRID), (1, 0), (1, GRID)]),
-                                 min_size=1, max_size=n))
-            ij = [list(p) for p in ij]
-            for p, (axis, bound) in zip(ij, snap):
-                p[axis] = bound
     ij = np.array(ij, dtype=float)
-    assume(((ij >= 0) & (ij <= GRID)).all())
+    assume(((ij >= 1) & (ij <= GRID - 1)).all())
     width, height = draw(st.sampled_from([1.0, 2.5, 10.0])), draw(st.sampled_from([1.0, 4.0]))
     try:
         return build_layout(ij / GRID * [width, height], (0.0, 0.0, width, height), ())
-    except LayoutError:   # duplicates, or a RAP in a corner (an unbounded cell)
+    except LayoutError:   # duplicates
         assume(False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ij=st.lists(st.tuples(st.integers(1, GRID - 1), st.integers(1, GRID - 1)),
+                   min_size=2, max_size=12, unique=True),
+       axis=st.integers(0, 1), far=st.booleans(), inset=st.sampled_from([0.0, 1e-12, 5e-10]),
+       width=st.sampled_from([1.0, 2.5, 10.0]))
+def test_rap_on_region_edge_is_rejected(ij, axis, far, inset, width):
+    # a RAP on an edge coincides with its own mirror, and Qhull keeps only
+    # one of the two: RAPs (1, 1) and (2, 1) in [0, 2]^2 gave areas [3, 2]
+    size = np.array([width, 4.0])
+    pts = np.array(ij, dtype=float) / GRID * size
+    pts[0, axis] = size[axis] - inset if far else inset
+    with pytest.raises(LayoutError, match="RAP 0 lies outside the region or within 1e-09 km"):
+        build_layout(pts, (0.0, 0.0, *size), ())
 
 
 @settings(max_examples=300, deadline=None)

@@ -6,13 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
-from calibration import default_calibration
+import oracles
+from calibration import crossing_calibration, default_calibration
 from cransim.link import (
     CalibrationError,
+    LinkCurves,
     catalog_from_dict,
     load_calibration,
     segment_tb,
+    simulate_cbs,
     simulate_tb_batch,
 )
 from oracles import iteration_pmf, simulate_tb, tb_channel_outage_prob
@@ -319,3 +323,69 @@ def test_success_cdf_is_nondecreasing(m, gamma):
     cdf = curves.success_cdf(m, np.array([gamma]))[0]
     assert cdf[0] == 0.0
     assert np.all(np.diff(cdf) >= -1e-15)
+
+
+# ---------------------------------------------------------------------------
+# iteration-major kernels against their trial-major oracles, bit for bit
+# ---------------------------------------------------------------------------
+
+CURVE_SETS = {
+    "default": LinkCurves(*catalog_from_dict(default_calibration())),
+    "crossing": LinkCurves(*catalog_from_dict(crossing_calibration())),
+}
+
+snr_lists = st.lists(
+    st.one_of(st.floats(-40.0, 60.0), st.sampled_from([math.inf, -math.inf])),
+    max_size=40,
+)
+
+
+def assert_bitwise(got, want):
+    assert got.shape == want.shape
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def test_crossing_calibration_binds_the_running_max():
+    curves = CURVE_SETS["crossing"]
+    for entry in curves.catalog:
+        g = entry.midpoints_db[1] - 1.0
+        raw = expit(np.multiply(entry.slopes_per_db, g - np.array(entry.midpoints_db)))
+        assert raw[0] > raw[1]
+        cdf = curves.success_cdf(entry.index, g)
+        assert cdf[2] == cdf[1] == raw[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(CURVE_SETS)), gamma=snr_lists, data=st.data())
+def test_success_cdf_matches_oracle_bitwise(name, gamma, data):
+    curves = CURVE_SETS[name]
+    g = np.array(gamma, dtype=float)
+    scalar_m = data.draw(st.integers(0, 26))
+    vector_m = np.array(
+        data.draw(st.lists(st.integers(0, 26), min_size=len(g), max_size=len(g))),
+        dtype=np.int64,
+    )
+    g0 = g[0] if len(g) else 0.0
+    for m, snr in ((scalar_m, g), (vector_m, g), (scalar_m, g0), (vector_m, g0)):
+        assert_bitwise(curves.success_cdf(m, snr), oracles.success_cdf(curves, m, snr))
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(CURVE_SETS)), gamma=snr_lists,
+       n_cbs=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_simulate_cbs_matches_oracle_bitwise(name, gamma, n_cbs, seed):
+    curves = CURVE_SETS[name]
+    rng = np.random.default_rng(seed)
+    cdf = curves.success_cdf(rng.integers(0, 27, len(gamma)), np.array(gamma, dtype=float))
+    u = rng.random((len(gamma), n_cbs))
+    # ties: about a third of the uniforms equal a value of their trial's cdf
+    tie = rng.random(u.shape) < 0.3
+    cols = rng.integers(0, curves.i_max + 1, u.shape)
+    u[tie] = np.take_along_axis(cdf, cols, axis=1)[tie]
+    cases = [(cdf, u), (np.ascontiguousarray(cdf), u)]
+    if len(gamma):
+        cases.append((cdf[0], u[0]))
+    for c, draws in cases:
+        for got, want in zip(simulate_cbs(c, draws), oracles.cb_outcomes(c, draws)):
+            assert_bitwise(got, want)
