@@ -75,25 +75,26 @@ class _TrialBlock:
 def simulate_trials(gamma_db, table, curves, u, low_snr_fallback=True):
     """Run the policy + link model over a vector of instantaneous SNRs.
 
-    ``u`` supplies one uniform per potential code block, shape
-    ``(n, curves.max_cbs)``; passing the same block to several policy or
+    ``u`` supplies one uniform per potential code block, CB-major with shape
+    ``(curves.max_cbs, n)``; passing the same block to several policy or
     budget arms yields common-random-number comparisons.  One stable sort
-    by selected MCS makes each MCS group a contiguous slice of the sorted
-    trials; the link kernels decode each slice iteration-major, and the
-    outcomes are scattered back to trial order once.
+    by selected MCS and one column gather of ``u`` make each MCS group a
+    contiguous column slice of the sorted trials; ``simulate_tb_batch``
+    decodes each slice iteration by iteration, and the outcomes are
+    scattered back to trial order once.
     """
     sel = select_mcs_index(table, gamma_db, low_snr_fallback)
     transmitted = sel >= 0
     # int8 keys make numpy's stable sort a radix sort
     order = np.argsort(sel.astype(np.int8), kind="stable")
     edges = np.searchsorted(sel[order], np.arange(len(curves.tb_bits) + 1))
-    gamma_s, u_s = gamma_db[order], np.take(u, order, axis=0)   # 3x faster than u[order]
+    gamma_s, u_s = gamma_db[order], np.take(u, order, axis=1)
     effort_s = np.zeros(len(sel), dtype=np.int64)
     fail_s = np.zeros(len(sel), dtype=bool)
     for m in np.flatnonzero(np.diff(edges)):
         lo, hi = edges[m], edges[m + 1]
         effort_s[lo:hi], fail_s[lo:hi], _ = simulate_tb_batch(
-            curves, int(m), gamma_s[lo:hi], u_s[lo:hi])
+            curves, int(m), gamma_s[lo:hi], u_s[:, lo:hi])
     block = _TrialBlock(transmitted, bits=np.where(transmitted, curves.tb_bits[sel], 0),
                         effort=np.empty_like(effort_s), channel_fail=np.empty_like(fail_s))
     block.effort[order] = effort_s
@@ -101,67 +102,59 @@ def simulate_trials(gamma_db, table, curves, u, low_snr_fallback=True):
     return block
 
 
-def summarize_cell_point(snr_db, policy, c_max, subframe_s, block):
-    """Reduce a trial block to a CellRecord at budget ``c_max``.
+def summarize_cell_point(snr_db, policy, c_max_values, subframe_s, block):
+    """Reduce a trial block to one CellRecord per budget in ``c_max_values``.
 
     A transmitted block is in computational outage when its effort strictly
     exceeds ``c_max * subframe_s``.  The effective throughput is reported as
     (1 - eps) * t_raw computed from the same trials; the complexity metric
     charges the nominal effort of every transmitted block (outage blocks
-    included) against the count of successful decodes.
+    included) against the count of successful decodes.  The reductions that
+    do not depend on the budget are computed once for all budgets.
     """
     n = len(block.transmitted)
     n_tx = int(block.transmitted.sum())
-    comp_fail = block.transmitted & (block.effort > c_max * subframe_s)
-    lost = block.channel_fail | comp_fail
-    n_lost = int(lost.sum())
-    n_success = n_tx - n_lost
-    eps = n_lost / n_tx if n_tx else 0.0
-    eps_ch = int(block.channel_fail.sum()) / n_tx if n_tx else 0.0
-    eps_co = int(comp_fail.sum()) / n_tx if n_tx else 0.0
+    n_channel = int(block.channel_fail.sum())
     rate = block.bits / subframe_s
     t_raw = float(rate.mean())
-    t_eff = (1.0 - eps) * t_raw
-    # CI of the effective throughput from the per-trial success*rate series
-    eff_series = rate * (block.transmitted & ~lost)
     total_effort = float(block.effort.sum())
-    if n_success:
-        effort_ps = total_effort / n_success / subframe_s
-        effort_hw = (
-            mean_halfwidth(block.effort) * n / n_success / subframe_s
-        )
-    else:
-        effort_ps = math.nan
-        effort_hw = math.nan
-    return CellRecord(
-        snr_db=float(snr_db),
-        policy=policy,
-        c_max_bit_iter_s=float(c_max),
-        n_trials=n,
-        n_transmitted=n_tx,
-        n_success=n_success,
-        eps=eps,
-        eps_hw=wilson_halfwidth(n_lost, n_tx),
-        eps_channel=eps_ch,
-        eps_channel_hw=wilson_halfwidth(int(block.channel_fail.sum()), n_tx),
-        eps_comp=eps_co,
-        eps_comp_hw=wilson_halfwidth(int(comp_fail.sum()), n_tx),
-        t_raw_bps=t_raw,
-        t_raw_hw_bps=mean_halfwidth(rate),
-        t_eff_bps=t_eff,
-        t_eff_hw_bps=mean_halfwidth(eff_series),
-        effort_per_success_bit_iter_s=effort_ps,
-        effort_per_success_hw=effort_hw,
-    )
+    effort_mean_hw = mean_halfwidth(block.effort)
+    shared = dict(snr_db=float(snr_db), policy=policy, n_trials=n, n_transmitted=n_tx,
+                  eps_channel=n_channel / n_tx if n_tx else 0.0,
+                  eps_channel_hw=wilson_halfwidth(n_channel, n_tx),
+                  t_raw_bps=t_raw, t_raw_hw_bps=mean_halfwidth(rate))
+    records = []
+    for c_max in c_max_values:
+        comp_fail = block.transmitted & (block.effort > c_max * subframe_s)
+        lost = block.channel_fail | comp_fail
+        n_lost = int(lost.sum())
+        n_success = n_tx - n_lost
+        n_comp = int(comp_fail.sum())
+        eps = n_lost / n_tx if n_tx else 0.0
+        # CI of the effective throughput from the per-trial success*rate series
+        eff_series = rate * (block.transmitted & ~lost)
+        if n_success:
+            effort_ps = total_effort / n_success / subframe_s
+            effort_hw = effort_mean_hw * n / n_success / subframe_s
+        else:
+            effort_ps = effort_hw = math.nan
+        records.append(CellRecord(
+            **shared, c_max_bit_iter_s=float(c_max), n_success=n_success,
+            eps=eps, eps_hw=wilson_halfwidth(n_lost, n_tx),
+            eps_comp=n_comp / n_tx if n_tx else 0.0, eps_comp_hw=wilson_halfwidth(n_comp, n_tx),
+            t_eff_bps=(1.0 - eps) * t_raw, t_eff_hw_bps=mean_halfwidth(eff_series),
+            effort_per_success_bit_iter_s=effort_ps, effort_per_success_hw=effort_hw))
+    return records
 
 
 def draw_cell_trials(rng, snr_db, n_trials, max_cbs):
-    """Draw the per-trial randomness: instantaneous SNRs plus CB uniforms."""
+    """Draw the per-trial randomness: instantaneous SNRs plus CB uniforms,
+    drawn trial by trial and handed back CB-major, ``(max_cbs, n_trials)``."""
     mean_linear = 10.0 ** (snr_db / 10.0)
     gamma_lin = rng.exponential(mean_linear, n_trials)
     gamma_db = 10.0 * np.log10(gamma_lin)
     u = rng.random((n_trials, max_cbs))
-    return gamma_db, u
+    return gamma_db, np.ascontiguousarray(u.T)
 
 
 def sweep_cell(snr_grid_db, tables, curves, n_trials, seed,
@@ -182,8 +175,7 @@ def sweep_cell(snr_grid_db, tables, curves, n_trials, seed,
         gamma_db, u = draw_cell_trials(rng_factory(gi), snr_db, n_trials, curves.max_cbs)
         for policy in policies:
             block = simulate_trials(gamma_db, tables[policy], curves, u, low_snr_fallback)
-            for c_max in c_max_values:
-                out[(policy, c_max)].append(
-                    summarize_cell_point(snr_db, policy, c_max, subframe_s, block)
-                )
+            for c_max, rec in zip(c_max_values, summarize_cell_point(
+                    snr_db, policy, c_max_values, subframe_s, block)):
+                out[(policy, c_max)].append(rec)
     return {key: tuple(recs) for key, recs in out.items()}

@@ -21,6 +21,7 @@ The model's parameters are read from a calibration JSON; the package ships
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -86,18 +87,12 @@ class LinkCurves:
         for m, s in enumerate(segs):
             self.cb_bits[m, : len(s)] = s
 
-    def _waterfalls(self, mcs_index, g, iters):
-        """Slopes and midpoints of iterations 1..``iters``, each ``(iters, ...)``
-        so that it broadcasts against ``g`` behind the iteration axis."""
-        ab = self._ab[:, :iters, mcs_index]
-        return ab.reshape(ab.shape[:2] + (1,) * (g.ndim - ab.ndim + 2) + ab.shape[2:])
-
     def cbler(self, mcs_index, gamma_db, iters):
         """CBLER of ``mcs_index`` at SNR ``gamma_db`` after ``iters`` iterations.
 
         ``iters = 0`` returns 1 by convention.  gamma of +inf/-inf maps to
-        0/1; NaN is rejected.  The running minimum is taken over the rows of
-        an iteration-major ``(iters, ...)`` array.
+        0/1; NaN is rejected.  The running minimum is taken row by row over
+        the waterfalls of iterations 1..``iters``.
         """
         if iters < 0 or iters > self.i_max:
             raise ValueError(f"iteration count {iters} outside 0..{self.i_max}")
@@ -106,31 +101,25 @@ class LinkCurves:
         if iters == 0:
             return np.ones_like(np.asarray(gamma_db, dtype=float))[()] if np.ndim(gamma_db) else 1.0
         g = np.asarray(gamma_db, dtype=float)
-        a, b = self._waterfalls(mcs_index, g, iters)
-        out = expit(-a * (g - b)).min(axis=0)
+        rows = (expit(-a * (g - b)) for a, b in zip(*self._ab[:, :iters, mcs_index]))
+        out = functools.reduce(np.minimum, rows)
         return out[()] if np.ndim(gamma_db) == 0 else out
 
-    def success_cdf(self, mcs_index, gamma_db):
-        """P(CB decoded within i iterations) for i = 0..i_max.
-
-        Returns shape ``(..., i_max + 1)`` with column 0 identically 0 and
-        nondecreasing columns (running max over the per-iteration
-        waterfalls).  Vectorized over ``gamma_db`` and ``mcs_index``
-        (broadcast together).  The result is a view of an iteration-major
-        ``(i_max + 1, ...)`` array: each iteration's column is one contiguous
-        row, which ``simulate_cbs`` reads back row by row.
+    def success_cdf(self, mcs_index, gamma_db, i, floor=None):
+        """Row ``i`` (1..i_max) of P(CB decoded within i iterations): the
+        running max ``max(floor, expit(a_i * (gamma - b_i)))`` over the
+        waterfalls, ``floor`` being row i - 1 (None for i = 1).
+        ``mcs_index`` is a scalar or one index per SNR; NaN is rejected.
         """
-        g = np.asarray(gamma_db, dtype=float)
-        if np.any(np.isnan(g)):
+        if np.isnan(gamma_db).any():
             raise ValueError("SNR must not be NaN")
-        a, b = self._waterfalls(mcs_index, g, self.i_max)
-        x = a * (g - b)
-        out = np.empty((self.i_max + 1,) + x.shape[1:])
-        out[0] = 0.0
-        f = expit(x, out=out[1:])
-        for i in range(1, self.i_max):
-            np.maximum(f[i - 1], f[i], out=f[i, ...])   # a view even when 0-d
-        return out.transpose(*range(1, out.ndim), 0)
+        a, b = self._ab[:, i - 1, mcs_index]
+        f = np.asarray(gamma_db - b)    # a * (gamma - b) in place: one allocation
+        f *= a
+        expit(f, out=f)
+        if floor is not None:
+            np.maximum(floor, f, out=f)
+        return f
 
 
 def segment_tb(tb_bits):
@@ -147,44 +136,60 @@ def segment_tb(tb_bits):
     return num_cbs, cb_bits
 
 
-def simulate_cbs(success_cdf, u):
-    """Map uniform draws to per-CB iteration counts and failure flags.
+def simulate_cbs(curves, mcs_index, gamma_db, u):
+    """Decode code blocks iteration by iteration: per-CB iteration counts
+    and failure flags, each of the shape of ``u``.
 
-    A single uniform per CB drives both outcomes: with F(i) the probability
-    of decoding within i iterations, the CB fails iff u > F(i_max) (then
-    I = i_max), otherwise I is the smallest i with F(i) >= u.  This
-    reproduces failure probability cbler(gamma, i_max) and the
-    success-conditioned iteration pmf exactly.
-
-    ``success_cdf`` has shape (..., i_max + 1); ``u`` shape (..., n_cbs).
-    The comparisons run iteration-major on the transposes: a CB-major
-    ``(n_cbs, ...)`` copy of ``u`` against one cdf row per iteration (a
-    contiguous row when the cdf comes from ``LinkCurves.success_cdf``).
-    Returns ``(iters, failed)`` of the same shape as ``u``.
+    One uniform per CB drives both outcomes: with F(i) the probability of
+    decoding within i iterations (``curves.success_cdf``), the CB fails iff
+    u > F(i_max) (then I = i_max), otherwise I is the smallest i with
+    F(i) >= u.  ``u`` is CB-major, ``(n_cbs, n)``; ``gamma_db`` is (n,) and
+    ``mcs_index`` a scalar or one index per trial.  Row i of F is evaluated
+    only while some CB is undecoded, and the finished trials are dropped
+    once fewer than half of those in hand are left.  A trial finishes when
+    u <= F(i) <= F(j) for all of its CBs and all j > i, so the comparisons
+    it skips would all have been False: the results are those of the full
+    cdf, bit for bit.
     """
-    i_max = success_cdf.shape[-1] - 1
-    cdf = success_cdf.T
-    u = np.ascontiguousarray(u.T)
-    iters = np.ones(u.shape, dtype=np.int64)
-    for i in range(1, i_max):
-        iters += u > cdf[i]
-    failed = u > cdf[i_max]
-    return iters.T, failed.T
+    iters = np.ones(u.shape, dtype=np.min_scalar_type(curves.i_max))
+    failed = np.zeros(u.shape, dtype=bool)
+    counts, cols = iters, None  # the trials in hand: their counts and columns
+    u_max = u.max(axis=0)       # a trial is live while its largest uniform is above F
+    f = None
+    for i in range(1, curves.i_max + 1):
+        f = curves.success_cdf(mcs_index, gamma_db, i, f)
+        if i == curves.i_max:
+            failed[:, slice(None) if cols is None else cols] = u > f
+            break
+        counts += u > f
+        live = u_max > f
+        n_live = np.count_nonzero(live)
+        if n_live == 0:
+            break
+        if 2 * n_live < len(live):
+            keep = np.flatnonzero(live)
+            if cols is not None:
+                iters[:, cols] = counts     # the dropped trials' counts are final
+            cols = keep if cols is None else cols[keep]
+            counts, u = np.take(counts, keep, axis=1), np.take(u, keep, axis=1)
+            u_max, gamma_db, f = u_max[keep], gamma_db[keep], f[keep]
+            if np.ndim(mcs_index):
+                mcs_index = mcs_index[keep]
+    if cols is not None:
+        iters[:, cols] = counts
+    return iters.astype(np.int64), failed
 
 
 def simulate_tb_batch(curves, mcs_index, gamma_db, u):
     """Vectorized TB decoding for many trials of one MCS.
 
-    ``gamma_db`` has shape (n,), ``u`` shape (n, >= num_cbs); only the first
-    ``num_cbs`` uniforms per trial are consumed.  Returns
-    ``(effort, channel_outage, iters)`` with effort of shape (n,).
+    ``gamma_db`` has shape (n,), ``u`` is CB-major, (>= num_cbs, n), of which
+    the first ``num_cbs`` rows are consumed.  Returns ``(effort,
+    channel_outage, iters)``, the first two of shape (n,).
     """
     c = int(curves.num_cbs[mcs_index])
-    cdf = curves.success_cdf(mcs_index, gamma_db)
-    iters, failed = simulate_cbs(cdf, u[:, :c])
-    k = curves.cb_bits[mcs_index, :c]
-    effort = iters @ k
-    return effort, failed.any(axis=1), iters
+    iters, failed = simulate_cbs(curves, mcs_index, gamma_db, u[:c])
+    return curves.cb_bits[mcs_index, :c] @ iters, failed.any(axis=0), iters
 
 
 # ---------------------------------------------------------------------------

@@ -91,15 +91,15 @@ def _policy_tbs(targets, sinr_lin, table, curves, u, low_snr_fallback, subframe=
     sel = select_mcs_index(table, sinr_db, low_snr_fallback)
     keep = sel >= 0
     sel = sel[keep]
-    iters, failed = link.simulate_cbs(curves.success_cdf(sel, sinr_db[keep]), u[keep])
-    valid = np.arange(curves.max_cbs)[None, :] < curves.num_cbs[sel][:, None]
+    iters, failed = link.simulate_cbs(curves, sel, sinr_db[keep], u[keep].T)
+    valid = np.arange(curves.max_cbs)[:, None] < curves.num_cbs[sel]
     return SimpleNamespace(
         subframe=np.broadcast_to(subframe, keep.shape)[keep],
         raps=targets[keep],
         sinr_db=sinr_db[keep],
         bits=curves.tb_bits[sel],
-        efforts=np.where(valid, iters * curves.cb_bits[sel], 0).sum(axis=1),
-        channel_fail=(failed & valid).any(axis=1),
+        efforts=np.where(valid, iters * curves.cb_bits[sel].T, 0).sum(axis=0),
+        channel_fail=(failed & valid).any(axis=0),
     )
 
 

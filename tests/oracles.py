@@ -6,12 +6,13 @@ experiments run (``simulate_trials``, ``cloud_sinrs``, ``comp_outage_masks``,
 scalar versions below spell the same rules out one transport block, one RAP,
 one cell or one trial at a time; the tests check the production code against
 them.  The link kernels and the trial loop also keep their trial-major
-forms here (``success_cdf``, ``cb_outcomes``, ``simulate_trials``), which
-the iteration-major production code must match bit for bit.  Alongside
-them sit the closed forms the tests compare estimates with
-(``tb_channel_outage_prob``, the exact convolution ``comp_outage_prob``,
-``raw_throughput``) and a layout writer (``save_layout_csv``) for the
-layout-CSV round trip.
+forms here (``success_cdf``, ``cb_outcomes``, ``simulate_trials``): every
+cdf row for every trial, with no early stop.  The production decoder, which
+evaluates the rows one at a time and only for undecoded trials, must match
+them bit for bit.  Alongside them sit the closed forms the tests compare
+estimates with (``tb_channel_outage_prob``, the exact convolution
+``comp_outage_prob``, ``raw_throughput``) and a layout writer
+(``save_layout_csv``) for the layout-CSV round trip.
 """
 
 from __future__ import annotations
@@ -104,9 +105,9 @@ def simulate_tb(mcs, curves, gamma_db, rng):
 
 
 def success_cdf(curves, mcs_index, gamma_db):
-    """``LinkCurves.success_cdf`` in trial-major form: the waterfalls along
-    the last axis, their running max by ``np.maximum.accumulate`` and a zero
-    column in front."""
+    """Rows 0..i_max of ``LinkCurves.success_cdf`` in trial-major form: the
+    waterfalls along the last axis, their running max by
+    ``np.maximum.accumulate`` and a zero column in front."""
     g = np.asarray(gamma_db, dtype=float)
     a = np.array([m.slopes_per_db for m in curves.catalog])[mcs_index]
     b = np.array([m.midpoints_db for m in curves.catalog])[mcs_index]
@@ -203,7 +204,7 @@ def run_cell_trial(cfg, gamma_db, table, curves, rng):
 def simulate_trials(gamma_db, table, curves, u, low_snr_fallback=True):
     """``cell.simulate_trials`` as a loop over the selected MCSs, gathering
     and scattering each MCS's rows by index, decoded by ``success_cdf`` and
-    ``cb_outcomes``."""
+    ``cb_outcomes``.  ``u`` is trial-major, shape ``(n, curves.max_cbs)``."""
     n = len(gamma_db)
     sel = select_mcs_index(table, gamma_db, low_snr_fallback)
     transmitted = sel >= 0

@@ -140,11 +140,10 @@ def test_criterion_3_sampler_fidelity(curves):
         m = int(rng.integers(0, 27))
         b8 = curves.catalog[m].midpoints_db[-1]
         gamma = float(rng.uniform(b8 + 0.2, b8 + 6.0))
-        cdf = curves.success_cdf(m, np.full(n, gamma))
-        u = rng.random((n, 1))
-        iters, failed = simulate_cbs(cdf, u)
-        iters = iters[:, 0]
-        failed = failed[:, 0]
+        u = rng.random((1, n))
+        iters, failed = simulate_cbs(curves, m, np.full(n, gamma), u)
+        iters = iters[0]
+        failed = failed[0]
         p_fail = float(curves.cbler(m, gamma, curves.i_max))
         pmf = np.array([
             (curves.cbler(m, gamma, i - 1) - curves.cbler(m, gamma, i))

@@ -106,7 +106,7 @@ def test_simulate_trials_unconstrained_identities(tables, curves):
     rng = substream(10, "cell", 0)
     gamma, u = draw_cell_trials(rng, 10.0, 20_000, curves.max_cbs)
     block = simulate_trials(gamma, tables["MRS"], curves, u)
-    rec = summarize_cell_point(10.0, "MRS", math.inf, 1e-3, block)
+    (rec,) = summarize_cell_point(10.0, "MRS", (math.inf,), 1e-3, block)
     assert rec.eps_comp == 0.0
     assert rec.eps == rec.eps_channel
     assert rec.t_eff_bps == pytest.approx((1 - rec.eps) * rec.t_raw_bps, rel=1e-12)
@@ -122,7 +122,7 @@ def test_simulate_trials_matches_scalar_trials(tables, curves, fallback):
     gamma = np.random.default_rng(21).uniform(-30.0, 40.0, n)
     u = np.array([substream(21, "cell", 0, i).random(curves.max_cbs)
                   for i in range(n)])
-    block = simulate_trials(gamma, tables["MRS"], curves, u, fallback)
+    block = simulate_trials(gamma, tables["MRS"], curves, u.T, fallback)
     scalar = [
         run_cell_trial(CellTrialConfig(snr_db=0.0, low_snr_fallback=fallback),
                        g, tables["MRS"], curves, substream(21, "cell", 0, i))
@@ -142,7 +142,7 @@ def test_simulate_trials_matches_scalar_trials(tables, curves, fallback):
                            g, tables["MRS"], curves, substream(21, "cell", 0, i))[2]
             for i, g in enumerate(gamma)
         ]
-        rec = summarize_cell_point(0.0, "MRS", c_max, 1.0, block)
+        (rec,) = summarize_cell_point(0.0, "MRS", (c_max,), 1.0, block)
         n_tx = sum(tb is not None for tb, _, _ in scalar)
         n_channel = sum(k in (OUTAGE_CHANNEL, OUTAGE_BOTH) for k in kinds)
         n_comp = sum(k in (OUTAGE_COMPUTATIONAL, OUTAGE_BOTH) for k in kinds)
@@ -182,14 +182,37 @@ def test_simulate_trials_matches_oracle_bitwise(name, policy, fallback, single, 
     if single:
         lo, hi = table.thresholds_db[mcs], table.thresholds_db[mcs + 1]
         gamma = lo + (hi - lo) * rng.random(len(snrs))
-    u = rng.random((len(gamma), curves.max_cbs))
+    u = rng.random((curves.max_cbs, len(gamma)))
     got = simulate_trials(gamma, table, curves, u, fallback)
-    want = oracles.simulate_trials(gamma, table, curves, u, fallback)
+    want = oracles.simulate_trials(gamma, table, curves, u.T, fallback)
     if single:
         assert len(np.unique(got.bits)) <= 1
     for field in ("transmitted", "bits", "effort", "channel_fail"):
         a, b = getattr(got, field), getattr(want, field)
         assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes()), field
+
+
+def test_decode_stops_once_every_cb_has_decoded(tables, curves, monkeypatch):
+    # work count: the elements of the cdf rows the decoder asks for
+    evaluated = []
+    row = LinkCurves.success_cdf
+
+    def counting(self, *args):
+        f = row(self, *args)
+        evaluated.append(f.size)
+        return f
+
+    monkeypatch.setattr(LinkCurves, "success_cdf", counting)
+    n = 20_000
+    # high SNR under CAS: nearly every trial decodes at the first iteration
+    gamma, u = draw_cell_trials(substream(12, "cell", 0), 30.0, n, curves.max_cbs)
+    simulate_trials(gamma, tables["CAS"], curves, u)
+    assert sum(evaluated) < curves.i_max * n / 4
+    # every CB of every trial fails: all i_max rows for every trial
+    evaluated.clear()
+    block = simulate_trials(np.full(n, -40.0), tables["CAS"], curves, u)
+    assert block.channel_fail.all()
+    assert sum(evaluated) == curves.i_max * n
 
 
 def test_sweep_low_snr_outage_near_one(tables, curves):

@@ -4,7 +4,9 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -215,6 +217,9 @@ def test_cell_run_writes_results_and_manifest(tmp_path):
     assert len(payload["records"]) == 12
     for name, digest in manifest["outputs"].items():
         assert len(digest) == 64
+    # the numeric stack is recorded next to the results, never in them
+    assert manifest["numeric_stack"] == {"numpy": np.__version__, "scipy": scipy.__version__}
+    assert "numeric_stack" not in payload and "numpy" not in (out / "results.csv").read_text()
 
 
 def test_cell_run_deterministic(tmp_path):

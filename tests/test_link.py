@@ -242,7 +242,7 @@ def test_batch_mean_effort_matches_analytic_expectation(curves):
         _, cb_bits = segment_tb(entry.tb_bits)
         var_tb = sum(k * k * var_cb for k in cb_bits)
         u = rng.random((n, curves.max_cbs))
-        effort, _, _ = simulate_tb_batch(curves, m, np.full(n, gamma), u)
+        effort, _, _ = simulate_tb_batch(curves, m, np.full(n, gamma), u.T)
         se = math.sqrt(var_tb / n)
         assert abs(effort.mean() - expected) < 3.0 * se
 
@@ -255,11 +255,11 @@ def test_batch_matches_scalar_path(curves):
     rng_b = np.random.Generator(np.random.Philox(ss))
     n_cbs = int(curves.num_cbs[m])
     tb = simulate_tb(curves.catalog[m], curves, gamma, rng_a)
-    u = rng_b.random(n_cbs).reshape(1, n_cbs)
+    u = rng_b.random(n_cbs).reshape(n_cbs, 1)
     effort, fail, iters = simulate_tb_batch(curves, m, np.array([gamma]), u)
     assert effort[0] == tb.effort_bit_iters
     assert bool(fail[0]) == tb.channel_outage
-    assert tuple(iters[0]) == tb.cb_iters
+    assert tuple(iters[:, 0]) == tb.cb_iters
 
 
 # ---------------------------------------------------------------------------
@@ -316,17 +316,33 @@ def test_loader_rejects_invalid_calibrations(mutate, message):
         catalog_from_dict(data)
 
 
+def cdf_rows(curves, m, gamma):
+    """Rows 1..i_max of ``success_cdf``, each on the row before it as its
+    floor, stacked along a last axis."""
+    rows, f = [], None
+    for i in range(1, curves.i_max + 1):
+        f = curves.success_cdf(m, gamma, i, f)
+        rows.append(f)
+    return np.stack(rows, axis=-1)
+
+
 @settings(max_examples=20)
 @given(st.integers(min_value=0, max_value=26), st.floats(-20, 50))
 def test_success_cdf_is_nondecreasing(m, gamma):
     curves = load_calibration()
-    cdf = curves.success_cdf(m, np.array([gamma]))[0]
-    assert cdf[0] == 0.0
-    assert np.all(np.diff(cdf) >= -1e-15)
+    cdf = cdf_rows(curves, m, np.array([gamma]))[0]
+    assert 0.0 <= cdf[0] and cdf[-1] <= 1.0
+    assert np.all(np.diff(cdf) >= 0.0)
+
+
+def test_success_cdf_rejects_nan(curves):
+    with pytest.raises(ValueError):
+        curves.success_cdf(3, np.array([1.0, math.nan]), 1)
 
 
 # ---------------------------------------------------------------------------
-# iteration-major kernels against their trial-major oracles, bit for bit
+# the row kernel and the iteration-by-iteration decoder against their
+# trial-major oracles, bit for bit
 # ---------------------------------------------------------------------------
 
 CURVE_SETS = {
@@ -352,8 +368,9 @@ def test_crossing_calibration_binds_the_running_max():
         g = entry.midpoints_db[1] - 1.0
         raw = expit(np.multiply(entry.slopes_per_db, g - np.array(entry.midpoints_db)))
         assert raw[0] > raw[1]
-        cdf = curves.success_cdf(entry.index, g)
-        assert cdf[2] == cdf[1] == raw[0]
+        f1 = curves.success_cdf(entry.index, g, 1)
+        f2 = curves.success_cdf(entry.index, g, 2, f1)
+        assert f2 == f1 == raw[0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -368,24 +385,124 @@ def test_success_cdf_matches_oracle_bitwise(name, gamma, data):
     )
     g0 = g[0] if len(g) else 0.0
     for m, snr in ((scalar_m, g), (vector_m, g), (scalar_m, g0), (vector_m, g0)):
-        assert_bitwise(curves.success_cdf(m, snr), oracles.success_cdf(curves, m, snr))
+        assert_bitwise(cdf_rows(curves, m, snr), oracles.success_cdf(curves, m, snr)[..., 1:])
 
 
-@settings(max_examples=60, deadline=None)
+def decode_oracle(curves, m, gamma, u):
+    """``simulate_cbs`` by the oracles: the whole trial-major cdf, then
+    ``cb_outcomes``, handed back CB-major."""
+    iters, failed = oracles.cb_outcomes(oracles.success_cdf(curves, m, gamma), u.T)
+    return iters.T, failed.T
+
+
+def halving_finish_rows(n, i_max):
+    """Iteration at which each of ``n`` trials finishes (i_max + 1: it
+    fails) such that after every row fewer than half of the trials still
+    live remain: n_i = (n_{i-1} - 1) // 2 trials outlive row i."""
+    rows = np.ones(n, dtype=np.int64)
+    live = n
+    for i in range(1, i_max + 1):
+        live = max((live - 1) // 2, 0)
+        rows[:live] += 1
+    return rows
+
+
+def cbs_finishing_at(curves, m, gamma, rows, n_cbs, rng):
+    """CB-major uniforms whose trial t finishes at iteration ``rows[t]``:
+    one CB sits exactly on F(rows[t]) (above F(i_max) when it fails), the
+    others at or below F(1)."""
+    cdf = oracles.success_cdf(curves, m, gamma)
+    n = len(gamma)
+    u = rng.random((n_cbs, n)) * cdf[:, 1]
+    top = np.minimum(rows, curves.i_max)
+    fails = rows > curves.i_max
+    u[0] = cdf[np.arange(n), top]
+    u[0, fails] = 0.5 * (1.0 + cdf[fails, curves.i_max])
+    return u
+
+
+REGIMES = ("random", "halving", "decode_at_1", "all_fail")
+
+
+@settings(max_examples=120, deadline=None)
 @given(name=st.sampled_from(sorted(CURVE_SETS)), gamma=snr_lists,
+       regime=st.sampled_from(REGIMES), per_trial=st.booleans(),
        n_cbs=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
-def test_simulate_cbs_matches_oracle_bitwise(name, gamma, n_cbs, seed):
+def test_simulate_cbs_matches_oracle_bitwise(name, gamma, regime, per_trial, n_cbs, seed):
+    # scalar MCS, or one MCS per trial over all max_cbs slots with the padded
+    # ones decoded too (as _policy_tbs passes them); +-inf SNRs, empty input,
+    # the crossing calibration, and trial sets on which the decoder drops
+    # trials after every row, never, stops after row 1, or runs to i_max
     curves = CURVE_SETS[name]
     rng = np.random.default_rng(seed)
-    cdf = curves.success_cdf(rng.integers(0, 27, len(gamma)), np.array(gamma, dtype=float))
-    u = rng.random((len(gamma), n_cbs))
-    # ties: about a third of the uniforms equal a value of their trial's cdf
-    tie = rng.random(u.shape) < 0.3
-    cols = rng.integers(0, curves.i_max + 1, u.shape)
-    u[tie] = np.take_along_axis(cdf, cols, axis=1)[tie]
-    cases = [(cdf, u), (np.ascontiguousarray(cdf), u)]
-    if len(gamma):
-        cases.append((cdf[0], u[0]))
-    for c, draws in cases:
-        for got, want in zip(simulate_cbs(c, draws), oracles.cb_outcomes(c, draws)):
-            assert_bitwise(got, want)
+    n = len(gamma)
+    m = rng.integers(0, 27, n) if per_trial else int(rng.integers(0, 27))
+    if per_trial:
+        n_cbs = curves.max_cbs
+    g = np.array(gamma, dtype=float)
+    if regime == "random":
+        u = rng.random((n_cbs, n))
+        # ties: about a third of the uniforms equal a value of their trial's cdf
+        cdf = oracles.success_cdf(curves, m, g)
+        tie = rng.random(u.shape) < 0.3
+        u[tie] = cdf[np.arange(n), rng.integers(0, curves.i_max + 1, u.shape)][tie]
+    elif regime == "halving":
+        mids = np.array([e.midpoints_db for e in curves.catalog])
+        g = np.broadcast_to(mids[m, 3], n).copy()
+        rows = rng.permutation(halving_finish_rows(n, curves.i_max))
+        u = cbs_finishing_at(curves, m, g, rows, n_cbs, rng)
+    else:
+        g = np.full(n, math.inf if regime == "decode_at_1" else -math.inf)
+        u = rng.random((n_cbs, n))
+    got = simulate_cbs(curves, m, g, u)
+    for a, b in zip(got, decode_oracle(curves, m, g, u)):
+        assert_bitwise(a, b)
+    if regime == "decode_at_1":
+        assert np.all(got[0] == 1) and not got[1].any()
+    if regime == "all_fail":
+        assert np.all(got[0] == curves.i_max) and got[1].all()
+
+
+class CountingCurves:
+    """``LinkCurves`` whose ``success_cdf`` records the length of every row
+    it evaluates."""
+
+    def __init__(self, curves):
+        self.curves, self.i_max, self.row_lengths = curves, curves.i_max, []
+
+    def success_cdf(self, *args):
+        f = self.curves.success_cdf(*args)
+        self.row_lengths.append(f.size)
+        return f
+
+
+def test_simulate_cbs_drops_trials_once_fewer_than_half_are_live():
+    curves = CURVE_SETS["default"]
+    n, m = 64, 10
+    g = np.full(n, curves.catalog[m].midpoints_db[3])
+    # the rows are strictly increasing here, so each trial finishes exactly
+    # at its row
+    assert np.all(np.diff(oracles.success_cdf(curves, m, g[:1])[0]) > 0)
+    rows = np.random.default_rng(5).permutation(halving_finish_rows(n, curves.i_max))
+    u = cbs_finishing_at(curves, m, g, rows, 2, np.random.default_rng(6))
+    counting = CountingCurves(curves)
+    iters, failed = simulate_cbs(counting, m, g, u)
+    assert counting.row_lengths == [64, 31, 15, 7, 3, 1]
+    assert np.array_equal(iters.max(axis=0), rows) and not failed.any()
+    for a, b in zip((iters, failed), decode_oracle(curves, m, g, u)):
+        assert_bitwise(a, b)
+    # where the running max binds, the trials kept after a drop carry their
+    # floor: the crossing calibration just below its row-2 midpoint
+    crossing = CURVE_SETS["crossing"]
+    g2 = np.full(n, crossing.catalog[m].midpoints_db[1] - 0.2)
+    u2 = cbs_finishing_at(crossing, m, g2, rows, 2, np.random.default_rng(7))
+    counting2 = CountingCurves(crossing)
+    got = simulate_cbs(counting2, m, g2, u2)
+    assert counting2.row_lengths[1] < n
+    for a, b in zip(got, decode_oracle(crossing, m, g2, u2)):
+        assert_bitwise(a, b)
+    # a trial set that is never under half live is never cut down
+    counting.row_lengths.clear()
+    u[0] = 0.5 * (1.0 + oracles.success_cdf(curves, m, g)[:, -1])
+    simulate_cbs(counting, m, g, u)
+    assert counting.row_lengths == [n] * curves.i_max

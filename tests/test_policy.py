@@ -161,13 +161,12 @@ def test_constraint_satisfaction_empirical(curves, tables):
         for gamma in rng.uniform(table.thresholds_db[0], 45.0, 30):
             m = int(select_mcs_index(table, np.array([gamma]), False)[0])
             c = int(curves.num_cbs[m])
-            cdf = curves.success_cdf(m, np.full(n_tb, gamma))
             u = rng.random((n_tb, c))
-            iters, failed = simulate_cbs(cdf, u)
+            iters, failed = simulate_cbs(curves, m, np.full(n_tb, gamma), u.T)
             # failure within the iteration budget: success requires all CBs
             # decoded in at most `budget` iterations
             late = iters > budget
-            tb_fail = (failed | late).any(axis=1)
+            tb_fail = (failed | late).any(axis=0)
             p = tb_fail.mean()
             sigma = math.sqrt(0.1 * 0.9 / n_tb)
             assert p <= 0.1 + 3 * sigma
