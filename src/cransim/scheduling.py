@@ -15,9 +15,11 @@ whole budget grid at once: under CP one cumulative sum of the sorted efforts
 compared with every pooled budget, under LP (one block per RAP) one
 comparison of each effort with every per-RAP budget.
 
-The sweep takes a block of subframes at a time: its loop over subframes only
-draws, then each policy decodes the whole block in one call and CP schedules
-it with one cumulative sum of the integer efforts in (subframe, SINR, RAP)
+The sweep takes a block of subframes at a time.  It derives the block's
+Philox keys in one pass (``rng.substreams``); its loop over subframes only
+re-keys one generator and draws (drop, cloud SINRs, code-block uniforms).
+Each policy then decodes the whole block in one call, and CP schedules it
+with one cumulative sum of the integer efforts in (subframe, SINR, RAP)
 order, less each subframe's offset (exact).  Bits per subframe and per cell
 are integer sums; the float throughput sums are folded in subframe order (a
 cumulative sum, never the pairwise ``sum``), so they equal a subframe loop's
@@ -141,10 +143,10 @@ def sweep_network(layout, params, curves, tables, *, subframes, seed,
 
     All (budget, mode, policy) arms at one density share the same subframe
     drops and code-block uniforms (common random numbers), so budget and
-    mode comparisons are paired.  Per-subframe substreams are derived from
-    ``(seed, "net", density_index, subframe_index)``, so a subframe's draws
-    do not depend on how the subframes are split into blocks or spread
-    across workers.
+    mode comparisons are paired.  Per-subframe substreams are keyed by
+    ``(seed, "net", density_index, subframe_index)`` (all of a call's keys
+    at one density in one pass), so a subframe's draws do not depend on how
+    the subframes are split into blocks or spread across workers.
 
     Returns a NetworkAccumulator over the grid (repeated grid values count
     once); use ``finalize_records`` to turn it into NetworkRecords.
@@ -179,8 +181,7 @@ def sweep_network(layout, params, curves, tables, *, subframes, seed,
     for di in range(len(densities)) if density_indices is None else density_indices:
         dparams = replace(params, ue_density_per_km2=densities[di])
         drawn = []
-        for t in subframes:
-            stream = rng.substream(seed, "net", di, t)
+        for stream in rng.substreams(seed, "net", di, last=subframes):
             drop = geometry.draw_subframe(layout, dparams, stream)
             targets, sinr = geometry.cloud_sinrs(drop, layout, dparams)
             drawn.append((targets, sinr, stream.random((len(targets), curves.max_cbs))))
