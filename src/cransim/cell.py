@@ -159,20 +159,22 @@ def draw_cell_trials(rng, snr_db, n_trials, max_cbs):
 
 def sweep_cell(snr_grid_db, tables, curves, n_trials, seed,
                c_max_values=(math.inf,), policies=("MRS", "CAS"),
-               subframe_s=SUBFRAME_S, low_snr_fallback=True, rng_factory=None):
+               subframe_s=SUBFRAME_S, low_snr_fallback=True, grid_indices=None):
     """Full sweep over average SNR for every (policy, budget) arm.
 
+    ``grid_indices`` are the indices into ``snr_grid_db`` to sweep, all by
+    default; point ``gi`` draws from the substream ``(seed, "cell", gi)``.
     All arms at one grid point share the same SNR and code-block draws
     (common random numbers), so arm differences are variance-free.  Returns
-    ``{(policy, c_max): records}`` with one CellRecord per grid point.
+    ``{(policy, c_max): records}`` with one CellRecord per swept grid point.
     """
     from .rng import substream
 
-    if rng_factory is None:
-        rng_factory = lambda gi: substream(seed, "cell", gi)  # noqa: E731
     out = {(p, c): [] for p in policies for c in c_max_values}
-    for gi, snr_db in enumerate(snr_grid_db):
-        gamma_db, u = draw_cell_trials(rng_factory(gi), snr_db, n_trials, curves.max_cbs)
+    for gi in range(len(snr_grid_db)) if grid_indices is None else grid_indices:
+        snr_db = snr_grid_db[gi]
+        gamma_db, u = draw_cell_trials(substream(seed, "cell", gi), snr_db, n_trials,
+                                       curves.max_cbs)
         for policy in policies:
             block = simulate_trials(gamma_db, tables[policy], curves, u, low_snr_fallback)
             for c_max, rec in zip(c_max_values, summarize_cell_point(

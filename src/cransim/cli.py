@@ -3,7 +3,6 @@
 Subcommands:
   run            run an experiment from a JSON config
   emit-plots     reshape result files into plot-ready series CSVs
-  policy-tables  write the MCS-selection threshold tables
   validate       check a config without running anything
 
 Exit codes: 0 success, 2 invalid config, 3 I/O failure, 4 result-schema
@@ -48,10 +47,6 @@ def main(argv=None):
     p_plots.add_argument("--in", dest="in_dir", required=True)
     p_plots.add_argument("--out", dest="out_dir", required=True)
 
-    p_tables = sub.add_parser("policy-tables", help="write policy threshold tables")
-    p_tables.add_argument("--config", required=True)
-    p_tables.set_defaults(workers=1)
-
     p_val = sub.add_parser("validate", help="validate a config")
     p_val.add_argument("--config", required=True)
 
@@ -70,9 +65,7 @@ def main(argv=None):
                 raise ConfigError(errors)
             print("config ok")
             return EXIT_OK
-        if args.command == "policy-tables":
-            cfg["experiment"] = "policy_tables"
-        elif args.seed is not None:
+        if args.seed is not None:
             cfg["seed"] = args.seed
         manifest = run(cfg, workers=max(1, args.workers))
         print(json.dumps(manifest, indent=2, sort_keys=True))

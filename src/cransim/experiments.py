@@ -39,8 +39,6 @@ MAX_GRID_POINTS = 10000
 
 EXPERIMENTS = (
     "cell_outage",
-    "cell_throughput",
-    "cell_complexity",
     "net_budget_sweep",
     "net_density_sweep",
     "policy_tables",
@@ -306,7 +304,7 @@ class Plan:
     low_snr_fallback: bool
     policies: tuple = ()
     budgets: tuple = ()          # bit-iterations/s; inf = unconstrained
-    snr_grid_db: tuple = ()      # cell experiments
+    snr_grid_db: tuple = ()      # the cell experiment
     n_trials: int = 0
     layout: tuple = ()           # network experiments: the arguments of _layout
     channel: ChannelParams = None
@@ -337,7 +335,7 @@ def _resolve(cfg):
         return None, [f"eps_hat: {exc}"]
     except (OSError, ValueError) as exc:
         return None, [f"calibration_file: {exc}"]
-    if exp.startswith("cell_"):
+    if exp == "cell_outage":
         return replace(plan, policies=got["cell.policies"], n_trials=got["cell.n_trials"],
                        budgets=got["cell.c_max_mbit_iter_s"],
                        snr_grid_db=got["cell.snr_grid_db"]), []
@@ -357,12 +355,10 @@ def _resolve(cfg):
         return None, [f"{layout_field}: {exc}"]
     if exp == "net_budget_sweep":
         budgets, densities = net["budget_grid_mbit_iter_s"], (channel.ue_density_per_km2,)
-        modes = net["modes"]
     else:
         budgets, densities = net["c_max_mbit_iter_s"], net["density_grid_per_km2"]
-        modes = ("CP",) if "CP" in net["modes"] else net["modes"]
     return replace(plan, policies=net["policies"], budgets=budgets, layout=layout,
-                   channel=channel, densities=densities, modes=modes,
+                   channel=channel, densities=densities, modes=net["modes"],
                    n_subframes=net["n_subframes"]), []
 
 
@@ -393,10 +389,10 @@ def _layout(layout_csv, n_total, n_cloud, region_km, min_sep_km, layout_seed):
 def _cell_point_task(plan, gi):
     curves, tables = _models(plan.calibration_file, plan.eps_hat)
     res = sweep_cell(
-        [plan.snr_grid_db[gi]], tables, curves, plan.n_trials, plan.seed,
+        plan.snr_grid_db, tables, curves, plan.n_trials, plan.seed,
         c_max_values=plan.budgets, policies=plan.policies,
         subframe_s=plan.subframe_s, low_snr_fallback=plan.low_snr_fallback,
-        rng_factory=lambda _gi: substream(plan.seed, "cell", gi),
+        grid_indices=(gi,),
     )
     return [rec for recs in res.values() for rec in recs]
 
@@ -506,7 +502,7 @@ def run(cfg, workers=1):
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
 
-    if experiment.startswith("cell_"):
+    if experiment == "cell_outage":
         results = _run_tasks(_cell_point_task, plan, range(len(plan.snr_grid_db)), workers)
         record_dicts = _record_dicts(sorted(
             (rec for recs in results for rec in recs),
@@ -561,20 +557,22 @@ def run(cfg, workers=1):
 
 _POLICY_BUDGET = ("policy", "c_max_bit_iter_s")
 
-# experiment -> (x field, y field, half-width field or None for exact values,
-# series sort-key fields, series label fields)
+# experiment -> series specs: (file-name prefix, x field, y field, half-width
+# field or None for exact values, series sort-key fields, series label
+# fields); the single-cell sweep feeds the outage, throughput and complexity figures
 _PLOT_SERIES = {
-    "cell_outage": ("snr_db", "eps", "eps_hw", _POLICY_BUDGET, _POLICY_BUDGET),
-    "cell_throughput": ("snr_db", "t_eff_bps", "t_eff_hw_bps",
-                        _POLICY_BUDGET, _POLICY_BUDGET),
-    "cell_complexity": ("snr_db", "effort_per_success_bit_iter_s",
-                        "effort_per_success_hw", _POLICY_BUDGET, _POLICY_BUDGET),
-    "net_budget_sweep": ("c_max_bit_iter_s", "sum_throughput_bps",
-                         "sum_throughput_hw_bps", ("mode", "policy"),
-                         ("policy", "mode")),
-    "net_density_sweep": ("ue_density_per_km2", "sum_throughput_bps",
-                          "sum_throughput_hw_bps", _POLICY_BUDGET, _POLICY_BUDGET),
-    "policy_tables": ("mcs_index", "threshold_db", None, ("policy",), ("policy",)),
+    "cell_outage": (
+        ("cell_outage", "snr_db", "eps", "eps_hw", _POLICY_BUDGET, _POLICY_BUDGET),
+        ("cell_throughput", "snr_db", "t_eff_bps", "t_eff_hw_bps", _POLICY_BUDGET, _POLICY_BUDGET),
+        ("cell_complexity", "snr_db", "effort_per_success_bit_iter_s", "effort_per_success_hw",
+         _POLICY_BUDGET, _POLICY_BUDGET),
+    ),
+    "net_budget_sweep": (("net_budget_sweep", "c_max_bit_iter_s", "sum_throughput_bps",
+                          "sum_throughput_hw_bps", ("mode", "policy"), ("policy", "mode")),),
+    "net_density_sweep": (("net_density_sweep", "ue_density_per_km2", "sum_throughput_bps",
+                           "sum_throughput_hw_bps", _POLICY_BUDGET, _POLICY_BUDGET),),
+    "policy_tables": (("policy_tables", "mcs_index", "threshold_db", None,
+                       ("policy",), ("policy",)),),
 }
 
 
@@ -618,20 +616,20 @@ def emit_plot_data(in_dir, out_dir):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    x_field, y_field, hw_field, key_fields, label_fields = _PLOT_SERIES[experiment]
-    series = {}
-    for rec in records:
-        x = _plot_value(rec, x_field)
-        if math.isinf(x):
-            continue  # the unconstrained budget reference has no x position
-        key = tuple(_plot_value(rec, f) for f in key_fields)
-        label = "__".join([experiment] + [_label_part(rec, f) for f in label_fields])
-        hw = 0.0 if hw_field is None else rec[hw_field]
-        series.setdefault((key, label), []).append((x, rec[y_field], hw))
-    return [
-        _write_series(out_dir, label, sorted(rows))
-        for (_, label), rows in sorted(series.items())
-    ]
+    written = []
+    for prefix, x_field, y_field, hw_field, key_fields, label_fields in _PLOT_SERIES[experiment]:
+        series = {}
+        for rec in records:
+            x = _plot_value(rec, x_field)
+            if math.isinf(x):
+                continue  # the unconstrained budget reference has no x position
+            key = tuple(_plot_value(rec, f) for f in key_fields)
+            label = "__".join([prefix] + [_label_part(rec, f) for f in label_fields])
+            hw = 0.0 if hw_field is None else rec[hw_field]
+            series.setdefault((key, label), []).append((x, rec[y_field], hw))
+        written += [_write_series(out_dir, label, sorted(rows))
+                    for (_, label), rows in sorted(series.items())]
+    return written
 
 
 def _write_series(out_dir, label, rows):

@@ -233,6 +233,16 @@ def test_sweep_deterministic(tables, curves):
         assert a[key] == b[key]
 
 
+def test_sweep_grid_indices_match_the_full_sweep(tables, curves):
+    # a grid point draws from its own substream, whichever points a call sweeps
+    kwargs = dict(tables=tables, curves=curves, n_trials=2000, seed=99,
+                  c_max_values=(math.inf, 50e6))
+    full = sweep_cell([0.0, 10.0, 20.0], **kwargs)
+    part = sweep_cell([0.0, 10.0, 20.0], **kwargs, grid_indices=(2, 0))
+    for key, records in full.items():
+        assert part[key] == (records[2], records[0])
+
+
 def test_sweep_single_trial_runs(tables, curves):
     res = sweep_cell([10.0], tables, curves, n_trials=1, seed=0,
                      c_max_values=(math.inf,), policies=("MRS",))

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 from dataclasses import dataclass
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from cransim.cli import main as cli_main
 from cransim.experiments import (
+    EXPERIMENTS,
     ConfigError,
     SchemaError,
     emit_plot_data,
@@ -248,12 +250,20 @@ def test_net_run_deterministic_and_worker_invariant(tmp_path):
 
 
 def test_net_density_run(tmp_path):
-    out = tmp_path / "dens"
-    run(tiny_net_config(out, experiment="net_density_sweep"))
-    payload = json.loads((out / "results.json").read_text())
+    # network.modes is run as given: LP is not dropped when CP is listed
+    cfg = tiny_net_config(tmp_path / "both", experiment="net_density_sweep")
+    run(cfg)
+    records = json.loads((tmp_path / "both" / "results.json").read_text())["records"]
+    # 2 densities x 2 budgets x 2 modes x 2 policies
+    assert len(records) == 16
+    assert {r["mode"] for r in records} == {"LP", "CP"}
+    cfg = tiny_net_config(tmp_path / "cp", experiment="net_density_sweep")
+    cfg["network"]["modes"] = ["CP"]
+    run(cfg)
+    records = json.loads((tmp_path / "cp" / "results.json").read_text())["records"]
     # 2 densities x 2 budgets x 1 mode (CP) x 2 policies
-    assert len(payload["records"]) == 8
-    assert all(r["mode"] == "CP" for r in payload["records"])
+    assert len(records) == 8
+    assert all(r["mode"] == "CP" for r in records)
 
 
 def test_policy_tables_run(tmp_path):
@@ -287,10 +297,22 @@ def test_emit_plot_data_cell(tmp_path):
     run(tiny_cell_config(out))
     plot_dir = tmp_path / "plots"
     written = emit_plot_data(out, plot_dir)
-    assert len(written) == 4  # 2 policies x 2 budgets
+    # outage, throughput and complexity figures x 2 policies x 2 budgets
+    assert len(written) == 12
+    assert {p.name.split("__")[0] for p in written} == {
+        "cell_outage", "cell_throughput", "cell_complexity"}
     sample = written[0].read_text().splitlines()
     assert sample[0] == "schema_version,series,x,y,ci_low,ci_high"
     assert len(sample) == 4  # header + 3 gamma points
+    # each figure plots its own record field
+    records = json.loads((out / "results.json").read_text())["records"]
+    for name, field in (("cell_throughput__CAS__cmax_50M", "t_eff_bps"),
+                        ("cell_complexity__MRS__cmax_inf", "effort_per_success_bit_iter_s")):
+        policy, budget = ("CAS", 50e6) if "CAS" in name else ("MRS", None)
+        expected = [r[field] for r in sorted(records, key=lambda r: r["snr_db"])
+                    if r["policy"] == policy and r["c_max_bit_iter_s"] == budget]
+        rows = list(csv.DictReader(io.StringIO((plot_dir / f"{name}.csv").read_text())))
+        assert [float(r["y"]) for r in rows] == expected
 
 
 def test_emit_plot_data_budget_sweep(tmp_path):
@@ -311,6 +333,11 @@ def test_emit_plot_data_errors(tmp_path):
     bad.mkdir()
     (bad / "results.json").write_text(json.dumps({"schema_version": 99}))
     with pytest.raises(SchemaError, match="schema_version"):
+        emit_plot_data(bad, tmp_path / "plots")
+    # only cell_outage results carry the single-cell figures
+    (bad / "results.json").write_text(json.dumps(
+        {"schema_version": 1, "experiment": "cell_throughput", "records": [{}]}))
+    with pytest.raises(SchemaError, match="unknown experiment 'cell_throughput'"):
         emit_plot_data(bad, tmp_path / "plots")
 
 
@@ -354,17 +381,14 @@ def test_cli_emit_plots_empty_dir_exits_4(tmp_path, capsys):
     assert "schema error" in capsys.readouterr().err
 
 
-def test_cli_policy_tables(tmp_path):
-    cfg_path = write_config(
-        tmp_path, {"experiment": "policy_tables", "output_dir": str(tmp_path / "pt")}
-    )
-    assert cli_main(["policy-tables", "--config", str(cfg_path)]) == 0
-    assert (tmp_path / "pt" / "policy_mrs.csv").exists()
-
-
 def test_shipped_configs_validate():
-    for path in Path("configs").glob("*.json"):
+    paths = sorted(CONFIG_DIR.glob("*.json"))
+    assert paths
+    # one shipped config per experiment, named after it
+    assert sorted(p.stem for p in paths) == sorted(EXPERIMENTS)
+    for path in paths:
         cfg = load_config(path)
+        assert cfg["experiment"] == path.stem, path
         assert validate_config(cfg) == [], path
 
 
@@ -395,20 +419,12 @@ def test_net_result_digests(tmp_path, monkeypatch, name, workers):
     assert (outputs["results.json"], outputs["results.csv"]) == GOLDEN_NET_DIGESTS[name]
 
 
-# SHA-256 of (results.json, results.csv) for the shipped single-cell configs cut
+# SHA-256 of (results.json, results.csv) for the shipped single-cell config cut
 # to 20000 trials per grid point; the same rule as GOLDEN_NET_DIGESTS applies.
 GOLDEN_CELL_DIGESTS = {
     "cell_outage": (
         "4e69a878f1bb557980ca9bc4449790f14032188c65fbd3196f72d79c77abfa52",
         "e5e63a02ccf7c7d8e57e5f7d4ac24c77b455f4573e617f5e4ea33bcaddc1f9d8",
-    ),
-    "cell_throughput": (
-        "9fa8266aae1a89d9152ef50d8da32948618c26a0a0042343d1c4835a3f825aab",
-        "1bcf1f25a9c55dd99342b61ada6c3ff3c3081494a511d7f8a14cdecc36cc5301",
-    ),
-    "cell_complexity": (
-        "529232f429d8ba89b525c7bb5e6b3a4347c54de00b343d536ef644b2101b32cb",
-        "43f41bed2cc2e9593a82912d3fcb8f9e4183f14ea3f97661d7d730159329ca4b",
     ),
 }
 
@@ -479,6 +495,8 @@ MALFORMED = [
      "network.channel.alhpa: unknown key (did you mean 'alpha'?)"),
     ("cell", "cell.n_trial", 20, "cell.n_trial: unknown key (did you mean 'n_trials'?)"),
     ("cell", "schema_version", 7, "schema_version"),
+    # the single-cell figures are views of cell_outage, not experiments
+    ("cell", "experiment", "cell_throughput", "experiment: must be one of cell_outage,"),
     ("cell", "seed", True, "seed"),
     ("cell", "low_snr_fallback", "no", "low_snr_fallback"),
     ("cell", "cell.policies", [], "cell.policies"),
