@@ -570,7 +570,8 @@ _PLOT_SERIES = {
     "net_budget_sweep": (("net_budget_sweep", "c_max_bit_iter_s", "sum_throughput_bps",
                           "sum_throughput_hw_bps", ("mode", "policy"), ("policy", "mode")),),
     "net_density_sweep": (("net_density_sweep", "ue_density_per_km2", "sum_throughput_bps",
-                           "sum_throughput_hw_bps", _POLICY_BUDGET, _POLICY_BUDGET),),
+                           "sum_throughput_hw_bps", ("mode",) + _POLICY_BUDGET,
+                           ("policy", "mode", "c_max_bit_iter_s")),),
     "policy_tables": (("policy_tables", "mcs_index", "threshold_db", None,
                        ("policy",), ("policy",)),),
 }

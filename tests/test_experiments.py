@@ -326,6 +326,20 @@ def test_emit_plot_data_budget_sweep(tmp_path):
         assert len(rows) == 3  # two finite budgets
 
 
+def test_emit_plot_data_density_sweep(tmp_path):
+    out = tmp_path / "net"
+    run(tiny_net_config(out, experiment="net_density_sweep"))
+    written = emit_plot_data(out, tmp_path / "plots")
+    # one file per (policy, mode, budget): LP and CP never share a file
+    assert sorted(p.name for p in written) == sorted(
+        f"net_density_sweep__{policy}__{mode}__{budget}.csv"
+        for policy in ("MRS", "CAS") for mode in ("LP", "CP")
+        for budget in ("cmax_30M", "cmax_inf"))
+    for path in written:
+        rows = list(csv.DictReader(io.StringIO(path.read_text())))
+        assert [float(r["x"]) for r in rows] == [0.05, 0.3]  # one row per density
+
+
 def test_emit_plot_data_errors(tmp_path):
     with pytest.raises(SchemaError, match="results.json"):
         emit_plot_data(tmp_path, tmp_path / "plots")
