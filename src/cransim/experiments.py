@@ -37,12 +37,9 @@ RESULTS_SCHEMA_VERSION = 1
 NET_BLOCK_SUBFRAMES = 250
 MAX_GRID_POINTS = 10000
 
-EXPERIMENTS = (
-    "cell_outage",
-    "net_budget_sweep",
-    "net_density_sweep",
-    "policy_tables",
-)
+# experiment -> the one config section it reads (None: none)
+EXPERIMENTS = {"cell_outage": "cell", "net_budget_sweep": "network",
+               "net_density_sweep": "network", "policy_tables": None}
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -83,14 +80,12 @@ DEFAULT_CONFIG = {
         "layout_csv": None,
         "synthesize": {"n_total": 129, "n_cloud": 8, "region_km": [0.0, 0.0, 20.0, 20.0],
                        "min_sep_km": 1.3, "layout_seed": 4242},
-        "channel": {"alpha": 3.7, "s": 0.1, "snr_ref_db": 20.0,
-                    "ue_density_per_km2": 0.1, "max_interference_km": None},
+        "channel": {"alpha": 3.7, "s": 0.1, "snr_ref_db": 20.0, "max_interference_km": None},
         "modes": ["LP", "CP"],
         "policies": ["MRS", "CAS"],
         "budget_grid_mbit_iter_s": {"start": 0.0, "stop": 100.0, "step": 4.0,
                                     "include_unconstrained": True},
         "density_grid_per_km2": {"log_start": -2.0, "log_stop": 0.0, "num": 10},
-        "c_max_mbit_iter_s": [None, 30.0],
         "n_subframes": 10000,
     },
 }
@@ -108,8 +103,23 @@ def _merge_defaults(cfg, defaults, path=""):
     return out
 
 
+def _known(experiment):
+    """Whether ``experiment``, any JSON value, names an experiment."""
+    return isinstance(experiment, str) and experiment in EXPERIMENTS
+
+
+def _schema(cfg):
+    """``DEFAULT_CONFIG`` less the sections that ``cfg``'s experiment does not
+    read; all of them while the experiment is unknown."""
+    exp = cfg.get("experiment")
+    if not _known(exp):
+        return DEFAULT_CONFIG
+    return {k: v for k, v in DEFAULT_CONFIG.items()
+            if not isinstance(v, dict) or k == EXPERIMENTS[exp]}
+
+
 def load_config(path):
-    """The config file merged over ``DEFAULT_CONFIG``; ``_resolve`` checks it."""
+    """The config file merged over its experiment's defaults; ``_resolve`` checks it."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -119,7 +129,7 @@ def load_config(path):
         raise ConfigError([f"config: invalid JSON: {exc}"]) from exc
     if not isinstance(raw, dict):
         raise ConfigError(["config: top level must be an object"])
-    return _merge_defaults(raw, DEFAULT_CONFIG)
+    return _merge_defaults(raw, _schema(raw))
 
 
 def _num(value):
@@ -227,14 +237,11 @@ def _path(value):
     return value is None or isinstance(value, str) and os.path.isfile(value)
 
 
-# budget grids resolve to bit-iterations/s, with inf for null (unconstrained)
-_BUDGETS = _grid(lambda v: v is None or v >= 0, "budgets must be >= 0 or null", _mbit)
 _NONNEGATIVE = _rule(int, lambda v: v >= 0, "must be a nonnegative integer")
 
 # One rule per leaf of DEFAULT_CONFIG, checked in this order.
 _RULES = {
-    "experiment": _rule(None, lambda v: v in EXPERIMENTS,
-                        f"must be one of {', '.join(EXPERIMENTS)}"),
+    "experiment": _rule(None, _known, f"must be one of {', '.join(EXPERIMENTS)}"),
     "schema_version": _rule(int, lambda v: v == RESULTS_SCHEMA_VERSION,
                             f"must be {RESULTS_SCHEMA_VERSION}"),
     "seed": _NONNEGATIVE,
@@ -263,23 +270,25 @@ _RULES = {
     "network.channel.alpha": _rule(float, lambda v: v > 2, "must exceed 2"),
     "network.channel.s": _rule(float, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
     "network.channel.snr_ref_db": _rule(float, _db, f"must be a number {_DB_MESSAGE}"),
-    "network.channel.ue_density_per_km2": _rule(float, lambda v: v >= 0, "must be >= 0"),
     "network.channel.max_interference_km": _rule(
         None, lambda v: v is None or _num(v) and v > 0, "must be positive or null"),
-    "network.budget_grid_mbit_iter_s": _BUDGETS,
+    # resolved to bit-iterations/s, with inf for null (unconstrained)
+    "network.budget_grid_mbit_iter_s": _grid(lambda v: v is None or v >= 0,
+                                             "budgets must be >= 0 or null", _mbit),
     "network.density_grid_per_km2": _grid(lambda v: v is not None and v >= 0,
                                           "densities must be >= 0"),
-    "network.c_max_mbit_iter_s": _BUDGETS,
 }
 
 
 def _flatten(cfg, schema, errors, path=""):
-    """The leaves of a merged config by dotted field; reports unknown keys
-    and non-object sections (whose leaves are then left out)."""
+    """The leaves of a merged config by dotted field; reports unknown keys,
+    unread sections and non-object sections (whose leaves are then left out)."""
     leaves = {}
     for key, value in cfg.items():
         field = path + key
-        if key not in schema:
+        if not path and key in DEFAULT_CONFIG and key not in schema:
+            errors.append(f"{key}: experiment {cfg['experiment']} reads no {key} section")
+        elif key not in schema:
             errors.append(_unknown_key(field, key, schema))
         elif field in _RULES:
             leaves[field] = value
@@ -318,15 +327,15 @@ def _resolve(cfg):
     The (cached) models, and the layout of a network config, are built here
     too, so a calibration or layout that cannot be built is reported before
     any worker starts."""
-    cfg = _merge_defaults(cfg, DEFAULT_CONFIG)
+    schema = _schema(cfg)
+    cfg = _merge_defaults(cfg, schema)
     errors, got = [], {}
-    leaves = _flatten(cfg, DEFAULT_CONFIG, errors)
+    leaves = _flatten(cfg, schema, errors)
     for field, rule in _RULES.items():
         if field in leaves:
             got[field] = rule(leaves[field], field, errors, got)
     if errors:
         return None, errors
-    exp = got["experiment"]
     plan = Plan(config={k: v for k, v in cfg.items() if k != "output_dir"},
                 **{k: v for k, v in got.items() if "." not in k and k != "schema_version"})
     try:
@@ -335,11 +344,12 @@ def _resolve(cfg):
         return None, [f"eps_hat: {exc}"]
     except (OSError, ValueError) as exc:
         return None, [f"calibration_file: {exc}"]
-    if exp == "cell_outage":
+    section = EXPERIMENTS[plan.experiment]
+    if section == "cell":
         return replace(plan, policies=got["cell.policies"], n_trials=got["cell.n_trials"],
                        budgets=got["cell.c_max_mbit_iter_s"],
                        snr_grid_db=got["cell.snr_grid_db"]), []
-    if not exp.startswith("net_"):
+    if section is None:
         return plan, []
     net = {k.removeprefix("network."): v for k, v in got.items()}
     channel = ChannelParams(**{k: net["channel." + k]
@@ -353,13 +363,9 @@ def _resolve(cfg):
             return None, [f"{layout_field}: no RAP is in the cloud group"]
     except (ValueError, csv.Error) as exc:
         return None, [f"{layout_field}: {exc}"]
-    if exp == "net_budget_sweep":
-        budgets, densities = net["budget_grid_mbit_iter_s"], (channel.ue_density_per_km2,)
-    else:
-        budgets, densities = net["c_max_mbit_iter_s"], net["density_grid_per_km2"]
-    return replace(plan, policies=net["policies"], budgets=budgets, layout=layout,
-                   channel=channel, densities=densities, modes=net["modes"],
-                   n_subframes=net["n_subframes"]), []
+    return replace(plan, policies=net["policies"], budgets=net["budget_grid_mbit_iter_s"],
+                   layout=layout, channel=channel, densities=net["density_grid_per_km2"],
+                   modes=net["modes"], n_subframes=net["n_subframes"]), []
 
 
 def validate_config(cfg):
@@ -497,18 +503,18 @@ def run(cfg, workers=1):
     if errors:
         raise ConfigError(errors)
     t_start = time.time()
-    experiment = plan.experiment
+    section = EXPERIMENTS[plan.experiment]
     out_dir = Path(os.environ.get("CRANSIM_OUTPUT_DIR", plan.output_dir))
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
 
-    if experiment == "cell_outage":
+    if section == "cell":
         results = _run_tasks(_cell_point_task, plan, range(len(plan.snr_grid_db)), workers)
         record_dicts = _record_dicts(sorted(
             (rec for recs in results for rec in recs),
             key=lambda r: (r.policy, r.c_max_bit_iter_s, r.snr_db)))
 
-    elif experiment.startswith("net_"):
+    elif section == "network":
         # one task per (density, block), in that order, so that merging
         # folds each density's sums in block order
         n = plan.n_subframes
@@ -520,16 +526,10 @@ def run(cfg, workers=1):
 
     else:  # policy_tables
         curves, tables = _models(plan.calibration_file, plan.eps_hat)
-        record_dicts = []
-        for name, table in sorted(tables.items()):
-            path = out_dir / f"policy_{name.lower()}.csv"
-            table.to_csv(path)
-            outputs.append(path)
-            for m, thr in enumerate(table.thresholds_db):
-                record_dicts.append(
-                    {"policy": name, "mcs_index": m, "threshold_db": thr,
-                     "iteration_budget": table.iteration_budget}
-                )
+        record_dicts = [{"policy": name, "mcs_index": m, "threshold_db": thr,
+                         "iteration_budget": table.iteration_budget}
+                        for name, table in sorted(tables.items())
+                        for m, thr in enumerate(table.thresholds_db)]
         margins = {"schema_version": RESULTS_SCHEMA_VERSION,
                    "margins_db": list(snr_margin(tables["CAS"], tables["MRS"]))}
         outputs.append(_write_json(out_dir / "margins.json", margins))
@@ -538,7 +538,7 @@ def run(cfg, workers=1):
     manifest = {
         "schema_version": RESULTS_SCHEMA_VERSION,
         "artifact_version": __version__,
-        "experiment": experiment,
+        "experiment": plan.experiment,
         "config_sha256": hashlib.sha256(
             json.dumps(plan.config, sort_keys=True).encode()
         ).hexdigest(),
@@ -568,7 +568,8 @@ _PLOT_SERIES = {
          _POLICY_BUDGET, _POLICY_BUDGET),
     ),
     "net_budget_sweep": (("net_budget_sweep", "c_max_bit_iter_s", "sum_throughput_bps",
-                          "sum_throughput_hw_bps", ("mode", "policy"), ("policy", "mode")),),
+                          "sum_throughput_hw_bps", ("mode", "policy", "ue_density_per_km2"),
+                          ("policy", "mode", "ue_density_per_km2")),),
     "net_density_sweep": (("net_density_sweep", "ue_density_per_km2", "sum_throughput_bps",
                            "sum_throughput_hw_bps", ("mode",) + _POLICY_BUDGET,
                            ("policy", "mode", "c_max_bit_iter_s")),),
@@ -586,10 +587,12 @@ def _plot_value(rec, field):
 
 
 def _label_part(rec, field):
-    if field != "c_max_bit_iter_s":
-        return rec[field]
-    c_mbit = _plot_value(rec, field)
-    return "cmax_inf" if math.isinf(c_mbit) else f"cmax_{c_mbit:g}M"
+    value = _plot_value(rec, field)
+    if field == "ue_density_per_km2":
+        return f"lambda_{value:g}"
+    if field == "c_max_bit_iter_s":
+        return "cmax_inf" if math.isinf(value) else f"cmax_{value:g}M"
+    return value
 
 
 def emit_plot_data(in_dir, out_dir):
@@ -609,7 +612,7 @@ def emit_plot_data(in_dir, out_dir):
             f"unsupported results schema_version {payload.get('schema_version')}"
         )
     experiment = payload.get("experiment")
-    if experiment not in EXPERIMENTS:
+    if not _known(experiment):
         raise SchemaError(f"unknown experiment {experiment!r} in results")
     records = payload.get("records", [])
     if not records:

@@ -10,7 +10,6 @@ cost of the conservative choice.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,13 +37,6 @@ class PolicyTable:
     eps_hat: float
     thresholds_db: tuple
     catalog: tuple
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["mcs_index", "threshold_db"])
-            for m, t in enumerate(self.thresholds_db):
-                writer.writerow([m, repr(float(t))])
 
 
 def build_policy_table(curves, iteration_budget, eps_hat=DEFAULT_EPS_HAT):

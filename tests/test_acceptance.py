@@ -381,6 +381,7 @@ def test_criterion_10_determinism(tmp_path):
                                "region_km": [0.0, 0.0, 10.0, 10.0],
                                "min_sep_km": 1.0, "layout_seed": 3},
                 "budget_grid_mbit_iter_s": [20.0, 60.0, None],
+                "density_grid_per_km2": [0.1],
                 "modes": ["LP", "CP"], "policies": ["MRS", "CAS"],
                 "n_subframes": 600,
             },

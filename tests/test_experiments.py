@@ -51,7 +51,6 @@ def tiny_net_config(out_dir, seed=11, experiment="net_budget_sweep"):
             "policies": ["MRS", "CAS"],
             "budget_grid_mbit_iter_s": [10.0, 40.0, None],
             "density_grid_per_km2": [0.05, 0.3],
-            "c_max_mbit_iter_s": [None, 30.0],
             "n_subframes": 300,
         },
     }
@@ -77,12 +76,19 @@ def read_outputs(out_dir):
 # ---------------------------------------------------------------------------
 
 def test_defaults_merged(tmp_path):
+    # only the section the experiment reads is merged in
     path = write_config(tmp_path, {"experiment": "cell_outage"})
     cfg = load_config(path)
     assert cfg["eps_hat"] == 0.1
     assert cfg["cell"]["n_trials"] == 100000
-    assert cfg["network"]["channel"]["alpha"] == 3.7
+    assert "network" not in cfg
     assert validate_config(cfg) == []
+    cfg = load_config(write_config(tmp_path, {"experiment": "net_budget_sweep"}))
+    assert cfg["network"]["channel"]["alpha"] == 3.7
+    assert "cell" not in cfg
+    assert validate_config(cfg) == []
+    cfg = load_config(write_config(tmp_path, {"experiment": "policy_tables"}))
+    assert "cell" not in cfg and "network" not in cfg
 
 
 def test_validation_collects_field_errors():
@@ -113,15 +119,15 @@ def test_validation_checks_network_fields(tmp_path):
     # negative budgets and densities are rejected before any worker runs
     cfg = tiny_net_config(tmp_path)
     cfg["network"]["budget_grid_mbit_iter_s"] = [-4.0, 8.0]
-    cfg["network"]["channel"] = {"ue_density_per_km2": -0.1}
+    cfg["network"]["density_grid_per_km2"] = [-0.1]
     assert validate_config(cfg) == [
-        "network.channel.ue_density_per_km2: must be >= 0",
         "network.budget_grid_mbit_iter_s: budgets must be >= 0 or null",
+        "network.density_grid_per_km2: densities must be >= 0",
     ]
     cfg = tiny_net_config(tmp_path, experiment="net_density_sweep")
-    cfg["network"]["c_max_mbit_iter_s"] = [None, -30.0]
+    cfg["network"]["budget_grid_mbit_iter_s"] = [None, -30.0]
     assert validate_config(cfg) == [
-        "network.c_max_mbit_iter_s: budgets must be >= 0 or null",
+        "network.budget_grid_mbit_iter_s: budgets must be >= 0 or null",
     ]
     cfg_path = write_config(tmp_path, cfg)
     assert cli_main(["validate", "--config", str(cfg_path)]) == 2
@@ -179,12 +185,11 @@ def test_validation_builds_the_layout(tmp_path, capsys):
 
 
 def test_net_density_budget_range(tmp_path):
-    # the density sweep's budget grid takes the same range objects as the
-    # budget sweep's
+    # the density sweep reads the budget grid that the budget sweep reads
     out = tmp_path / "dens"
     cfg = tiny_net_config(out, experiment="net_density_sweep")
-    cfg["network"]["c_max_mbit_iter_s"] = {"start": 10.0, "stop": 30.0, "step": 20.0,
-                                           "include_unconstrained": True}
+    cfg["network"]["budget_grid_mbit_iter_s"] = {"start": 10.0, "stop": 30.0, "step": 20.0,
+                                                 "include_unconstrained": True}
     cfg["network"]["n_subframes"] = 20
     cfg_path = write_config(tmp_path, cfg)
     assert cli_main(["run", "--config", str(cfg_path)]) == 0
@@ -254,23 +259,27 @@ def test_net_density_run(tmp_path):
     cfg = tiny_net_config(tmp_path / "both", experiment="net_density_sweep")
     run(cfg)
     records = json.loads((tmp_path / "both" / "results.json").read_text())["records"]
-    # 2 densities x 2 budgets x 2 modes x 2 policies
-    assert len(records) == 16
+    # 2 densities x 3 budgets x 2 modes x 2 policies
+    assert len(records) == 24
     assert {r["mode"] for r in records} == {"LP", "CP"}
     cfg = tiny_net_config(tmp_path / "cp", experiment="net_density_sweep")
     cfg["network"]["modes"] = ["CP"]
     run(cfg)
     records = json.loads((tmp_path / "cp" / "results.json").read_text())["records"]
-    # 2 densities x 2 budgets x 1 mode (CP) x 2 policies
-    assert len(records) == 8
+    # 2 densities x 3 budgets x 1 mode (CP) x 2 policies
+    assert len(records) == 12
     assert all(r["mode"] == "CP" for r in records)
 
 
 def test_policy_tables_run(tmp_path):
     out = tmp_path / "tables"
     run({"experiment": "policy_tables", "seed": 1, "output_dir": str(out)})
-    assert (out / "policy_mrs.csv").exists()
-    assert (out / "policy_cas.csv").exists()
+    # results.csv holds the tables: one (policy, mcs_index, threshold_db) row each
+    assert sorted(p.name for p in out.iterdir()) == [
+        "manifest.json", "margins.json", "results.csv", "results.json"]
+    rows = list(csv.DictReader(io.StringIO((out / "results.csv").read_text())))
+    assert [(r["policy"], r["mcs_index"]) for r in rows] == [
+        (policy, str(m)) for policy in ("CAS", "MRS") for m in range(27)]
     margins = json.loads((out / "margins.json").read_text())
     assert len(margins["margins_db"]) == 27
 
@@ -319,11 +328,14 @@ def test_emit_plot_data_budget_sweep(tmp_path):
     out = tmp_path / "net"
     run(tiny_net_config(out))
     written = emit_plot_data(out, tmp_path / "plots")
-    # LP/CP x MRS/CAS, unconstrained reference point dropped from x axis
-    assert len(written) == 4
+    # one file per (policy, mode, density): two densities never share a file
+    assert sorted(p.name for p in written) == sorted(
+        f"net_budget_sweep__{policy}__{mode}__lambda_{density}.csv"
+        for policy in ("MRS", "CAS") for mode in ("LP", "CP") for density in ("0.05", "0.3"))
     for path in written:
-        rows = path.read_text().splitlines()
-        assert len(rows) == 3  # two finite budgets
+        rows = list(csv.DictReader(io.StringIO(path.read_text())))
+        # one row per finite budget: the unconstrained reference has no x position
+        assert [float(r["x"]) for r in rows] == [10.0, 40.0]
 
 
 def test_emit_plot_data_density_sweep(tmp_path):
@@ -334,7 +346,7 @@ def test_emit_plot_data_density_sweep(tmp_path):
     assert sorted(p.name for p in written) == sorted(
         f"net_density_sweep__{policy}__{mode}__{budget}.csv"
         for policy in ("MRS", "CAS") for mode in ("LP", "CP")
-        for budget in ("cmax_30M", "cmax_inf"))
+        for budget in ("cmax_10M", "cmax_40M", "cmax_inf"))
     for path in written:
         rows = list(csv.DictReader(io.StringIO(path.read_text())))
         assert [float(r["x"]) for r in rows] == [0.05, 0.3]  # one row per density
@@ -411,11 +423,11 @@ def test_shipped_configs_validate():
 # that alters result bytes must update these and say why in CHANGES.md.
 GOLDEN_NET_DIGESTS = {
     "net_budget_sweep": (
-        "eeb99500dc474403d5a0d03c5f11e6f6609756cc7efd99f4077050f2373edd6b",
+        "1a363b14809633554cd019247ed4d5c5c8254b0d48614a371c4471e3f5aa4977",
         "c9f508d60f538e1910d3dd3ba51a1eacf52ecb75a9546592086673c97dce5af5",
     ),
     "net_density_sweep": (
-        "af41c88413513cfd712e443ead8d6ea64537230ad3a1e3632239813356ba0e04",
+        "60a6e407fcbd10c785bf9ab5c61e5051ac1e15970fad0b2decf51e450a00b634",
         "9dffbbac24f99b348f4ebe03b0ed832c2c1afc0374e04247a808f90f2a91601d",
     ),
 }
@@ -437,7 +449,7 @@ def test_net_result_digests(tmp_path, monkeypatch, name, workers):
 # to 20000 trials per grid point; the same rule as GOLDEN_NET_DIGESTS applies.
 GOLDEN_CELL_DIGESTS = {
     "cell_outage": (
-        "4e69a878f1bb557980ca9bc4449790f14032188c65fbd3196f72d79c77abfa52",
+        "54500aae97bf68cb163e6359ad06f42fe0aaf558ed147b63c8cb85b6155df5d8",
         "e5e63a02ccf7c7d8e57e5f7d4ac24c77b455f4573e617f5e4ea33bcaddc1f9d8",
     ),
 }
@@ -503,8 +515,19 @@ MALFORMED = [
     ("cell", "eps_hat", 1e-300, "eps_hat: MCS 0 never meets"),
     ("cell", "subframe_s", "x", "subframe_s"),
     ("cell", "calibration_file", 5, "calibration_file"),
+    # a section the experiment does not read, and the keys that the two
+    # network grids replaced, are errors rather than silently ignored
+    ("cell", "network", {"n_subframes": 5},
+     "network: experiment cell_outage reads no network section"),
+    ("net", "cell", {"n_trials": 20},
+     "cell: experiment net_budget_sweep reads no cell section"),
+    ("cell", "experiment", "policy_tables",
+     "cell: experiment policy_tables reads no cell section"),
+    ("net", "network.c_max_mbit_iter_s", [None, 30.0],
+     "network.c_max_mbit_iter_s: unknown key (did you mean 'budget_grid_mbit_iter_s'?)"),
     ("net", "network.channel.ue_density_per_km2", None,
-     "network.channel.ue_density_per_km2"),
+     "network.channel.ue_density_per_km2: unknown key"),
+    ("cell", "experiment", [], "experiment: must be one of cell_outage,"),
     ("net", "network.channel.alhpa", 3.0,
      "network.channel.alhpa: unknown key (did you mean 'alpha'?)"),
     ("cell", "cell.n_trial", 20, "cell.n_trial: unknown key (did you mean 'n_trials'?)"),

@@ -170,14 +170,3 @@ def test_constraint_satisfaction_empirical(curves, tables):
             p = tb_fail.mean()
             sigma = math.sqrt(0.1 * 0.9 / n_tb)
             assert p <= 0.1 + 3 * sigma
-
-
-def test_policy_table_csv_export(tables, tmp_path):
-    path = tmp_path / "mrs.csv"
-    tables["MRS"].to_csv(path)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "mcs_index,threshold_db"
-    assert len(rows) == 28
-    first = rows[1].split(",")
-    assert int(first[0]) == 0
-    assert float(first[1]) == tables["MRS"].thresholds_db[0]
