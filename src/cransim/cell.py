@@ -55,11 +55,20 @@ def wilson_halfwidth(k, n, z=Z_95):
     return half
 
 
-def mean_halfwidth(values, z=Z_95):
-    n = len(values)
+def mean_halfwidth(n, total, total_sq, subframe_s):
+    """Mean and 95% half-width, per ``subframe_s``, of a series of ``n``
+    integers (bits or bit-iterations) from its exact sums of x and x * x.
+
+    Sample variance (ddof 1); the half-width is 0 for n < 2 and the mean of
+    no values NaN.  The variance of the mean is one correctly rounded
+    division of Python integers, so the order of the series cannot matter.
+    """
+    n, total, total_sq = int(n), int(total), int(total_sq)
+    mean = total / n / subframe_s if n else math.nan
     if n < 2:
-        return 0.0
-    return z * float(np.std(values, ddof=1)) / math.sqrt(n)
+        return mean, 0.0
+    var_of_mean = (n * total_sq - total * total) / (n * n * (n - 1))
+    return mean, Z_95 * math.sqrt(var_of_mean) / subframe_s
 
 
 @dataclass
@@ -106,23 +115,23 @@ def summarize_cell_point(snr_db, policy, c_max_values, subframe_s, block):
     """Reduce a trial block to one CellRecord per budget in ``c_max_values``.
 
     A transmitted block is in computational outage when its effort strictly
-    exceeds ``c_max * subframe_s``.  The effective throughput is reported as
-    (1 - eps) * t_raw computed from the same trials; the complexity metric
-    charges the nominal effort of every transmitted block (outage blocks
-    included) against the count of successful decodes.  The reductions that
-    do not depend on the budget are computed once for all budgets.
+    exceeds ``c_max * subframe_s``.  The effective throughput E[(1 - eps(gamma))
+    R(gamma)] is the mean of the bits delivered per trial; the complexity
+    metric charges the nominal effort of every transmitted block (outage
+    blocks included) against the count of successful decodes.
     """
+    def mean_hw(x):
+        return mean_halfwidth(n, x.sum(), np.dot(x, x), subframe_s)
+
     n = len(block.transmitted)
     n_tx = int(block.transmitted.sum())
     n_channel = int(block.channel_fail.sum())
-    rate = block.bits / subframe_s
-    t_raw = float(rate.mean())
-    total_effort = float(block.effort.sum())
-    effort_mean_hw = mean_halfwidth(block.effort)
+    t_raw, t_raw_hw = mean_hw(block.bits)
+    effort_mean, effort_mean_hw = mean_hw(block.effort)
     shared = dict(snr_db=float(snr_db), policy=policy, n_trials=n, n_transmitted=n_tx,
                   eps_channel=n_channel / n_tx if n_tx else 0.0,
                   eps_channel_hw=wilson_halfwidth(n_channel, n_tx),
-                  t_raw_bps=t_raw, t_raw_hw_bps=mean_halfwidth(rate))
+                  t_raw_bps=t_raw, t_raw_hw_bps=t_raw_hw)
     records = []
     for c_max in c_max_values:
         comp_fail = block.transmitted & (block.effort > c_max * subframe_s)
@@ -130,20 +139,15 @@ def summarize_cell_point(snr_db, policy, c_max_values, subframe_s, block):
         n_lost = int(lost.sum())
         n_success = n_tx - n_lost
         n_comp = int(comp_fail.sum())
-        eps = n_lost / n_tx if n_tx else 0.0
-        # CI of the effective throughput from the per-trial success*rate series
-        eff_series = rate * (block.transmitted & ~lost)
-        if n_success:
-            effort_ps = total_effort / n_success / subframe_s
-            effort_hw = effort_mean_hw * n / n_success / subframe_s
-        else:
-            effort_ps = effort_hw = math.nan
+        t_eff, t_eff_hw = mean_hw(np.where(lost, 0, block.bits))
+        per_success = n / n_success if n_success else math.nan
         records.append(CellRecord(
             **shared, c_max_bit_iter_s=float(c_max), n_success=n_success,
-            eps=eps, eps_hw=wilson_halfwidth(n_lost, n_tx),
+            eps=n_lost / n_tx if n_tx else 0.0, eps_hw=wilson_halfwidth(n_lost, n_tx),
             eps_comp=n_comp / n_tx if n_tx else 0.0, eps_comp_hw=wilson_halfwidth(n_comp, n_tx),
-            t_eff_bps=(1.0 - eps) * t_raw, t_eff_hw_bps=mean_halfwidth(eff_series),
-            effort_per_success_bit_iter_s=effort_ps, effort_per_success_hw=effort_hw))
+            t_eff_bps=t_eff, t_eff_hw_bps=t_eff_hw,
+            effort_per_success_bit_iter_s=effort_mean * per_success,
+            effort_per_success_hw=effort_mean_hw * per_success))
     return records
 
 

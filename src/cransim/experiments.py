@@ -339,33 +339,45 @@ def _resolve(cfg):
     plan = Plan(config={k: v for k, v in cfg.items() if k != "output_dir"},
                 **{k: v for k, v in got.items() if "." not in k and k != "schema_version"})
     try:
-        _models(plan.calibration_file, plan.eps_hat)
+        curves, _ = _models(plan.calibration_file, plan.eps_hat)
     except ConfigurationError as exc:  # no policy table meets eps_hat
         return None, [f"eps_hat: {exc}"]
     except (OSError, ValueError) as exc:
         return None, [f"calibration_file: {exc}"]
     section = EXPERIMENTS[plan.experiment]
-    if section == "cell":
-        return replace(plan, policies=got["cell.policies"], n_trials=got["cell.n_trials"],
-                       budgets=got["cell.c_max_mbit_iter_s"],
-                       snr_grid_db=got["cell.snr_grid_db"]), []
     if section is None:
         return plan, []
-    net = {k.removeprefix("network."): v for k, v in got.items()}
-    channel = ChannelParams(**{k: net["channel." + k]
-                               for k in DEFAULT_CONFIG["network"]["channel"]})
-    net["synthesize.region_km"] = tuple(map(float, net["synthesize.region_km"]))
-    layout = (net["layout_csv"], *(net["synthesize." + k]
-                                   for k in DEFAULT_CONFIG["network"]["synthesize"]))
-    layout_field = "network.synthesize" if layout[0] is None else "network.layout_csv"
-    try:
-        if not _layout(*layout).n_cloud:
+    if section == "cell":
+        plan = replace(plan, policies=got["cell.policies"], n_trials=got["cell.n_trials"],
+                       budgets=got["cell.c_max_mbit_iter_s"],
+                       snr_grid_db=got["cell.snr_grid_db"])
+        # the largest term of the exact sums: a trial decoding each bit i_max times
+        field, n, tbs_per_term = "cell.n_trials", plan.n_trials, curves.i_max
+    else:
+        net = {k.removeprefix("network."): v for k, v in got.items()}
+        channel = ChannelParams(**{k: net["channel." + k]
+                                   for k in DEFAULT_CONFIG["network"]["channel"]})
+        net["synthesize.region_km"] = tuple(map(float, net["synthesize.region_km"]))
+        layout = (net["layout_csv"], *(net["synthesize." + k]
+                                       for k in DEFAULT_CONFIG["network"]["synthesize"]))
+        layout_field = "network.synthesize" if layout[0] is None else "network.layout_csv"
+        try:
+            n_cloud = _layout(*layout).n_cloud
+        except (ValueError, csv.Error) as exc:
+            return None, [f"{layout_field}: {exc}"]
+        if not n_cloud:
             return None, [f"{layout_field}: no RAP is in the cloud group"]
-    except (ValueError, csv.Error) as exc:
-        return None, [f"{layout_field}: {exc}"]
-    return replace(plan, policies=net["policies"], budgets=net["budget_grid_mbit_iter_s"],
-                   layout=layout, channel=channel, densities=net["density_grid_per_km2"],
-                   modes=net["modes"], n_subframes=net["n_subframes"]), []
+        plan = replace(plan, policies=net["policies"], budgets=net["budget_grid_mbit_iter_s"],
+                       layout=layout, channel=channel, densities=net["density_grid_per_km2"],
+                       modes=net["modes"], n_subframes=net["n_subframes"])
+        # or a subframe delivering a TB in every cloud cell
+        field, n, tbs_per_term = "network.n_subframes", plan.n_subframes, n_cloud
+    peak = tbs_per_term * int(curves.tb_bits.max())
+    limit = (2**63 - 1) // (peak * peak)  # numpy's int64 sums wrap silently
+    if n > limit:
+        return None, [f"{field}: must be at most {limit}, so that the exact sums of "
+                      f"squares of up to {peak} per term stay within int64"]
+    return plan, []
 
 
 def validate_config(cfg):
@@ -515,8 +527,6 @@ def run(cfg, workers=1):
             key=lambda r: (r.policy, r.c_max_bit_iter_s, r.snr_db)))
 
     elif section == "network":
-        # one task per (density, block), in that order, so that merging
-        # folds each density's sums in block order
         n = plan.n_subframes
         blocks = [(di, range(t0, min(t0 + NET_BLOCK_SUBFRAMES, n)))
                   for di in range(len(dict.fromkeys(plan.densities)))
@@ -587,11 +597,13 @@ def _plot_value(rec, field):
 
 
 def _label_part(rec, field):
+    # numbers in their shortest round-tripping form (repr less a trailing
+    # ".0", scientific at extreme magnitudes): one short name per grid value
     value = _plot_value(rec, field)
     if field == "ue_density_per_km2":
-        return f"lambda_{value:g}"
+        return f"lambda_{repr(value).removesuffix('.0')}"
     if field == "c_max_bit_iter_s":
-        return "cmax_inf" if math.isinf(value) else f"cmax_{value:g}M"
+        return "cmax_inf" if math.isinf(value) else f"cmax_{repr(value).removesuffix('.0')}M"
     return value
 
 
@@ -607,6 +619,8 @@ def emit_plot_data(in_dir, out_dir):
         raise SchemaError(f"no results.json under {in_dir}")
     with open(results_path) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise SchemaError("results.json: top level must be an object")
     if payload.get("schema_version") != RESULTS_SCHEMA_VERSION:
         raise SchemaError(
             f"unsupported results schema_version {payload.get('schema_version')}"

@@ -241,17 +241,12 @@ def draw_subframe(layout, params, rng):
     p_active = activation_probabilities(layout, params.ue_density_per_km2)
     active = rng.random(layout.n_total) < p_active
     active_idx = np.flatnonzero(active)
-    if len(active_idx):
-        ue_xy = _sample_positions(layout, active_idx, rng, params.min_ue_rap_km)
-        serve = layout.rap_xy[active_idx]
-        serve_dist = np.hypot(ue_xy[:, 0] - serve[:, 0], ue_xy[:, 1] - serve[:, 1])
-        fading = rng.standard_exponential((len(active_idx), layout.n_cloud))
-        tx_powers = serve_dist ** (params.s * params.alpha)
-    else:
-        ue_xy = np.empty((0, 2))
-        serve_dist = np.empty(0)
-        fading = np.empty((0, layout.n_cloud))
-        tx_powers = np.empty(0)
+    # with no active UE the size-0 draws leave the generator state unchanged
+    ue_xy = _sample_positions(layout, active_idx, rng, params.min_ue_rap_km)
+    serve = layout.rap_xy[active_idx]
+    serve_dist = np.hypot(ue_xy[:, 0] - serve[:, 0], ue_xy[:, 1] - serve[:, 1])
+    fading = rng.standard_exponential((len(active_idx), layout.n_cloud))
+    tx_powers = serve_dist ** (params.s * params.alpha)
     return SubframeDrop(
         active=active,
         active_idx=active_idx,
@@ -271,8 +266,6 @@ def cloud_sinrs(drop, layout, params):
     cloud = layout.cloud_idx
     mask = drop.active[cloud]
     targets = cloud[mask]
-    if not len(targets):
-        return targets, np.empty(0)
     cols = np.flatnonzero(mask)
     rows = np.searchsorted(drop.active_idx, targets)
     alpha = params.alpha

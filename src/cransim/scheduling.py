@@ -20,11 +20,9 @@ Philox keys in one pass (``rng.substreams``); its loop over subframes only
 re-keys one generator and draws (drop, cloud SINRs, code-block uniforms).
 Each policy then decodes the whole block in one call, and CP schedules it
 with one cumulative sum of the integer efforts in (subframe, SINR, RAP)
-order, less each subframe's offset (exact).  Bits per subframe and per cell
-are integer sums; the float throughput sums are folded in subframe order (a
-cumulative sum, never the pairwise ``sum``), so they equal a subframe loop's
-bit for bit.  Results accumulate into arrays indexed ``[density, budget,
-mode, policy]``; ``merge_accumulators`` adds a run's (density, block) parts.
+order, less each subframe's offset (exact).  Results accumulate as exact
+integer sums into int64 arrays indexed ``[density, budget, mode, policy]``;
+``merge_accumulators`` adds a run's (density, block) parts in any order.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import geometry, link, rng
-from .cell import Z_95
+from .cell import mean_halfwidth
 from .policy import select_mcs_index
 
 LP = "LP"
@@ -67,21 +65,20 @@ class NetworkRecord:
 
 @dataclass(frozen=True)
 class NetworkAccumulator:
-    """Sweep totals as arrays indexed ``[density, budget, mode, policy]``.
+    """Sweep totals as int64 arrays indexed ``[density, budget, mode, policy]``.
 
     ``axes`` holds the labels of those four axes.  TB and channel-outage
     counts do not depend on the budget or the mode and are indexed
     ``[density, policy]``; ``bits_per_cell`` adds a trailing cloud-cell axis
-    and ``per_subframe`` a trailing subframe axis (of length 0 unless the
-    per-subframe throughputs were kept).
+    and ``per_subframe`` (delivered bits, of length 0 unless kept) a trailing
+    subframe axis.  ``sumsq_bits`` sums the squared bits of each subframe.
     """
 
     axes: tuple
     n_tbs: np.ndarray
     n_channel: np.ndarray
     n_comp: np.ndarray
-    sum_tput: np.ndarray
-    sumsq_tput: np.ndarray
+    sumsq_bits: np.ndarray
     bits_per_cell: np.ndarray
     per_subframe: np.ndarray
 
@@ -170,10 +167,10 @@ def sweep_network(layout, params, curves, tables, *, subframes, seed,
         n_tbs=np.zeros((shape[0], shape[3]), dtype=np.int64),
         n_channel=np.zeros((shape[0], shape[3]), dtype=np.int64),
         n_comp=np.zeros(shape, dtype=np.int64),
-        sum_tput=np.zeros(shape),
-        sumsq_tput=np.zeros(shape),
+        sumsq_bits=np.zeros(shape, dtype=np.int64),
         bits_per_cell=np.zeros(shape + (layout.n_cloud,), dtype=np.int64),
-        per_subframe=np.zeros(shape + (len(subframes) if keep_subframe_sums else 0,)),
+        per_subframe=np.zeros(shape + (len(subframes) if keep_subframe_sums else 0,),
+                              dtype=np.int64),
     )
     cloud = layout.cloud_idx
     per_rap = np.array(budgets, dtype=float)
@@ -201,32 +198,24 @@ def sweep_network(layout, params, curves, tables, *, subframes, seed,
                       (..., np.searchsorted(cloud, tbs.raps)), bits)
             subframe_bits = np.zeros(comp.shape[:2] + (len(subframes),), dtype=np.int64)
             np.add.at(subframe_bits, (..., tbs.subframe), bits)
-            tput = subframe_bits / subframe_s
-            # cumsum folds in subframe order; .sum() would add pairwise
-            acc.sum_tput[di, :, :, pi] = np.cumsum(tput, axis=-1)[..., -1]
-            acc.sumsq_tput[di, :, :, pi] = np.cumsum(tput * tput, axis=-1)[..., -1]
+            acc.sumsq_bits[di, :, :, pi] = (subframe_bits * subframe_bits).sum(axis=-1)
             if keep_subframe_sums:
-                acc.per_subframe[di, :, :, pi] = tput
+                acc.per_subframe[di, :, :, pi] = subframe_bits
     return acc
 
 
 def merge_accumulators(parts):
-    """Merge the accumulators of a run's parts, given in (density, block)
-    order, into one.
+    """Merge the accumulators of a run's parts into one.
 
-    Counts and sums add elementwise.  A part holds zeros at the densities it
-    did not sweep, and adding 0.0 is exact, so each density's float sums add
-    up its blocks in block order however the densities are split.  Kept
-    per-subframe throughputs are concatenated (parts over the same densities).
+    Counts and sums add elementwise, exactly in any order; a part holds
+    zeros at the densities it did not sweep.  Kept per-subframe bits are
+    concatenated in the order given (parts over the same densities).
     """
     parts = list(parts)
-    merged = {}
-    for f in fields(NetworkAccumulator):
-        if f.name != "axes":
-            values = [getattr(part, f.name) for part in parts]
-            merged[f.name] = (np.concatenate(values, axis=-1)
-                              if f.name == "per_subframe" else sum(values))
-    return replace(parts[0], **merged)
+    sums = {f.name: sum(getattr(part, f.name) for part in parts)
+            for f in fields(NetworkAccumulator) if f.name not in ("axes", "per_subframe")}
+    return replace(parts[0], **sums, per_subframe=np.concatenate(
+        [part.per_subframe for part in parts], axis=-1))
 
 
 def finalize_records(acc, n_subframes, subframe_s=link.SUBFRAME_S):
@@ -237,9 +226,8 @@ def finalize_records(acc, n_subframes, subframe_s=link.SUBFRAME_S):
     ):
         arm = (di, bi, mi, pi)
         n_tbs = int(acc.n_tbs[di, pi])
-        mean_tput = float(acc.sum_tput[arm]) / n_subframes
-        var = max(float(acc.sumsq_tput[arm]) / n_subframes - mean_tput ** 2, 0.0)
-        hw = Z_95 * math.sqrt(var / n_subframes)
+        mean_tput, hw = mean_halfwidth(n_subframes, acc.bits_per_cell[arm].sum(),
+                                       acc.sumsq_bits[arm], subframe_s)
         per_cell = tuple(
             float(b) / (n_subframes * subframe_s) for b in acc.bits_per_cell[arm]
         )

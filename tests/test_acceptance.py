@@ -26,7 +26,7 @@ from cransim.geometry import (
     draw_subframe,
     synthesize_layout,
 )
-from cransim.link import load_calibration, segment_tb, simulate_cbs
+from cransim.link import SUBFRAME_S, load_calibration, segment_tb, simulate_cbs
 from cransim.policy import build_policy_tables
 from cransim.rng import substream
 from cransim.scheduling import sweep_network
@@ -247,7 +247,7 @@ def test_criterion_6_throughput_band(cell_sweeps):
 
 def _per_subframe(acc, key):
     """Per-subframe sum throughputs of one (density, budget, mode, policy) arm."""
-    return acc.per_subframe[tuple(axis.index(v) for axis, v in zip(acc.axes, key))]
+    return acc.per_subframe[tuple(axis.index(v) for axis, v in zip(acc.axes, key))] / SUBFRAME_S
 
 
 def test_criterion_7_pooling_dominance(budget_sweep):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 import oracles
 from calibration import crossing_calibration, default_calibration
 from cransim.cell import (
+    Z_95,
     draw_cell_trials,
+    mean_halfwidth,
     simulate_trials,
     summarize_cell_point,
     sweep_cell,
@@ -109,7 +112,12 @@ def test_simulate_trials_unconstrained_identities(tables, curves):
     (rec,) = summarize_cell_point(10.0, "MRS", (math.inf,), 1e-3, block)
     assert rec.eps_comp == 0.0
     assert rec.eps == rec.eps_channel
-    assert rec.t_eff_bps == pytest.approx((1 - rec.eps) * rec.t_raw_bps, rel=1e-12)
+    # the effective throughput is the mean delivered rate over all trials,
+    # not (1 - eps) * t_raw, whose eps counts only the transmitted trials
+    delivered = np.where(block.channel_fail, 0, block.bits) / 1e-3
+    assert rec.t_eff_bps == pytest.approx(delivered.mean(), rel=1e-12)
+    assert rec.t_eff_hw_bps == pytest.approx(
+        Z_95 * delivered.std(ddof=1) / math.sqrt(len(delivered)), rel=1e-9)
     assert rec.eps >= max(rec.eps_channel, rec.eps_comp)
     assert 0.0 <= rec.eps <= 1.0
 
@@ -299,6 +307,29 @@ def test_wilson_halfwidth_against_scipy():
         ci = binomtest(k, n).proportion_ci(confidence_level=0.95, method="wilson")
         expected = (ci.high - ci.low) / 2.0
         assert hw == pytest.approx(expected, rel=1e-6, abs=1e-9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**20), max_size=40), st.sampled_from([1e-3, 0.7e-3, 1.0]))
+def test_mean_halfwidth_matches_exact_arithmetic(values, subframe_s):
+    # from the exact sums the helper rounds only where exact rational
+    # arithmetic must: it equals the Fraction computation bit for bit
+    n = len(values)
+    mean, hw = mean_halfwidth(n, sum(values), sum(v * v for v in values), subframe_s)
+    if n == 0:
+        assert math.isnan(mean) and hw == 0.0
+        return
+    exact_mean = Fraction(sum(values), n)
+    assert mean == float(exact_mean) / subframe_s
+    if n == 1:
+        assert hw == 0.0
+        return
+    var_of_mean = sum((v - exact_mean) ** 2 for v in values) / ((n - 1) * n)
+    assert hw == Z_95 * math.sqrt(float(var_of_mean)) / subframe_s
+    x = np.array(values, dtype=np.int64)
+    assert mean == pytest.approx(x.mean() / subframe_s, rel=1e-12)
+    assert hw == pytest.approx(Z_95 * np.std(x, ddof=1) / math.sqrt(n) / subframe_s,
+                               rel=1e-9, abs=1e-9)
 
 
 def test_config_validation():

@@ -11,6 +11,7 @@ import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cransim import experiments
 from cransim.cli import main as cli_main
 from cransim.experiments import (
     EXPERIMENTS,
@@ -254,6 +255,20 @@ def test_net_run_deterministic_and_worker_invariant(tmp_path):
     assert read_outputs(outs[0]) == read_outputs(outs[2])
 
 
+def test_net_run_independent_of_block_length(tmp_path, monkeypatch):
+    # every sum is an exact integer sum, so the bytes do not depend on how
+    # the subframes are split into work blocks; with 0.7 ms subframes the
+    # throughputs are not whole numbers, and float sums of them would
+    cfg = tiny_net_config(tmp_path / "b250", experiment="net_density_sweep")
+    cfg["subframe_s"] = 0.7e-3
+    cfg["network"]["n_subframes"] = 40
+    run(cfg)
+    monkeypatch.setattr(experiments, "NET_BLOCK_SUBFRAMES", 7)
+    cfg["output_dir"] = str(tmp_path / "b7")
+    run(cfg)
+    assert read_outputs(tmp_path / "b250") == read_outputs(tmp_path / "b7")
+
+
 def test_net_density_run(tmp_path):
     # network.modes is run as given: LP is not dropped when CP is listed
     cfg = tiny_net_config(tmp_path / "both", experiment="net_density_sweep")
@@ -352,11 +367,29 @@ def test_emit_plot_data_density_sweep(tmp_path):
         assert [float(r["x"]) for r in rows] == [0.05, 0.3]  # one row per density
 
 
+def test_emit_plot_data_distinct_grid_values(tmp_path):
+    # densities that agree to 6 significant digits still get a file each,
+    # and a density of extreme magnitude still gets a short name
+    out = tmp_path / "net"
+    cfg = tiny_net_config(out)
+    cfg["network"].update(density_grid_per_km2=[0.1, 0.1000001, 1e-250], n_subframes=5,
+                          modes=["CP"], policies=["MRS"])
+    run(cfg)
+    written = emit_plot_data(out, tmp_path / "plots")
+    assert sorted(p.name for p in written) == [
+        "net_budget_sweep__MRS__CP__lambda_0.1.csv",
+        "net_budget_sweep__MRS__CP__lambda_0.1000001.csv",
+        "net_budget_sweep__MRS__CP__lambda_1e-250.csv"]
+
+
 def test_emit_plot_data_errors(tmp_path):
     with pytest.raises(SchemaError, match="results.json"):
         emit_plot_data(tmp_path, tmp_path / "plots")
     bad = tmp_path / "bad"
     bad.mkdir()
+    (bad / "results.json").write_text("[]")
+    with pytest.raises(SchemaError, match="top level must be an object"):
+        emit_plot_data(bad, tmp_path / "plots")
     (bad / "results.json").write_text(json.dumps({"schema_version": 99}))
     with pytest.raises(SchemaError, match="schema_version"):
         emit_plot_data(bad, tmp_path / "plots")
@@ -423,12 +456,12 @@ def test_shipped_configs_validate():
 # that alters result bytes must update these and say why in CHANGES.md.
 GOLDEN_NET_DIGESTS = {
     "net_budget_sweep": (
-        "1a363b14809633554cd019247ed4d5c5c8254b0d48614a371c4471e3f5aa4977",
-        "c9f508d60f538e1910d3dd3ba51a1eacf52ecb75a9546592086673c97dce5af5",
+        "48aa921d03946d4ff93fbb7ef87616f9f9dc51e7f5b5864751805f277cc09cd1",
+        "02b0ebfe5e184f80080482c959e4adfb759053d56499522cbb4c2219cf10f59a",
     ),
     "net_density_sweep": (
-        "60a6e407fcbd10c785bf9ab5c61e5051ac1e15970fad0b2decf51e450a00b634",
-        "9dffbbac24f99b348f4ebe03b0ed832c2c1afc0374e04247a808f90f2a91601d",
+        "8f13db41b41459f7b616e8ecaa69a74bbd58a511f172db1a75a8511d94f3f74b",
+        "82fcfad0984fc099c3c07c0945a82a7272f9d0fe433797c9cbbc6de86990fd46",
     ),
 }
 
@@ -449,8 +482,8 @@ def test_net_result_digests(tmp_path, monkeypatch, name, workers):
 # to 20000 trials per grid point; the same rule as GOLDEN_NET_DIGESTS applies.
 GOLDEN_CELL_DIGESTS = {
     "cell_outage": (
-        "54500aae97bf68cb163e6359ad06f42fe0aaf558ed147b63c8cb85b6155df5d8",
-        "e5e63a02ccf7c7d8e57e5f7d4ac24c77b455f4573e617f5e4ea33bcaddc1f9d8",
+        "5902c26c71802dbd0285ff314b17f09d6ca2cc0d443675c3bb5db4ad26d62355",
+        "2328300a0844ed7455823969eb2e85c14ee181ed7ed65f649135bf3917f06dee",
     ),
 }
 
@@ -558,6 +591,13 @@ MALFORMED = [
      "network.layout_csv: RAP 1 lies outside the region or within 1e-09 km of its boundary"),
     ("cell", "calibration_file", FileWith(json.dumps({"schema_version": 1})),
      "calibration_file: malformed calibration: KeyError('mcs')"),
+    # run lengths whose exact sums of squares could leave int64: a trial's
+    # effort is at most 33024 bits x 8 iterations, and a subframe delivers
+    # at most 33024 bits in each of the 4 cloud cells
+    ("cell", "cell.n_trials", (2**63 - 1) // (33024 * 8) ** 2 + 1,
+     f"cell.n_trials: must be at most {(2**63 - 1) // (33024 * 8) ** 2},"),
+    ("net", "network.n_subframes", (2**63 - 1) // (4 * 33024) ** 2 + 1,
+     f"network.n_subframes: must be at most {(2**63 - 1) // (4 * 33024) ** 2},"),
 ]
 
 
@@ -573,6 +613,14 @@ def test_malformed_config_exits_2(tmp_path, capsys, base, field, value, message)
         assert cli_main([command, "--config", str(cfg_path)]) == 2, command
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err, (command, err)
+
+
+def test_exact_sum_bounds_are_inclusive(tmp_path):
+    cell = with_leaf(small_cell_config(tmp_path), "cell.n_trials",
+                     (2**63 - 1) // (33024 * 8) ** 2)
+    net = with_leaf(small_net_config(tmp_path), "network.n_subframes",
+                    (2**63 - 1) // (4 * 33024) ** 2)
+    assert validate_config(cell) == [] and validate_config(net) == []
 
 
 def test_grid_objects_replace_the_default(tmp_path):

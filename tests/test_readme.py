@@ -30,4 +30,4 @@ def test_readme_library_use_runs():
     namespace = {}
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
-    assert namespace["acc"].sum_tput.shape == (1, 3, 2, 2)
+    assert namespace["acc"].sumsq_bits.shape == (1, 3, 2, 2)

@@ -249,7 +249,7 @@ def test_sweep_network_matches_oracle():
     assert acc.axes == ((0.3,), budgets, (LP, CP), ("MRS", "CAS"))
     n_cells = layout.n_cloud
     for pi, policy in enumerate(("MRS", "CAS")):
-        tput = np.zeros((len(budgets), 2, len(subframes)))
+        sf_bits = np.zeros((len(budgets), 2, len(subframes)), dtype=int)
         n_comp = np.zeros((len(budgets), 2), dtype=int)
         cell_bits = np.zeros((len(budgets), 2, n_cells), dtype=int)
         n_tbs = n_channel = 0
@@ -277,13 +277,12 @@ def test_sweep_network_matches_oracle():
                         if d == DECODED:
                             bits += int(b)
                             cell_bits[bi, mi, layout.cloud_group.index(rap)] += int(b)
-                    tput[bi, mi, ti] = bits / SUBFRAME_S
-        assert acc.per_subframe[0, :, :, pi].tolist() == tput.tolist()
+                    sf_bits[bi, mi, ti] = bits
+        assert acc.per_subframe[0, :, :, pi].tolist() == sf_bits.tolist()
         assert acc.n_comp[0, :, :, pi].tolist() == n_comp.tolist()
         assert acc.bits_per_cell[0, :, :, pi].tolist() == cell_bits.tolist()
         assert acc.n_tbs[0, pi] == n_tbs and acc.n_channel[0, pi] == n_channel
-        assert acc.sum_tput[0, :, :, pi] == pytest.approx(tput.sum(axis=-1))
-        assert acc.sumsq_tput[0, :, :, pi] == pytest.approx((tput ** 2).sum(axis=-1))
+        assert acc.sumsq_bits[0, :, :, pi].tolist() == (sf_bits ** 2).sum(axis=-1).tolist()
         # the grid straddles the outage regime, and pooling changes decisions
         assert n_comp[0].tolist() == [n_tbs, n_tbs] and n_comp[-1].tolist() == [0, 0]
         assert 0 < n_comp[1:-1].sum() < 4 * n_tbs
@@ -319,21 +318,12 @@ def test_block_masks_match_oracle(blocks, gaps, data):
         ]
 
 
-def _fold(values):
-    """Left-to-right float sum, the order in which the sweep must add."""
-    total = 0.0
-    for v in values:
-        total += v
-    return total
-
-
 def test_block_sweep_matches_oracle(monkeypatch):
     # the block-batched sweep against the scalar scheduler, one subframe at a
     # time: sparse drops leave empty subframes between busy ones, SINRs
     # rounded to 1 dB tie across subframes, CP budgets sit at exact
-    # per-subframe prefix sums, per-subframe throughputs are kept, and a
-    # subframe length without round throughputs makes the float sums depend
-    # on the order of addition
+    # per-subframe prefix sums, per-subframe bits are kept, and subframes
+    # last 0.7 ms rather than the default 1 ms
     curves = load_calibration()
     tables = build_policy_tables(curves)
     layout = synthesize_layout(substream(5, "layout", 0), n_total=24, n_cloud=4,
@@ -392,7 +382,7 @@ def test_block_sweep_matches_oracle(monkeypatch):
         for (bi, c), (mi, mode) in itertools.product(enumerate(budgets),
                                                      enumerate((LP, CP))):
             limit = (n_cells if mode == CP else 1) * c * subframe_s
-            tput, cell_bits = [], [0] * n_cells
+            sf_bits, cell_bits = [], [0] * n_cells
             for tbs in tbs_list:
                 out = schedule_subframe([row[:3] for row in tbs], mode, limit)
                 bits = 0
@@ -402,28 +392,24 @@ def test_block_sweep_matches_oracle(monkeypatch):
                     if d == DECODED:
                         bits += b
                         cell_bits[layout.cloud_group.index(rap)] += b
-                tput.append(bits / subframe_s)
+                sf_bits.append(bits)
             arm = (di, bi, mi, pi)
-            assert acc.per_subframe[arm].tolist() == tput
+            assert acc.per_subframe[arm].tolist() == sf_bits
             assert acc.bits_per_cell[arm].tolist() == cell_bits
-            assert acc.sum_tput[arm] == _fold(tput)
-            assert acc.sumsq_tput[arm] == _fold(t * t for t in tput)
+            assert acc.sumsq_bits[arm] == sum(b * b for b in sf_bits)
     assert acc.n_comp.tolist() == n_comp.tolist()
     # the prefix-sum budgets straddle the outage regime under CP
     assert 0 < n_comp[:, 1:-1, 1].sum() < n_comp[:, 0, 1].sum() * (len(budgets) - 2)
 
-    # parts split by (density, block) and merged in that order give the bytes
-    # of parts split by block alone
-    def merged(density_indices):
-        return merge_accumulators(
-            sweep_network(layout, ChannelParams(), curves, tables, subframes=block,
-                          seed=seed, density_grid=densities, density_indices=dis,
-                          budget_grid=budgets, subframe_s=subframe_s)
-            for dis in density_indices for block in (range(5, 22), range(22, 45)))
-
-    by_block, by_density = merged([None]), merged([(0,), (1,)])
-    for f in fields(NetworkAccumulator)[1:]:
-        assert getattr(by_density, f.name).tobytes() == getattr(by_block, f.name).tobytes()
+    # parts split by (density, block) and merged in any order give the bytes
+    # of the one-call sweep
+    parts = [sweep_network(layout, ChannelParams(), curves, tables, subframes=block,
+                           seed=seed, density_grid=densities, density_indices=(di,),
+                           budget_grid=budgets, subframe_s=subframe_s)
+             for di in (0, 1) for block in (range(5, 22), range(22, 45))]
+    for merged in (merge_accumulators(parts), merge_accumulators(parts[::-1])):
+        for f in fields(NetworkAccumulator)[1:-1]:
+            assert getattr(merged, f.name).tobytes() == getattr(acc, f.name).tobytes()
 
 
 # ---------------------------------------------------------------------------
