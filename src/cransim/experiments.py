@@ -38,8 +38,7 @@ NET_BLOCK_SUBFRAMES = 250
 MAX_GRID_POINTS = 10000
 
 # experiment -> the one config section it reads (None: none)
-EXPERIMENTS = {"cell_outage": "cell", "net_budget_sweep": "network",
-               "net_density_sweep": "network", "policy_tables": None}
+EXPERIMENTS = {"cell_outage": "cell", "net_sweep": "network", "policy_tables": None}
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -89,6 +88,7 @@ DEFAULT_CONFIG = {
         "n_subframes": 10000,
     },
 }
+_SYNTHESIZE = DEFAULT_CONFIG["network"]["synthesize"]
 
 
 def _merge_defaults(cfg, defaults, path=""):
@@ -110,12 +110,18 @@ def _known(experiment):
 
 def _schema(cfg):
     """``DEFAULT_CONFIG`` less the sections that ``cfg``'s experiment does not
-    read; all of them while the experiment is unknown."""
+    read (all of them while the experiment is unknown), and less the keys of
+    the layout synthesizer, all but ``region_km``, when a layout CSV is set."""
     exp = cfg.get("experiment")
     if not _known(exp):
         return DEFAULT_CONFIG
-    return {k: v for k, v in DEFAULT_CONFIG.items()
-            if not isinstance(v, dict) or k == EXPERIMENTS[exp]}
+    schema = {k: v for k, v in DEFAULT_CONFIG.items()
+              if not isinstance(v, dict) or k == EXPERIMENTS[exp]}
+    net = cfg.get("network")
+    if "network" in schema and isinstance(net, dict) and net.get("layout_csv") is not None:
+        region = {"region_km": _SYNTHESIZE["region_km"]}   # read by the CSV loader too
+        schema["network"] = dict(schema["network"], synthesize=region)
+    return schema
 
 
 def load_config(path):
@@ -282,12 +288,15 @@ _RULES = {
 
 def _flatten(cfg, schema, errors, path=""):
     """The leaves of a merged config by dotted field; reports unknown keys,
-    unread sections and non-object sections (whose leaves are then left out)."""
+    unread sections and keys, and non-object sections (whose leaves are then
+    left out)."""
     leaves = {}
     for key, value in cfg.items():
         field = path + key
         if not path and key in DEFAULT_CONFIG and key not in schema:
             errors.append(f"{key}: experiment {cfg['experiment']} reads no {key} section")
+        elif path == "network.synthesize." and key in _SYNTHESIZE and key not in schema:
+            errors.append(f"{field}: not read when network.layout_csv is set")
         elif key not in schema:
             errors.append(_unknown_key(field, key, schema))
         elif field in _RULES:
@@ -358,8 +367,7 @@ def _resolve(cfg):
         channel = ChannelParams(**{k: net["channel." + k]
                                    for k in DEFAULT_CONFIG["network"]["channel"]})
         net["synthesize.region_km"] = tuple(map(float, net["synthesize.region_km"]))
-        layout = (net["layout_csv"], *(net["synthesize." + k]
-                                       for k in DEFAULT_CONFIG["network"]["synthesize"]))
+        layout = (net["layout_csv"], *(net.get("synthesize." + k) for k in _SYNTHESIZE))
         layout_field = "network.synthesize" if layout[0] is None else "network.layout_csv"
         try:
             n_cloud = _layout(*layout).n_cloud
@@ -567,9 +575,9 @@ def run(cfg, workers=1):
 
 _POLICY_BUDGET = ("policy", "c_max_bit_iter_s")
 
-# experiment -> series specs: (file-name prefix, x field, y field, half-width
+# experiment -> figure specs: (file-name prefix, x field, y field, half-width
 # field or None for exact values, series sort-key fields, series label
-# fields); the single-cell sweep feeds the outage, throughput and complexity figures
+# fields).  A figure is drawn only where x takes two or more finite values
 _PLOT_SERIES = {
     "cell_outage": (
         ("cell_outage", "snr_db", "eps", "eps_hw", _POLICY_BUDGET, _POLICY_BUDGET),
@@ -577,12 +585,13 @@ _PLOT_SERIES = {
         ("cell_complexity", "snr_db", "effort_per_success_bit_iter_s", "effort_per_success_hw",
          _POLICY_BUDGET, _POLICY_BUDGET),
     ),
-    "net_budget_sweep": (("net_budget_sweep", "c_max_bit_iter_s", "sum_throughput_bps",
-                          "sum_throughput_hw_bps", ("mode", "policy", "ue_density_per_km2"),
-                          ("policy", "mode", "ue_density_per_km2")),),
-    "net_density_sweep": (("net_density_sweep", "ue_density_per_km2", "sum_throughput_bps",
-                           "sum_throughput_hw_bps", ("mode",) + _POLICY_BUDGET,
-                           ("policy", "mode", "c_max_bit_iter_s")),),
+    "net_sweep": (
+        ("net_budget_sweep", "c_max_bit_iter_s", "sum_throughput_bps", "sum_throughput_hw_bps",
+         ("mode", "policy", "ue_density_per_km2"), ("policy", "mode", "ue_density_per_km2")),
+        ("net_density_sweep", "ue_density_per_km2", "sum_throughput_bps",
+         "sum_throughput_hw_bps", ("mode",) + _POLICY_BUDGET,
+         ("policy", "mode", "c_max_bit_iter_s")),
+    ),
     "policy_tables": (("policy_tables", "mcs_index", "threshold_db", None,
                        ("policy",), ("policy",)),),
 }
@@ -611,7 +620,8 @@ def emit_plot_data(in_dir, out_dir):
     """Reshape results.json into per-series (x, y, ci_low, ci_high) files.
 
     Returns the list of files written; raises SchemaError when the results
-    are missing or carry an unsupported schema.
+    are missing, carry an unsupported schema or hold records that a figure
+    cannot read.
     """
     in_dir = Path(in_dir)
     results_path = in_dir / "results.json"
@@ -631,23 +641,32 @@ def emit_plot_data(in_dir, out_dir):
     records = payload.get("records", [])
     if not records:
         raise SchemaError("results contain no records")
+    try:
+        figures = [_figure(records, *spec) for spec in _PLOT_SERIES[experiment]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"results.json: records do not fit {experiment}: {exc!r}") from exc
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    return [_write_series(out_dir, label, sorted(rows))
+            for series in figures for (_, label), rows in sorted(series.items())]
 
-    written = []
-    for prefix, x_field, y_field, hw_field, key_fields, label_fields in _PLOT_SERIES[experiment]:
-        series = {}
-        for rec in records:
-            x = _plot_value(rec, x_field)
-            if math.isinf(x):
-                continue  # the unconstrained budget reference has no x position
-            key = tuple(_plot_value(rec, f) for f in key_fields)
-            label = "__".join([prefix] + [_label_part(rec, f) for f in label_fields])
-            hw = 0.0 if hw_field is None else rec[hw_field]
-            series.setdefault((key, label), []).append((x, rec[y_field], hw))
-        written += [_write_series(out_dir, label, sorted(rows))
-                    for (_, label), rows in sorted(series.items())]
-    return written
+
+def _figure(records, prefix, x_field, y_field, hw_field, key_fields, label_fields):
+    """One figure's series, ``{(sort key, label): [(x, y, half-width)]}``;
+    empty when x takes fewer than two finite values."""
+    series = {}
+    for rec in records:
+        x = float(_plot_value(rec, x_field))
+        if math.isinf(x):
+            continue  # the unconstrained budget reference has no x position
+        key = tuple(_plot_value(rec, f) for f in key_fields)
+        label = "__".join([prefix] + [_label_part(rec, f) for f in label_fields])
+        y = rec[y_field]
+        hw = 0.0 if hw_field is None or y is None else float(rec[hw_field])
+        series.setdefault((key, label), []).append((x, math.nan if y is None else float(y), hw))
+    if len({x for rows in series.values() for x, _, _ in rows}) < 2:
+        return {}
+    return series
 
 
 def _write_series(out_dir, label, rows):
@@ -656,10 +675,6 @@ def _write_series(out_dir, label, rows):
         writer = csv.writer(fh)
         writer.writerow(["schema_version", "series", "x", "y", "ci_low", "ci_high"])
         for x, y, hw in rows:
-            if y is None:
-                y, hw = math.nan, 0.0
-            writer.writerow([
-                RESULTS_SCHEMA_VERSION, label, repr(float(x)), repr(float(y)),
-                repr(float(y - hw)), repr(float(y + hw)),
-            ])
+            writer.writerow([RESULTS_SCHEMA_VERSION, label, repr(x), repr(y),
+                             repr(y - hw), repr(y + hw)])
     return path

@@ -36,7 +36,7 @@ class LayoutError(ValueError):
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Propagation, power-control and load parameters.
+    """Propagation and power-control parameters.
 
     Powers are normalized so the reference power over noise,
     ``snr_ref_db``, is the single free SNR parameter (SNR at 1 km).
@@ -45,7 +45,6 @@ class ChannelParams:
     alpha: float = 3.7
     s: float = 0.1
     snr_ref_db: float = 20.0
-    ue_density_per_km2: float = 0.1
     min_ue_rap_km: float = 1e-3
     max_interference_km: float = None
 
@@ -56,8 +55,6 @@ class ChannelParams:
             raise ValueError("path-loss exponent must exceed 2")
         if not 0.0 <= self.s <= 1.0:
             raise ValueError("compensation factor s must lie in [0, 1]")
-        if self.ue_density_per_km2 < 0:
-            raise ValueError("UE density must be nonnegative")
 
     @property
     def snr_ref_linear(self):
@@ -202,9 +199,9 @@ def synthesize_layout(rng, n_total=129, region=(0.0, 0.0, 20.0, 20.0),
     return build_layout(pts, region, cloud)
 
 
-def activation_probabilities(layout, ue_density_per_km2):
-    """Per-cell probability that some UE transmits: 1 - exp(-lambda A_i)."""
-    return 1.0 - np.exp(-ue_density_per_km2 * layout.areas_km2)
+def activation_probabilities(layout, density):
+    """Per-cell probability that a UE transmits, 1 - exp(-lambda A_i), at lambda = ``density``."""
+    return 1.0 - np.exp(-density * layout.areas_km2)
 
 
 def _sample_positions(layout, cells, rng, min_dist_km, batch=8, max_rounds=10000):
@@ -236,9 +233,10 @@ def _sample_positions(layout, cells, rng, min_dist_km, batch=8, max_rounds=10000
     return out
 
 
-def draw_subframe(layout, params, rng):
-    """Draw one subframe: activations, UE positions, fading, TX powers."""
-    p_active = activation_probabilities(layout, params.ue_density_per_km2)
+def draw_subframe(layout, params, density, rng):
+    """Draw one subframe at ``density`` UEs per km^2: activations, UE
+    positions, fading, TX powers."""
+    p_active = activation_probabilities(layout, density)
     active = rng.random(layout.n_total) < p_active
     active_idx = np.flatnonzero(active)
     # with no active UE the size-0 draws leave the generator state unchanged

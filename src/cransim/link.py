@@ -1,19 +1,21 @@
-"""Uplink link abstraction: MCS catalog, code-block error curves, and
+"""Uplink link abstraction: MCS catalog, code-block decoding curves, and
 stochastic turbo-decoding effort.
 
 The physical layer is reduced to a calibrated parametric model.  Each of the
 27 MCSs carries a transport-block size (45 resource blocks, 1 ms subframe)
-and a family of per-iteration code-block error-rate (CBLER) curves.  Each
-iteration contributes a logistic waterfall in dB,
+and a family of per-iteration decoding curves.  Each iteration contributes a
+logistic waterfall in dB,
 
-    raw(gamma, i) = 1 / (1 + exp(a_i * (gamma - b_i))),
+    raw(gamma, i) = 1 / (1 + exp(-a_i * (gamma - b_i))),
 
-and the effective CBLER after i iterations is the running minimum
-min_{j <= i} raw(gamma, j), which makes the model monotone decreasing in
-the iteration count by construction (an extra iteration never hurts) even
-where waterfalls of different steepness would cross.  Decoding effort is
-counted in bit-iterations: each code block of K bits that stops after I
-iterations costs K*I.
+and the probability F(i) that a code block has decoded within i iterations
+is the running maximum max_{j <= i} raw(gamma, j), which makes the model
+monotone in the iteration count by construction (an extra iteration never
+hurts) even where waterfalls of different steepness would cross.  The code
+block error rate after i iterations is 1 - F(i).  ``LinkCurves.success_cdf``
+is the one evaluator of these curves: the decoder and the policy tables
+both chain its rows.  Decoding effort is counted in bit-iterations: each
+code block of K bits that stops after I iterations costs K*I.
 
 The model's parameters are read from a calibration JSON; the package ships
 ``data/default_calibration.json``.
@@ -21,7 +23,6 @@ The model's parameters are read from a calibration JSON; the package ships
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -58,8 +59,8 @@ def modulation_for_index(index):
 class McsEntry:
     """One modulation-and-coding scheme with its waterfall parameters.
 
-    ``slopes_per_db[i-1]`` and ``midpoints_db[i-1]`` parameterize the CBLER
-    curve after iteration i, for i = 1..i_max.
+    ``slopes_per_db[i-1]`` and ``midpoints_db[i-1]`` parameterize the
+    waterfall of iteration i, for i = 1..i_max.
     """
 
     index: int
@@ -70,7 +71,7 @@ class McsEntry:
 
 
 class LinkCurves:
-    """Catalog-level CBLER evaluator backed by the logistic waterfall model."""
+    """Catalog-level decoding curves backed by the logistic waterfall model."""
 
     def __init__(self, catalog, i_max=DEFAULT_I_MAX):
         validate_catalog(catalog, i_max)
@@ -86,24 +87,6 @@ class LinkCurves:
         self.cb_bits = np.zeros((len(catalog), self.max_cbs), dtype=np.int64)
         for m, s in enumerate(segs):
             self.cb_bits[m, : len(s)] = s
-
-    def cbler(self, mcs_index, gamma_db, iters):
-        """CBLER of ``mcs_index`` at SNR ``gamma_db`` after ``iters`` iterations.
-
-        ``iters = 0`` returns 1 by convention.  gamma of +inf/-inf maps to
-        0/1; NaN is rejected.  The running minimum is taken row by row over
-        the waterfalls of iterations 1..``iters``.
-        """
-        if iters < 0 or iters > self.i_max:
-            raise ValueError(f"iteration count {iters} outside 0..{self.i_max}")
-        if np.any(np.isnan(gamma_db)):
-            raise ValueError("SNR must not be NaN")
-        if iters == 0:
-            return np.ones_like(np.asarray(gamma_db, dtype=float))[()] if np.ndim(gamma_db) else 1.0
-        g = np.asarray(gamma_db, dtype=float)
-        rows = (expit(-a * (g - b)) for a, b in zip(*self._ab[:, :iters, mcs_index]))
-        out = functools.reduce(np.minimum, rows)
-        return out[()] if np.ndim(gamma_db) == 0 else out
 
     def success_cdf(self, mcs_index, gamma_db, i, floor=None):
         """Row ``i`` (1..i_max) of P(CB decoded within i iterations): the

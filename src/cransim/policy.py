@@ -2,10 +2,12 @@
 
 A policy table maps SNR to the highest MCS whose transport-block outage
 stays at or below the target ``eps_hat`` after a fixed number of decoder
-iterations.  The max-rate policy (MRS) budgets 8 iterations; the
-computationally aware policy (CAS) budgets 2, trading spectral efficiency
-for decoding effort.  The SNR margin between the two tables quantifies the
-cost of the conservative choice.
+iterations: 1 - F^C for C code blocks, F being the chained rows of
+``LinkCurves.success_cdf``, the one evaluator of the decoding curves.  The
+max-rate policy (MRS) budgets 8 iterations; the computationally aware
+policy (CAS) budgets 2, trading spectral efficiency for decoding effort.
+The SNR margin between the two tables quantifies the cost of the
+conservative choice.
 """
 
 from __future__ import annotations
@@ -52,23 +54,24 @@ def build_policy_table(curves, iteration_budget, eps_hat=DEFAULT_EPS_HAT):
     n = int(round((GRID_MAX_DB - GRID_MIN_DB) / GRID_STEP_DB)) + 1
     grid = GRID_MIN_DB + GRID_STEP_DB * np.arange(n)
     thresholds = []
-    for m, entry in enumerate(curves.catalog):
-        eps_cb = curves.cbler(m, grid, iteration_budget)
-        # log1p/expm1 form of 1 - (1 - eps)^C, immune to cancellation at
-        # tiny eps_cb; eps_cb == 1 maps through -inf to outage 1
+    for m in range(len(curves.catalog)):
+        f = None    # F: P(CB decoded within i iterations), row by row
+        for i in range(1, iteration_budget + 1):
+            f = curves.success_cdf(m, grid, i, f)
+        # the TB outage 1 - F^C in expm1 form; F == 0 maps through -inf to 1.
+        # F rounded to 1 leaves the outage unresolved, so it meets no target
         with np.errstate(divide="ignore"):
-            outage = -np.expm1(int(curves.num_cbs[m]) * np.log1p(-eps_cb))
-        ok = outage <= eps_hat
+            outage = -np.expm1(int(curves.num_cbs[m]) * np.log(f))
+        ok = (outage <= eps_hat) & (f < 1.0)
         if not ok.any():
             raise ConfigurationError(
                 f"MCS {m} never meets eps_hat={eps_hat} after "
                 f"{iteration_budget} iterations on [{GRID_MIN_DB}, {GRID_MAX_DB}] dB"
             )
         thresholds.append(float(grid[int(np.argmax(ok))]))
-    arr = np.asarray(thresholds)
     # equal thresholds are legal only where the target never binds (the
     # whole table collapsed to the search floor)
-    if not np.all(np.diff(arr) >= 0):
+    if not np.all(np.diff(thresholds) >= 0):
         raise ConfigurationError("policy thresholds are not monotone in MCS index")
     return PolicyTable(
         iteration_budget=iteration_budget,

@@ -128,11 +128,11 @@ def comp_outage_masks(raps, sinr_db, efforts, limits, pooled, subframe=0):
 
 
 def sweep_network(layout, params, curves, tables, *, subframes, seed,
-                  density_grid=None, density_indices=None, budget_grid=(math.inf,),
+                  density_grid, density_indices=None, budget_grid=(math.inf,),
                   modes=(LP, CP), policies=("MRS", "CAS"),
                   subframe_s=link.SUBFRAME_S, low_snr_fallback=True,
                   keep_subframe_sums=False):
-    """Monte Carlo sweep over UE density and/or complexity budget.
+    """Monte Carlo sweep over UE density (UEs per km^2) and complexity budget.
 
     ``subframes`` is the (nonempty) range of subframe indices to simulate, and
     ``density_indices`` the indices into the (deduplicated) density grid to
@@ -148,15 +148,13 @@ def sweep_network(layout, params, curves, tables, *, subframes, seed,
     Returns a NetworkAccumulator over the grid (repeated grid values count
     once); use ``finalize_records`` to turn it into NetworkRecords.
     """
-    if density_grid is None:
-        density_grid = (params.ue_density_per_km2,)
     axes = tuple(tuple(dict.fromkeys(a))
                  for a in (density_grid, budget_grid, modes, policies))
     densities, budgets, modes, policies = axes
     if not set(modes) <= {LP, CP}:
         raise ValueError(f"modes must be LP or CP, got {modes}")
-    if not all(b >= 0 for b in budgets):
-        raise ValueError("budgets must be nonnegative (may be inf)")
+    if not all(v >= 0 for v in densities + budgets):
+        raise ValueError("densities and budgets must be nonnegative (budgets may be inf)")
     if layout.n_cloud < 1:
         raise ValueError("n_cloud must be >= 1")
     if not len(subframes):
@@ -176,11 +174,10 @@ def sweep_network(layout, params, curves, tables, *, subframes, seed,
     per_rap = np.array(budgets, dtype=float)
     limits = {LP: per_rap * subframe_s, CP: layout.n_cloud * per_rap * subframe_s}
     for di in range(len(densities)) if density_indices is None else density_indices:
-        dparams = replace(params, ue_density_per_km2=densities[di])
         drawn = []
         for stream in rng.substreams(seed, "net", di, last=subframes):
-            drop = geometry.draw_subframe(layout, dparams, stream)
-            targets, sinr = geometry.cloud_sinrs(drop, layout, dparams)
+            drop = geometry.draw_subframe(layout, params, densities[di], stream)
+            targets, sinr = geometry.cloud_sinrs(drop, layout, params)
             drawn.append((targets, sinr, stream.random((len(targets), curves.max_cbs))))
         targets, sinr, u = (np.concatenate(parts) for parts in zip(*drawn))
         subframe = np.repeat(np.arange(len(subframes)), [len(d[0]) for d in drawn])

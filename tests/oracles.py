@@ -9,7 +9,10 @@ them.  The link kernels and the trial loop also keep their trial-major
 forms here (``success_cdf``, ``cb_outcomes``, ``simulate_trials``): every
 cdf row for every trial, with no early stop.  The production decoder, which
 evaluates the rows one at a time and only for undecoded trials, must match
-them bit for bit.  Alongside them sit the closed forms the tests compare
+them bit for bit.  ``cbler``, the code-block error rate 1 - F(i) as a
+running min of its own waterfalls, is an independent evaluator of the link
+curves that ``LinkCurves.success_cdf`` serves in the package.  Alongside
+them sit the closed forms the tests compare
 estimates with (``tb_channel_outage_prob``, the exact convolution
 ``comp_outage_prob``, ``raw_throughput``) and a layout writer
 (``save_layout_csv``) for the layout-CSV round trip.
@@ -33,6 +36,24 @@ from cransim.scheduling import CP
 # ---------------------------------------------------------------------------
 # link: one transport block
 # ---------------------------------------------------------------------------
+
+
+def cbler(curves, mcs_index, gamma_db, iters):
+    """CB error rate of ``mcs_index`` at SNR ``gamma_db`` after ``iters``
+    iterations: the running min of ``expit(-a_i * (gamma - b_i))`` over the
+    waterfalls of iterations 1..``iters`` of ``curves.catalog``, and 1 for
+    ``iters = 0``.  gamma of +inf/-inf maps to 0/1; NaN is rejected.
+    """
+    if not 0 <= iters <= curves.i_max:
+        raise ValueError(f"iteration count {iters} outside 0..{curves.i_max}")
+    g = np.asarray(gamma_db, dtype=float)
+    if np.isnan(g).any():
+        raise ValueError("SNR must not be NaN")
+    entry = curves.catalog[mcs_index]
+    out = np.ones_like(g)
+    for a, b in zip(entry.slopes_per_db[:iters], entry.midpoints_db[:iters]):
+        out = np.minimum(out, expit(-a * (g - b)))
+    return out[()]
 
 
 def tb_channel_outage_prob(eps_cb, num_cbs):
@@ -66,7 +87,7 @@ def iteration_pmf(curves, mcs, gamma_db):
     I = i_max.
     """
     idx = mcs.index if isinstance(mcs, McsEntry) else int(mcs)
-    cb = np.array([curves.cbler(idx, gamma_db, i) for i in range(curves.i_max + 1)])
+    cb = np.array([cbler(curves, idx, gamma_db, i) for i in range(curves.i_max + 1)])
     p_fail = float(cb[-1])
     if p_fail >= 1.0:
         return None, 1.0
@@ -86,7 +107,7 @@ def simulate_tb(mcs, curves, gamma_db, rng):
     num_cbs, cb_bits = segment_tb(mcs.tb_bits)
     idx = mcs.index
     i_max = curves.i_max
-    cdf = [0.0] + [1.0 - curves.cbler(idx, gamma_db, i) for i in range(1, i_max + 1)]
+    cdf = [0.0] + [1.0 - cbler(curves, idx, gamma_db, i) for i in range(1, i_max + 1)]
     iters = []
     failed = []
     for u in rng.random(num_cbs):

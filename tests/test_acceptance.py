@@ -30,7 +30,7 @@ from cransim.link import SUBFRAME_S, load_calibration, segment_tb, simulate_cbs
 from cransim.policy import build_policy_tables
 from cransim.rng import substream
 from cransim.scheduling import sweep_network
-from oracles import comp_outage_prob, raw_throughput, tb_channel_outage_prob
+from oracles import cbler, comp_outage_prob, raw_throughput, tb_channel_outage_prob
 
 SNR_GRID = [float(g) for g in range(-20, 42, 2)]
 CELL_TRIALS = 100_000
@@ -68,11 +68,11 @@ def net_layout():
 
 @pytest.fixture(scope="session")
 def budget_sweep(curves, tables, net_layout):
-    params = ChannelParams(ue_density_per_km2=0.1, alpha=3.7, snr_ref_db=20.0)
+    params = ChannelParams(alpha=3.7, snr_ref_db=20.0)
     budgets = tuple(4e6 * k for k in range(26)) + (math.inf,)
     acc = sweep_network(
         net_layout, params, curves, tables, subframes=range(NET_SUBFRAMES),
-        seed=1889, budget_grid=budgets, modes=("LP", "CP"),
+        seed=1889, density_grid=(0.1,), budget_grid=budgets, modes=("LP", "CP"),
         policies=("MRS", "CAS"), keep_subframe_sums=True,
     )
     return acc, budgets
@@ -80,7 +80,7 @@ def budget_sweep(curves, tables, net_layout):
 
 @pytest.fixture(scope="session")
 def density_sweep(curves, tables, net_layout):
-    params = ChannelParams(ue_density_per_km2=0.1, alpha=3.7, snr_ref_db=20.0)
+    params = ChannelParams(alpha=3.7, snr_ref_db=20.0)
     densities = tuple(np.logspace(-2, 0, 10))
     acc = sweep_network(
         net_layout, params, curves, tables, subframes=range(DENSITY_SUBFRAMES),
@@ -99,9 +99,9 @@ def test_criterion_1_calibration_anchors(curves):
     tb11 = curves.catalog[11].tb_bits
     # locate the crossing SNR independently: where the 2-iteration CBLER of
     # MCS 10 falls through 0.25
-    gamma_star = brentq(lambda g: curves.cbler(10, g, 2) - 0.25, -20.0, 60.0)
-    v10 = curves.cbler(10, gamma_star, 2)
-    v11 = curves.cbler(11, gamma_star, 8)
+    gamma_star = brentq(lambda g: cbler(curves, 10, g, 2) - 0.25, -20.0, 60.0)
+    v10 = cbler(curves, 10, gamma_star, 2)
+    v11 = cbler(curves, 11, gamma_star, 8)
     top = raw_throughput(curves.catalog[26])
     ok = (
         tb10 == 8064
@@ -144,9 +144,9 @@ def test_criterion_3_sampler_fidelity(curves):
         iters, failed = simulate_cbs(curves, m, np.full(n, gamma), u)
         iters = iters[0]
         failed = failed[0]
-        p_fail = float(curves.cbler(m, gamma, curves.i_max))
+        p_fail = float(cbler(curves, m, gamma, curves.i_max))
         pmf = np.array([
-            (curves.cbler(m, gamma, i - 1) - curves.cbler(m, gamma, i))
+            (cbler(curves, m, gamma, i - 1) - cbler(curves, m, gamma, i))
             for i in range(1, curves.i_max + 1)
         ]) / (1.0 - p_fail)
         ok_iters = iters[~failed]
@@ -329,11 +329,11 @@ def test_criterion_9_geometry(net_layout):
 
     raps = np.array([[2.0, 1.25], [6.0, 1.25]])
     two = build_layout(raps, (0.0, 0.0, 8.0, 2.5), cloud_group=(0, 1))
-    params = ChannelParams(ue_density_per_km2=0.1)
+    params = ChannelParams()
     n = 30_000
     hits = np.zeros(2)
     for t in range(n):
-        drop = draw_subframe(two, params, substream(91, "net", 0, t))
+        drop = draw_subframe(two, params, 0.1, substream(91, "net", 0, t))
         hits += drop.active
     p = activation_probabilities(two, 0.1)
     sig = np.sqrt(p * (1 - p) / n)
@@ -375,7 +375,7 @@ def test_criterion_10_determinism(tmp_path):
 
     def net_cfg(out):
         return {
-            "experiment": "net_budget_sweep", "seed": 23, "output_dir": str(out),
+            "experiment": "net_sweep", "seed": 23, "output_dir": str(out),
             "network": {
                 "synthesize": {"n_total": 32, "n_cloud": 6,
                                "region_km": [0.0, 0.0, 10.0, 10.0],

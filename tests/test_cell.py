@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -41,14 +42,13 @@ def tables(curves):
 
 
 class StepCurve:
-    """Every CB succeeds at exactly ``converge_at`` iterations."""
+    """Every CB succeeds at exactly ``converge_at`` iterations: the waterfalls
+    of the earlier iterations sit at +inf dB, the later ones at -inf dB."""
 
     def __init__(self, converge_at=4, i_max=8):
-        self.converge_at = converge_at
         self.i_max = i_max
-
-    def cbler(self, mcs_index, gamma_db, iters):
-        return 1.0 if iters < self.converge_at else 0.0
+        mids = tuple(math.inf if i < converge_at else -math.inf for i in range(1, i_max + 1))
+        self.catalog = [SimpleNamespace(slopes_per_db=(1.0,) * i_max, midpoints_db=mids)] * 27
 
 
 def pick_gamma_for(table, mcs_index):

@@ -39,9 +39,9 @@ def tiny_cell_config(out_dir, seed=7):
     }
 
 
-def tiny_net_config(out_dir, seed=11, experiment="net_budget_sweep"):
+def tiny_net_config(out_dir, seed=11):
     cfg = {
-        "experiment": experiment,
+        "experiment": "net_sweep",
         "seed": seed,
         "output_dir": str(out_dir),
         "network": {
@@ -84,7 +84,7 @@ def test_defaults_merged(tmp_path):
     assert cfg["cell"]["n_trials"] == 100000
     assert "network" not in cfg
     assert validate_config(cfg) == []
-    cfg = load_config(write_config(tmp_path, {"experiment": "net_budget_sweep"}))
+    cfg = load_config(write_config(tmp_path, {"experiment": "net_sweep"}))
     assert cfg["network"]["channel"]["alpha"] == 3.7
     assert "cell" not in cfg
     assert validate_config(cfg) == []
@@ -125,7 +125,7 @@ def test_validation_checks_network_fields(tmp_path):
         "network.budget_grid_mbit_iter_s: budgets must be >= 0 or null",
         "network.density_grid_per_km2: densities must be >= 0",
     ]
-    cfg = tiny_net_config(tmp_path, experiment="net_density_sweep")
+    cfg = tiny_net_config(tmp_path)
     cfg["network"]["budget_grid_mbit_iter_s"] = [None, -30.0]
     assert validate_config(cfg) == [
         "network.budget_grid_mbit_iter_s: budgets must be >= 0 or null",
@@ -155,7 +155,7 @@ def test_validation_checks_network_fields(tmp_path):
 @pytest.mark.parametrize("section", ["cell", "network", "network.synthesize",
                                      "network.channel"])
 def test_validation_rejects_non_object_sections(tmp_path, section):
-    experiment = "cell_outage" if section == "cell" else "net_budget_sweep"
+    experiment = "cell_outage" if section == "cell" else "net_sweep"
     cfg = {"experiment": experiment}
     *parents, key = section.split(".")
     node = cfg
@@ -173,12 +173,17 @@ def test_validation_builds_the_layout(tmp_path, capsys):
     rows = [f"{i},{1.5 * (i % 6) + 0.5!r},{2.0 * (i // 6) + 0.5!r},0" for i in range(24)]
     csv_path.write_text("id,x_km,y_km,in_cloud_group\n" + "\n".join(rows) + "\n")
     cfg = tiny_net_config(tmp_path)
-    cfg["network"]["layout_csv"] = str(csv_path)
+    cfg["network"].update(layout_csv=str(csv_path), synthesize={"region_km": [0.0, 0.0, 9.0, 9.0]})
     assert validate_config(cfg) == ["network.layout_csv: no RAP is in the cloud group"]
     cfg_path = write_config(tmp_path, cfg)
     for command in ("validate", "run"):
         assert cli_main([command, "--config", str(cfg_path)]) == 2
     assert "network.layout_csv: no RAP is in the cloud group" in capsys.readouterr().err
+    # with a layout CSV, region_km is the one synthesize key read, and merged
+    del cfg["network"]["synthesize"]
+    merged = load_config(write_config(tmp_path, cfg))["network"]["synthesize"]
+    assert merged == {"region_km": [0.0, 0.0, 20.0, 20.0]}
+    assert validate_config(cfg) == ["network.layout_csv: no RAP is in the cloud group"]
     # a LayoutError from the synthesizer names the synthesize section
     cfg = tiny_net_config(tmp_path)
     cfg["network"]["synthesize"]["region_km"] = [9.0, 0.0, 0.0, 9.0]
@@ -186,9 +191,9 @@ def test_validation_builds_the_layout(tmp_path, capsys):
 
 
 def test_net_density_budget_range(tmp_path):
-    # the density sweep reads the budget grid that the budget sweep reads
+    # a budget range object, with the unconstrained budget added
     out = tmp_path / "dens"
-    cfg = tiny_net_config(out, experiment="net_density_sweep")
+    cfg = tiny_net_config(out)
     cfg["network"]["budget_grid_mbit_iter_s"] = {"start": 10.0, "stop": 30.0, "step": 20.0,
                                                  "include_unconstrained": True}
     cfg["network"]["n_subframes"] = 20
@@ -259,7 +264,7 @@ def test_net_run_independent_of_block_length(tmp_path, monkeypatch):
     # every sum is an exact integer sum, so the bytes do not depend on how
     # the subframes are split into work blocks; with 0.7 ms subframes the
     # throughputs are not whole numbers, and float sums of them would
-    cfg = tiny_net_config(tmp_path / "b250", experiment="net_density_sweep")
+    cfg = tiny_net_config(tmp_path / "b250")
     cfg["subframe_s"] = 0.7e-3
     cfg["network"]["n_subframes"] = 40
     run(cfg)
@@ -271,13 +276,13 @@ def test_net_run_independent_of_block_length(tmp_path, monkeypatch):
 
 def test_net_density_run(tmp_path):
     # network.modes is run as given: LP is not dropped when CP is listed
-    cfg = tiny_net_config(tmp_path / "both", experiment="net_density_sweep")
+    cfg = tiny_net_config(tmp_path / "both")
     run(cfg)
     records = json.loads((tmp_path / "both" / "results.json").read_text())["records"]
     # 2 densities x 3 budgets x 2 modes x 2 policies
     assert len(records) == 24
     assert {r["mode"] for r in records} == {"LP", "CP"}
-    cfg = tiny_net_config(tmp_path / "cp", experiment="net_density_sweep")
+    cfg = tiny_net_config(tmp_path / "cp")
     cfg["network"]["modes"] = ["CP"]
     run(cfg)
     records = json.loads((tmp_path / "cp" / "results.json").read_text())["records"]
@@ -342,7 +347,8 @@ def test_emit_plot_data_cell(tmp_path):
 def test_emit_plot_data_budget_sweep(tmp_path):
     out = tmp_path / "net"
     run(tiny_net_config(out))
-    written = emit_plot_data(out, tmp_path / "plots")
+    written = [p for p in emit_plot_data(out, tmp_path / "plots")
+               if p.name.startswith("net_budget_sweep__")]
     # one file per (policy, mode, density): two densities never share a file
     assert sorted(p.name for p in written) == sorted(
         f"net_budget_sweep__{policy}__{mode}__lambda_{density}.csv"
@@ -355,8 +361,9 @@ def test_emit_plot_data_budget_sweep(tmp_path):
 
 def test_emit_plot_data_density_sweep(tmp_path):
     out = tmp_path / "net"
-    run(tiny_net_config(out, experiment="net_density_sweep"))
-    written = emit_plot_data(out, tmp_path / "plots")
+    run(tiny_net_config(out))
+    written = [p for p in emit_plot_data(out, tmp_path / "plots")
+               if p.name.startswith("net_density_sweep__")]
     # one file per (policy, mode, budget): LP and CP never share a file
     assert sorted(p.name for p in written) == sorted(
         f"net_density_sweep__{policy}__{mode}__{budget}.csv"
@@ -369,7 +376,8 @@ def test_emit_plot_data_density_sweep(tmp_path):
 
 def test_emit_plot_data_distinct_grid_values(tmp_path):
     # densities that agree to 6 significant digits still get a file each,
-    # and a density of extreme magnitude still gets a short name
+    # and a density of extreme magnitude still gets a short name; the three
+    # densities are also the x values of one density figure per budget
     out = tmp_path / "net"
     cfg = tiny_net_config(out)
     cfg["network"].update(density_grid_per_km2=[0.1, 0.1000001, 1e-250], n_subframes=5,
@@ -379,7 +387,33 @@ def test_emit_plot_data_distinct_grid_values(tmp_path):
     assert sorted(p.name for p in written) == [
         "net_budget_sweep__MRS__CP__lambda_0.1.csv",
         "net_budget_sweep__MRS__CP__lambda_0.1000001.csv",
-        "net_budget_sweep__MRS__CP__lambda_1e-250.csv"]
+        "net_budget_sweep__MRS__CP__lambda_1e-250.csv",
+        "net_density_sweep__MRS__CP__cmax_10M.csv",
+        "net_density_sweep__MRS__CP__cmax_40M.csv",
+        "net_density_sweep__MRS__CP__cmax_inf.csv"]
+
+
+# The plot files of the shipped network configs, recorded before their two
+# experiments became net_sweep: a figure whose x takes a single finite value
+# (the density of net_budget_sweep.json, the finite budget of
+# net_density_sweep.json) is not drawn.
+SHIPPED_NET_PLOTS = {
+    "net_budget_sweep": [f"net_budget_sweep__{policy}__{mode}__lambda_0.1.csv"
+                         for policy in ("CAS", "MRS") for mode in ("CP", "LP")],
+    "net_density_sweep": [f"net_density_sweep__{policy}__CP__{budget}.csv"
+                          for policy in ("CAS", "MRS") for budget in ("cmax_30M", "cmax_inf")],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_NET_PLOTS))
+def test_emit_plot_data_shipped_net_configs(tmp_path, monkeypatch, name):
+    monkeypatch.delenv("CRANSIM_OUTPUT_DIR", raising=False)
+    cfg = load_config(CONFIG_DIR / f"{name}.json")
+    cfg["output_dir"] = str(tmp_path / "out")
+    cfg["network"]["n_subframes"] = 3
+    run(cfg)
+    written = emit_plot_data(tmp_path / "out", tmp_path / "plots")
+    assert sorted(p.name for p in written) == SHIPPED_NET_PLOTS[name]
 
 
 def test_emit_plot_data_errors(tmp_path):
@@ -398,6 +432,19 @@ def test_emit_plot_data_errors(tmp_path):
         {"schema_version": 1, "experiment": "cell_throughput", "records": [{}]}))
     with pytest.raises(SchemaError, match="unknown experiment 'cell_throughput'"):
         emit_plot_data(bad, tmp_path / "plots")
+    # records that are not objects, or lack a field that a figure reads
+    record = {"snr_db": 0.0, "policy": "MRS", "c_max_bit_iter_s": None, "eps": 0.5,
+              "eps_hw": 0.1, "t_eff_bps": 1.0, "t_eff_hw_bps": 0.1}
+    for records, problem in (([1], "not subscriptable"),
+                             ([record], "effort_per_success_bit_iter_s")):
+        (bad / "results.json").write_text(json.dumps(
+            {"schema_version": 1, "experiment": "cell_outage", "records": records}))
+        with pytest.raises(SchemaError, match=f"records do not fit cell_outage: .*{problem}"):
+            emit_plot_data(bad, tmp_path / "plots")
+    assert not (tmp_path / "plots").exists()
+    (bad / "results.json").write_text(json.dumps(
+        {"schema_version": 1, "experiment": "cell_outage", "records": [1]}))
+    assert cli_main(["emit-plots", "--in", str(bad), "--out", str(tmp_path / "plots")]) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -442,13 +489,13 @@ def test_cli_emit_plots_empty_dir_exits_4(tmp_path, capsys):
 
 def test_shipped_configs_validate():
     paths = sorted(CONFIG_DIR.glob("*.json"))
-    assert paths
-    # one shipped config per experiment, named after it
-    assert sorted(p.stem for p in paths) == sorted(EXPERIMENTS)
-    for path in paths:
-        cfg = load_config(path)
-        assert cfg["experiment"] == path.stem, path
-        assert validate_config(cfg) == [], path
+    # every experiment has a shipped config; net_sweep has two, one per figure
+    configs = {p.stem: load_config(p) for p in paths}
+    assert {cfg["experiment"] for cfg in configs.values()} == set(EXPERIMENTS)
+    assert [name for name, cfg in configs.items() if cfg["experiment"] == "net_sweep"] == [
+        "net_budget_sweep", "net_density_sweep"]
+    for name, cfg in configs.items():
+        assert validate_config(cfg) == [], name
 
 
 # SHA-256 of (results.json, results.csv) for the shipped network configs cut to
@@ -456,11 +503,11 @@ def test_shipped_configs_validate():
 # that alters result bytes must update these and say why in CHANGES.md.
 GOLDEN_NET_DIGESTS = {
     "net_budget_sweep": (
-        "48aa921d03946d4ff93fbb7ef87616f9f9dc51e7f5b5864751805f277cc09cd1",
+        "baba0ccefdf187e93750a457c2b56b66d1226c654ef60338e06651c3895b9456",
         "02b0ebfe5e184f80080482c959e4adfb759053d56499522cbb4c2219cf10f59a",
     ),
     "net_density_sweep": (
-        "8f13db41b41459f7b616e8ecaa69a74bbd58a511f172db1a75a8511d94f3f74b",
+        "bf137c7630b8713e29fead4584ea1d5069a1b2a6e3fc629c1fcc37263e03d118",
         "82fcfad0984fc099c3c07c0945a82a7272f9d0fe433797c9cbbc6de86990fd46",
     ),
 }
@@ -529,6 +576,15 @@ def small_net_config(out_dir):
     return cfg
 
 
+def small_csv_config(out_dir):
+    """``small_net_config`` on a 3-RAP layout CSV written next to ``out_dir``."""
+    csv_path = Path(out_dir).parent / "layout.csv"
+    csv_path.write_text("id,x_km,y_km,in_cloud_group\n0,3.0,3.0,1\n1,6.0,3.0,1\n2,4.5,6.0,0\n")
+    cfg = small_net_config(out_dir)
+    cfg["network"].update(layout_csv=str(csv_path), synthesize={"region_km": [0.0, 0.0, 9.0, 9.0]})
+    return cfg
+
+
 @dataclass(frozen=True)
 class FileWith:
     """A config value naming a file that holds ``text``."""
@@ -553,7 +609,7 @@ MALFORMED = [
     ("cell", "network", {"n_subframes": 5},
      "network: experiment cell_outage reads no network section"),
     ("net", "cell", {"n_trials": 20},
-     "cell: experiment net_budget_sweep reads no cell section"),
+     "cell: experiment net_sweep reads no cell section"),
     ("cell", "experiment", "policy_tables",
      "cell: experiment policy_tables reads no cell section"),
     ("net", "network.c_max_mbit_iter_s", [None, 30.0],
@@ -586,9 +642,14 @@ MALFORMED = [
      "calibration_file: unsupported calibration schema_version None"),
     ("net", "calibration_file", FileWith("i_max = 8"), "calibration_file: Expecting value"),
     # a RAP on the region edge (the region is [0, 9]^2)
-    ("net", "network.layout_csv",
+    ("csv", "network.layout_csv",
      FileWith("id,x_km,y_km,in_cloud_group\n0,4.0,4.0,1\n1,9.0,4.0,1\n"),
      "network.layout_csv: RAP 1 lies outside the region or within 1e-09 km of its boundary"),
+    # a layout CSV fixes the RAPs: the synthesizer's keys would be ignored
+    ("csv", "network.synthesize", {"n_total": 50, "n_cloud": 7},
+     "network.synthesize.n_total: not read when network.layout_csv is set"),
+    ("csv", "network.synthesize.layout_seed", 3,
+     "network.synthesize.layout_seed: not read when network.layout_csv is set"),
     ("cell", "calibration_file", FileWith(json.dumps({"schema_version": 1})),
      "calibration_file: malformed calibration: KeyError('mcs')"),
     # run lengths whose exact sums of squares could leave int64: a trial's
@@ -604,7 +665,7 @@ MALFORMED = [
 @pytest.mark.parametrize("base, field, value, message", MALFORMED,
                          ids=[f"{field}={value!r}" for _, field, value, _ in MALFORMED])
 def test_malformed_config_exits_2(tmp_path, capsys, base, field, value, message):
-    make = small_cell_config if base == "cell" else small_net_config
+    make = {"cell": small_cell_config, "net": small_net_config, "csv": small_csv_config}[base]
     if isinstance(value, FileWith):
         (tmp_path / "value").write_text(value.text)
         value = str(tmp_path / "value")
@@ -628,7 +689,6 @@ def test_grid_objects_replace_the_default(tmp_path):
     # budget grid takes a range object too
     out = tmp_path / "dens"
     cfg = small_net_config(out)
-    cfg["experiment"] = "net_density_sweep"
     cfg["network"]["density_grid_per_km2"] = {"start": 0.1, "stop": 0.3, "step": 0.1}
     assert cli_main(["run", "--config", str(write_config(tmp_path, cfg))]) == 0
     records = json.loads((out / "results.json").read_text())["records"]

@@ -101,12 +101,12 @@ def test_activation_probability_formula(two_cell_layout):
 
 def test_activation_frequency_matches_void_probability(two_cell_layout):
     # closed-form Bernoulli oracle: lambda * A = 1 -> p = 1 - e^{-1}
-    params = ChannelParams(ue_density_per_km2=0.1)
+    params = ChannelParams()
     n = 30_000
     hits = np.zeros(2)
     for t in range(n):
         rng = substream(99, "net", 0, t)
-        drop = draw_subframe(two_cell_layout, params, rng)
+        drop = draw_subframe(two_cell_layout, params, 0.1, rng)
         hits += drop.active
     p = 1 - math.exp(-1.0)
     sigma = math.sqrt(p * (1 - p) / n)
@@ -115,22 +115,18 @@ def test_activation_frequency_matches_void_probability(two_cell_layout):
 
 def test_zero_and_huge_density(two_cell_layout):
     rng = substream(1, "net", 0, 0)
-    none = draw_subframe(
-        two_cell_layout, ChannelParams(ue_density_per_km2=0.0), rng
-    )
+    none = draw_subframe(two_cell_layout, ChannelParams(), 0.0, rng)
     assert not none.active.any()
     rng = substream(1, "net", 0, 1)
-    all_on = draw_subframe(
-        two_cell_layout, ChannelParams(ue_density_per_km2=1e6), rng
-    )
+    all_on = draw_subframe(two_cell_layout, ChannelParams(), 1e6, rng)
     assert all_on.active.all()
 
 
 def test_positions_inside_own_cell(big_layout):
-    params = ChannelParams(ue_density_per_km2=0.3)
+    params = ChannelParams()
     for t in range(50):
         rng = substream(3, "net", 0, t)
-        drop = draw_subframe(big_layout, params, rng)
+        drop = draw_subframe(big_layout, params, 0.3, rng)
         if len(drop.active_idx) == 0:
             continue
         _, nearest = cKDTree(big_layout.rap_xy).query(drop.ue_xy)
@@ -141,11 +137,11 @@ def test_positions_inside_own_cell(big_layout):
 def test_in_cell_uniformity_chi2(two_cell_layout):
     # cell 0 is exactly the rectangle [0,4] x [0,2.5]; bin on an equal-area
     # grid and test uniformity
-    params = ChannelParams(ue_density_per_km2=10.0)  # always active
+    params = ChannelParams()
     xs = []
     for t in range(20_000):
         rng = substream(17, "net", 0, t)
-        drop = draw_subframe(two_cell_layout, params, rng)
+        drop = draw_subframe(two_cell_layout, params, 10.0, rng)  # always active
         row = np.flatnonzero(drop.active_idx == 0)
         if len(row):
             xs.append(drop.ue_xy[row[0]])
@@ -306,10 +302,10 @@ def test_sinr_single_interferer_hand_oracle(two_cell_layout):
 
 
 def test_cloud_sinrs_matches_scalar(big_layout):
-    params = ChannelParams(ue_density_per_km2=0.3)
+    params = ChannelParams()
     for t in range(20):
         rng = substream(5, "net", 0, t)
-        drop = draw_subframe(big_layout, params, rng)
+        drop = draw_subframe(big_layout, params, 0.3, rng)
         targets, sinr = cloud_sinrs(drop, big_layout, params)
         for rap, value in zip(targets, sinr):
             assert value == pytest.approx(
@@ -328,8 +324,8 @@ def test_power_control_softens_distance_decay():
 
 
 def test_interference_range_restriction(two_cell_layout):
-    params_all = ChannelParams(ue_density_per_km2=0.1)
-    params_cut = ChannelParams(ue_density_per_km2=0.1, max_interference_km=1.0)
+    params_all = ChannelParams()
+    params_cut = ChannelParams(max_interference_km=1.0)
     drop = SubframeDrop(
         active=np.array([True, True]),
         active_idx=np.array([0, 1]),

@@ -1,12 +1,13 @@
 import json
 import math
 from importlib import resources
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import expit
+from scipy.special import expit, logit
 
 import oracles
 from calibration import crossing_calibration, default_calibration
@@ -19,7 +20,7 @@ from cransim.link import (
     simulate_cbs,
     simulate_tb_batch,
 )
-from oracles import iteration_pmf, simulate_tb, tb_channel_outage_prob
+from oracles import cbler, iteration_pmf, simulate_tb, tb_channel_outage_prob
 
 
 @pytest.fixture(scope="module")
@@ -96,9 +97,9 @@ def test_tb_channel_outage_matches_complement_product(eps, c):
 # ---------------------------------------------------------------------------
 
 def test_cbler_basic_shape(curves):
-    assert curves.cbler(0, -50.0, 8) > 0.999
-    assert curves.cbler(0, 50.0, 8) < 1e-6
-    assert curves.cbler(12, 5.0, 0) == 1.0
+    assert cbler(curves, 0, -50.0, 8) > 0.999
+    assert cbler(curves, 0, 50.0, 8) < 1e-6
+    assert cbler(curves, 12, 5.0, 0) == 1.0
 
 
 def test_cbler_monotone_in_snr_and_iterations(curves):
@@ -106,17 +107,17 @@ def test_cbler_monotone_in_snr_and_iterations(curves):
     for m in range(27):
         prev = np.ones_like(grid)
         for i in range(1, curves.i_max + 1):
-            vals = curves.cbler(m, grid, i)
+            vals = cbler(curves, m, grid, i)
             assert np.all(np.diff(vals) <= 1e-15), f"MCS {m} iter {i} not monotone in SNR"
             assert np.all(vals <= prev + 1e-15), f"MCS {m} iter {i} not monotone in i"
             prev = vals
 
 
 def test_cbler_degenerate_snr(curves):
-    assert curves.cbler(5, math.inf, 3) == 0.0
-    assert curves.cbler(5, -math.inf, 3) == 1.0
+    assert cbler(curves, 5, math.inf, 3) == 0.0
+    assert cbler(curves, 5, -math.inf, 3) == 1.0
     with pytest.raises(ValueError):
-        curves.cbler(5, math.nan, 3)
+        cbler(curves, 5, math.nan, 3)
 
 
 def test_midpoints_strictly_decreasing(curves):
@@ -130,14 +131,14 @@ def test_midpoints_strictly_decreasing(curves):
 # ---------------------------------------------------------------------------
 
 class _TabularCurve:
-    """Stub curve with hand-set per-iteration CBLER values."""
+    """Stub curve whose CBLER after i iterations is ``values[i]`` at 0 dB:
+    unit-slope waterfalls with midpoints logit(values[i])."""
 
     def __init__(self, values):
-        self.values = values
         self.i_max = len(values) - 1
-
-    def cbler(self, mcs_index, gamma_db, iters):
-        return self.values[iters]
+        with np.errstate(divide="ignore"):
+            mids = tuple(logit(values[1:]))
+        self.catalog = [SimpleNamespace(slopes_per_db=(1.0,) * self.i_max, midpoints_db=mids)]
 
 
 def test_iteration_pmf_hand_case():
@@ -177,8 +178,8 @@ def test_crossing_success_probabilities(curves):
     # success within 2 iterations of MCS 10 equals success within 8 of
     # MCS 11 (both 0.75) at the calibrated crossing SNR
     gamma = 6.0 + math.log(3.0) / 4.0
-    assert 1.0 - curves.cbler(10, gamma, 2) == pytest.approx(0.75, abs=1e-9)
-    assert 1.0 - curves.cbler(11, gamma, 8) == pytest.approx(0.75, abs=1e-9)
+    assert 1.0 - cbler(curves, 10, gamma, 2) == pytest.approx(0.75, abs=1e-9)
+    assert 1.0 - cbler(curves, 11, gamma, 8) == pytest.approx(0.75, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from calibration import default_calibration
-from cransim.link import load_calibration
+from calibration import crossing_calibration, default_calibration
+from cransim.link import LinkCurves, catalog_from_dict, load_calibration
 from cransim.policy import (
+    GRID_MAX_DB,
+    GRID_MIN_DB,
+    GRID_STEP_DB,
     ConfigurationError,
     build_policy_table,
     build_policy_tables,
     select_mcs_index,
     snr_margin,
 )
-from oracles import raw_throughput, select_mcs, tb_channel_outage_prob
+from oracles import cbler, raw_throughput, select_mcs, tb_channel_outage_prob
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +29,7 @@ def tables(curves):
 
 
 def tb_outage(curves, m, gamma, iters):
-    eps_cb = curves.cbler(m, gamma, iters)
+    eps_cb = cbler(curves, m, gamma, iters)
     return tb_channel_outage_prob(eps_cb, int(curves.num_cbs[m]))
 
 
@@ -42,6 +45,31 @@ def test_threshold_meets_target_and_is_minimal(curves, tables):
         for m, thr in enumerate(table.thresholds_db):
             assert tb_outage(curves, m, thr, table.iteration_budget) <= 0.1 + 1e-12
             assert tb_outage(curves, m, thr - 0.02, table.iteration_budget) > 0.1
+
+
+def cbler_thresholds(curves, iteration_budget, eps_hat):
+    """The grid search of ``build_policy_table`` on the oracle ``cbler``,
+    with the TB outage 1 - (1 - eps_cb)^C in its log1p/expm1 form."""
+    grid = GRID_MIN_DB + GRID_STEP_DB * np.arange(
+        int(round((GRID_MAX_DB - GRID_MIN_DB) / GRID_STEP_DB)) + 1)
+    thresholds = []
+    for m in range(len(curves.catalog)):
+        eps_cb = cbler(curves, m, grid, iteration_budget)
+        with np.errstate(divide="ignore"):
+            ok = -np.expm1(int(curves.num_cbs[m]) * np.log1p(-eps_cb)) <= eps_hat
+        assert ok.any()
+        thresholds.append(float(grid[np.argmax(ok)]))
+    return tuple(thresholds)
+
+
+@pytest.mark.parametrize("eps_hat", [1e-12, 1e-8, 1e-4, 1e-3, 0.01, 0.1, 0.3])
+@pytest.mark.parametrize("calibration", [default_calibration, crossing_calibration])
+def test_thresholds_match_the_cbler_oracle(calibration, eps_hat):
+    # the tables chain success_cdf rows; the oracle takes the running min of
+    # the complementary waterfalls: the thresholds agree bit for bit
+    curves = LinkCurves(*catalog_from_dict(calibration()))
+    for table in build_policy_tables(curves, eps_hat).values():
+        assert table.thresholds_db == cbler_thresholds(curves, table.iteration_budget, eps_hat)
 
 
 def test_mrs_thresholds_not_above_cas(tables):

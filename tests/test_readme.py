@@ -17,7 +17,7 @@ def test_readme_configs_validate():
     blocks = [json.loads(block) for block in code_blocks("json", README.read_text())]
     configs = [cfg for cfg in blocks if isinstance(cfg, dict) and "experiment" in cfg]
     # one example per config section
-    assert {cfg["experiment"] for cfg in configs} == {"cell_outage", "net_density_sweep"}
+    assert {cfg["experiment"] for cfg in configs} == {"cell_outage", "net_sweep"}
     for cfg in configs:
         assert validate_config(cfg) == [], cfg["experiment"]
 

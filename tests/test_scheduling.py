@@ -44,7 +44,7 @@ def test_budget_validation():
     tables = build_policy_tables(curves)
     layout = synthesize_layout(substream(5, "layout", 0), n_total=24, n_cloud=4,
                                region=(0.0, 0.0, 9.0, 9.0), min_sep_km=1.0)
-    kwargs = dict(subframes=range(1), seed=11)
+    kwargs = dict(subframes=range(1), seed=11, density_grid=(0.1,))
     with pytest.raises(ValueError, match="LP or CP"):
         sweep_network(layout, ChannelParams(), curves, tables,
                       modes=(LP, "XX"), **kwargs)
@@ -52,12 +52,16 @@ def test_budget_validation():
         with pytest.raises(ValueError, match="nonnegative"):
             sweep_network(layout, ChannelParams(), curves, tables,
                           budget_grid=(10e6, bad), **kwargs)
+        with pytest.raises(ValueError, match="nonnegative"):
+            sweep_network(layout, ChannelParams(), curves, tables,
+                          **dict(kwargs, density_grid=(0.1, bad)))
     empty = synthesize_layout(substream(5, "layout", 0), n_total=24, n_cloud=0,
                               region=(0.0, 0.0, 9.0, 9.0), min_sep_km=1.0)
     with pytest.raises(ValueError, match="n_cloud"):
         sweep_network(empty, ChannelParams(), curves, tables, **kwargs)
     with pytest.raises(ValueError, match="subframes"):
-        sweep_network(layout, ChannelParams(), curves, tables, subframes=range(0), seed=11)
+        sweep_network(layout, ChannelParams(), curves, tables, subframes=range(0), seed=11,
+                      density_grid=(0.1,))
 
 
 def test_zero_budget_drops_everything():
@@ -241,11 +245,11 @@ def test_sweep_network_matches_oracle():
     tables = build_policy_tables(curves)
     layout = synthesize_layout(substream(5, "layout", 0), n_total=24, n_cloud=4,
                                region=(0.0, 0.0, 9.0, 9.0), min_sep_km=1.0)
-    params = ChannelParams(ue_density_per_km2=0.3)
+    params = ChannelParams()
     budgets = (0.0, 10e6, 40e6, math.inf)
     subframes = range(20)
-    acc = sweep_network(layout, params, curves, tables, subframes=subframes,
-                        seed=11, budget_grid=budgets, keep_subframe_sums=True)
+    acc = sweep_network(layout, params, curves, tables, subframes=subframes, seed=11,
+                        density_grid=(0.3,), budget_grid=budgets, keep_subframe_sums=True)
     assert acc.axes == ((0.3,), budgets, (LP, CP), ("MRS", "CAS"))
     n_cells = layout.n_cloud
     for pi, policy in enumerate(("MRS", "CAS")):
@@ -255,7 +259,7 @@ def test_sweep_network_matches_oracle():
         n_tbs = n_channel = 0
         for ti, t in enumerate(subframes):
             rng = substream(11, "net", 0, t)
-            drop = draw_subframe(layout, params, rng)
+            drop = draw_subframe(layout, params, 0.3, rng)
             targets, sinr = cloud_sinrs(drop, layout, params)
             u = rng.random((len(targets), curves.max_cbs))
             tbs = _policy_tbs(targets, sinr, tables[policy], curves, u, True)
@@ -337,11 +341,11 @@ def test_block_sweep_matches_oracle(monkeypatch):
 
     monkeypatch.setattr(geometry, "cloud_sinrs", rounded_sinrs)
     drops = {}  # (density index, policy) -> one TB list per subframe
+    params = ChannelParams()
     for di, density in enumerate(densities):
-        params = ChannelParams(ue_density_per_km2=density)
         for t in subframes:
             stream = substream(seed, "net", di, t)
-            targets, sinr = rounded_sinrs(draw_subframe(layout, params, stream),
+            targets, sinr = rounded_sinrs(draw_subframe(layout, params, density, stream),
                                           layout, params)
             u = stream.random((len(targets), curves.max_cbs))
             for policy in ("MRS", "CAS"):
