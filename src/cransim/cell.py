@@ -75,13 +75,12 @@ def mean_halfwidth(n, total, total_sq, subframe_s):
 class _TrialBlock:
     """Vectorized outcomes of one batch of trials (internal)."""
 
-    transmitted: np.ndarray
     bits: np.ndarray
     effort: np.ndarray
     channel_fail: np.ndarray
 
 
-def simulate_trials(gamma_db, table, curves, u, low_snr_fallback=True):
+def simulate_trials(gamma_db, table, curves, u):
     """Run the policy + link model over a vector of instantaneous SNRs.
 
     ``u`` supplies one uniform per potential code block, CB-major with shape
@@ -92,8 +91,7 @@ def simulate_trials(gamma_db, table, curves, u, low_snr_fallback=True):
     decodes each slice iteration by iteration, and the outcomes are
     scattered back to trial order once.
     """
-    sel = select_mcs_index(table, gamma_db, low_snr_fallback)
-    transmitted = sel >= 0
+    sel = select_mcs_index(table, gamma_db)
     # int8 keys make numpy's stable sort a radix sort
     order = np.argsort(sel.astype(np.int8), kind="stable")
     edges = np.searchsorted(sel[order], np.arange(len(curves.tb_bits) + 1))
@@ -104,8 +102,8 @@ def simulate_trials(gamma_db, table, curves, u, low_snr_fallback=True):
         lo, hi = edges[m], edges[m + 1]
         effort_s[lo:hi], fail_s[lo:hi], _ = simulate_tb_batch(
             curves, int(m), gamma_s[lo:hi], u_s[:, lo:hi])
-    block = _TrialBlock(transmitted, bits=np.where(transmitted, curves.tb_bits[sel], 0),
-                        effort=np.empty_like(effort_s), channel_fail=np.empty_like(fail_s))
+    block = _TrialBlock(bits=curves.tb_bits[sel], effort=np.empty_like(effort_s),
+                        channel_fail=np.empty_like(fail_s))
     block.effort[order] = effort_s
     block.channel_fail[order] = fail_s
     return block
@@ -114,37 +112,37 @@ def simulate_trials(gamma_db, table, curves, u, low_snr_fallback=True):
 def summarize_cell_point(snr_db, policy, c_max_values, subframe_s, block):
     """Reduce a trial block to one CellRecord per budget in ``c_max_values``.
 
-    A transmitted block is in computational outage when its effort strictly
-    exceeds ``c_max * subframe_s``.  The effective throughput E[(1 - eps(gamma))
+    Every trial transmits (``n_transmitted`` equals ``n_trials``), and a
+    block is in computational outage when its effort strictly exceeds
+    ``c_max * subframe_s``.  The effective throughput E[(1 - eps(gamma))
     R(gamma)] is the mean of the bits delivered per trial; the complexity
-    metric charges the nominal effort of every transmitted block (outage
-    blocks included) against the count of successful decodes.
+    metric charges the nominal effort of every block (outage blocks
+    included) against the count of successful decodes.
     """
     def mean_hw(x):
         return mean_halfwidth(n, x.sum(), np.dot(x, x), subframe_s)
 
-    n = len(block.transmitted)
-    n_tx = int(block.transmitted.sum())
+    n = len(block.bits)
     n_channel = int(block.channel_fail.sum())
     t_raw, t_raw_hw = mean_hw(block.bits)
     effort_mean, effort_mean_hw = mean_hw(block.effort)
-    shared = dict(snr_db=float(snr_db), policy=policy, n_trials=n, n_transmitted=n_tx,
-                  eps_channel=n_channel / n_tx if n_tx else 0.0,
-                  eps_channel_hw=wilson_halfwidth(n_channel, n_tx),
+    shared = dict(snr_db=float(snr_db), policy=policy, n_trials=n, n_transmitted=n,
+                  eps_channel=n_channel / n if n else 0.0,
+                  eps_channel_hw=wilson_halfwidth(n_channel, n),
                   t_raw_bps=t_raw, t_raw_hw_bps=t_raw_hw)
     records = []
     for c_max in c_max_values:
-        comp_fail = block.transmitted & (block.effort > c_max * subframe_s)
+        comp_fail = block.effort > c_max * subframe_s
         lost = block.channel_fail | comp_fail
         n_lost = int(lost.sum())
-        n_success = n_tx - n_lost
+        n_success = n - n_lost
         n_comp = int(comp_fail.sum())
         t_eff, t_eff_hw = mean_hw(np.where(lost, 0, block.bits))
         per_success = n / n_success if n_success else math.nan
         records.append(CellRecord(
             **shared, c_max_bit_iter_s=float(c_max), n_success=n_success,
-            eps=n_lost / n_tx if n_tx else 0.0, eps_hw=wilson_halfwidth(n_lost, n_tx),
-            eps_comp=n_comp / n_tx if n_tx else 0.0, eps_comp_hw=wilson_halfwidth(n_comp, n_tx),
+            eps=n_lost / n if n else 0.0, eps_hw=wilson_halfwidth(n_lost, n),
+            eps_comp=n_comp / n if n else 0.0, eps_comp_hw=wilson_halfwidth(n_comp, n),
             t_eff_bps=t_eff, t_eff_hw_bps=t_eff_hw,
             effort_per_success_bit_iter_s=effort_mean * per_success,
             effort_per_success_hw=effort_mean_hw * per_success))
@@ -163,7 +161,7 @@ def draw_cell_trials(rng, snr_db, n_trials, max_cbs):
 
 def sweep_cell(snr_grid_db, tables, curves, n_trials, seed,
                c_max_values=(math.inf,), policies=("MRS", "CAS"),
-               subframe_s=SUBFRAME_S, low_snr_fallback=True, grid_indices=None):
+               subframe_s=SUBFRAME_S, grid_indices=None):
     """Full sweep over average SNR for every (policy, budget) arm.
 
     ``grid_indices`` are the indices into ``snr_grid_db`` to sweep, all by
@@ -180,7 +178,7 @@ def sweep_cell(snr_grid_db, tables, curves, n_trials, seed,
         gamma_db, u = draw_cell_trials(substream(seed, "cell", gi), snr_db, n_trials,
                                        curves.max_cbs)
         for policy in policies:
-            block = simulate_trials(gamma_db, tables[policy], curves, u, low_snr_fallback)
+            block = simulate_trials(gamma_db, tables[policy], curves, u)
             for c_max, rec in zip(c_max_values, summarize_cell_point(
                     snr_db, policy, c_max_values, subframe_s, block)):
                 out[(policy, c_max)].append(rec)

@@ -51,6 +51,8 @@ def main(argv=None):
     p_val.add_argument("--config", required=True)
 
     args = parser.parse_args(argv)
+    if args.command == "run" and args.workers < 1:
+        p_run.error("argument --workers: must be a positive integer")  # exits 2
 
     try:
         if args.command == "emit-plots":
@@ -67,7 +69,7 @@ def main(argv=None):
             return EXIT_OK
         if args.seed is not None:
             cfg["seed"] = args.seed
-        manifest = run(cfg, workers=max(1, args.workers))
+        manifest = run(cfg, workers=args.workers)
         print(json.dumps(manifest, indent=2, sort_keys=True))
     except ConfigError as exc:
         for err in exc.errors:

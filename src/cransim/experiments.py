@@ -67,7 +67,6 @@ DEFAULT_CONFIG = {
     "output_dir": "results",
     "calibration_file": None,
     "eps_hat": 0.1,
-    "low_snr_fallback": True,
     "subframe_s": SUBFRAME_S,
     "cell": {
         "snr_grid_db": {"start": -20.0, "stop": 40.0, "step": 2.0},
@@ -79,7 +78,7 @@ DEFAULT_CONFIG = {
         "layout_csv": None,
         "synthesize": {"n_total": 129, "n_cloud": 8, "region_km": [0.0, 0.0, 20.0, 20.0],
                        "min_sep_km": 1.3, "layout_seed": 4242},
-        "channel": {"alpha": 3.7, "s": 0.1, "snr_ref_db": 20.0, "max_interference_km": None},
+        "channel": {"alpha": 3.7, "s": 0.1, "snr_ref_db": 20.0},
         "modes": ["LP", "CP"],
         "policies": ["MRS", "CAS"],
         "budget_grid_mbit_iter_s": {"start": 0.0, "stop": 100.0, "step": 4.0,
@@ -127,11 +126,11 @@ def _schema(cfg):
 def load_config(path):
     """The config file merged over its experiment's defaults; ``_resolve`` checks it."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError([f"config: cannot read {path}: {exc}"]) from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError([f"config: invalid JSON: {exc}"]) from exc
     if not isinstance(raw, dict):
         raise ConfigError(["config: top level must be an object"])
@@ -254,7 +253,6 @@ _RULES = {
     "output_dir": _rule(str, None, "must be a string"),
     "calibration_file": _rule(None, _path, "must be null or an existing file"),
     "eps_hat": _rule(float, lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
-    "low_snr_fallback": _rule(bool, None, "must be true or false"),
     "subframe_s": _rule(float, lambda v: v > 0, "must be positive"),
     "cell.snr_grid_db": _grid(lambda v: v is not None and _db(v),
                               f"entries must be numbers {_DB_MESSAGE}"),
@@ -276,8 +274,6 @@ _RULES = {
     "network.channel.alpha": _rule(float, lambda v: v > 2, "must exceed 2"),
     "network.channel.s": _rule(float, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
     "network.channel.snr_ref_db": _rule(float, _db, f"must be a number {_DB_MESSAGE}"),
-    "network.channel.max_interference_km": _rule(
-        None, lambda v: v is None or _num(v) and v > 0, "must be positive or null"),
     # resolved to bit-iterations/s, with inf for null (unconstrained)
     "network.budget_grid_mbit_iter_s": _grid(lambda v: v is None or v >= 0,
                                              "budgets must be >= 0 or null", _mbit),
@@ -319,7 +315,6 @@ class Plan:
     calibration_file: str | None
     eps_hat: float
     subframe_s: float
-    low_snr_fallback: bool
     policies: tuple = ()
     budgets: tuple = ()          # bit-iterations/s; inf = unconstrained
     snr_grid_db: tuple = ()      # the cell experiment
@@ -417,8 +412,7 @@ def _cell_point_task(plan, gi):
     res = sweep_cell(
         plan.snr_grid_db, tables, curves, plan.n_trials, plan.seed,
         c_max_values=plan.budgets, policies=plan.policies,
-        subframe_s=plan.subframe_s, low_snr_fallback=plan.low_snr_fallback,
-        grid_indices=(gi,),
+        subframe_s=plan.subframe_s, grid_indices=(gi,),
     )
     return [rec for recs in res.values() for rec in recs]
 
@@ -431,13 +425,15 @@ def _net_block_task(plan, block):
         subframes=subframes, seed=plan.seed, density_grid=plan.densities,
         density_indices=(density_index,),
         budget_grid=plan.budgets, modes=plan.modes, policies=plan.policies,
-        subframe_s=plan.subframe_s, low_snr_fallback=plan.low_snr_fallback,
+        subframe_s=plan.subframe_s,
     )
 
 
 def _run_tasks(task_fn, plan, items, workers):
-    """``[task_fn(plan, item) for item in items]``, on a pool when workers > 1."""
+    """``[task_fn(plan, item) for item in items]``, on a pool of at most one
+    process per item (a pool starts all of its processes at the first task)."""
     task = partial(task_fn, plan)
+    workers = min(workers, len(items))
     if workers <= 1:
         return [task(item) for item in items]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -627,8 +623,11 @@ def emit_plot_data(in_dir, out_dir):
     results_path = in_dir / "results.json"
     if not results_path.exists():
         raise SchemaError(f"no results.json under {in_dir}")
-    with open(results_path) as fh:
-        payload = json.load(fh)
+    try:
+        with open(results_path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise SchemaError(f"results.json: invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise SchemaError("results.json: top level must be an object")
     if payload.get("schema_version") != RESULTS_SCHEMA_VERSION:

@@ -28,6 +28,7 @@ import numpy as np
 from scipy.spatial import Voronoi
 
 RESOLUTION_KM = 1e-9   # RAPs closer than this to each other or to an edge are rejected
+MIN_UE_RAP_KM = 1e-3   # a UE lies at least this far from its serving RAP
 
 
 class LayoutError(ValueError):
@@ -39,18 +40,15 @@ class ChannelParams:
     """Propagation and power-control parameters.
 
     Powers are normalized so the reference power over noise,
-    ``snr_ref_db``, is the single free SNR parameter (SNR at 1 km).
+    ``snr_ref_db``, is the single free SNR parameter (SNR at 1 km).  Every
+    active UE interferes at every cloud RAP, at any distance.
     """
 
     alpha: float = 3.7
     s: float = 0.1
     snr_ref_db: float = 20.0
-    min_ue_rap_km: float = 1e-3
-    max_interference_km: float = None
 
     def __post_init__(self):
-        if not self.min_ue_rap_km > 0:
-            raise ValueError("minimum UE-RAP distance must be positive")
         if not self.alpha > 2:
             raise ValueError("path-loss exponent must exceed 2")
         if not 0.0 <= self.s <= 1.0:
@@ -240,7 +238,7 @@ def draw_subframe(layout, params, density, rng):
     active = rng.random(layout.n_total) < p_active
     active_idx = np.flatnonzero(active)
     # with no active UE the size-0 draws leave the generator state unchanged
-    ue_xy = _sample_positions(layout, active_idx, rng, params.min_ue_rap_km)
+    ue_xy = _sample_positions(layout, active_idx, rng, MIN_UE_RAP_KM)
     serve = layout.rap_xy[active_idx]
     serve_dist = np.hypot(ue_xy[:, 0] - serve[:, 0], ue_xy[:, 1] - serve[:, 1])
     fading = rng.standard_exponential((len(active_idx), layout.n_cloud))
@@ -272,10 +270,8 @@ def cloud_sinrs(drop, layout, params):
     cross = np.hypot(raps[:, 0, None] - drop.ue_xy[:, 0],
                      raps[:, 1, None] - drop.ue_xy[:, 1])  # (k, n_active)
     g = drop.fading[:, cols].T                          # (k, n_active)
-    # cross > 0: a UE is at least min_ue_rap_km > 0 from its own RAP, its nearest
+    # cross > 0: a UE is at least MIN_UE_RAP_KM > 0 from its own RAP, its nearest
     terms = g * cross ** (-alpha) * drop.tx_powers[None, :]
-    if params.max_interference_km is not None:
-        terms[cross > params.max_interference_km] = 0.0
     terms[np.arange(len(targets)), rows] = 0.0          # own UE is the signal
     interference = terms.sum(axis=1)
     d_serve = drop.serve_dist_km[rows]

@@ -81,20 +81,16 @@ def build_policy_table(curves, iteration_budget, eps_hat=DEFAULT_EPS_HAT):
     )
 
 
-def select_mcs_index(table, gamma_db, low_snr_fallback):
-    """Vectorized selection returning indices; -1 marks "no transmission".
-
-    With ``low_snr_fallback`` the lowest MCS is transmitted below the table
-    floor (channel-outage TBs still consume decoding effort); without it the
-    subframe is skipped at zero rate and zero effort.
+def select_mcs_index(table, gamma_db):
+    """Vectorized selection: the highest MCS index whose threshold is at or
+    below each SNR.  Below the table floor the lowest MCS is transmitted
+    (its channel-outage TBs still consume decoding effort), so every index
+    is >= 0.
     """
     g = np.asarray(gamma_db, dtype=float)
     if np.any(np.isnan(g)):
         raise ValueError("SNR must not be NaN")
-    idx = np.searchsorted(table.thresholds_db, g, side="right") - 1
-    if low_snr_fallback:
-        idx = np.maximum(idx, 0)
-    return idx
+    return np.maximum(np.searchsorted(table.thresholds_db, g, side="right") - 1, 0)
 
 
 def snr_margin(table_2, table_8):
@@ -106,9 +102,9 @@ def snr_margin(table_2, table_8):
     )
 
 
-def build_policy_tables(curves, eps_hat=DEFAULT_EPS_HAT, policies=("MRS", "CAS")):
-    """Convenience: build the named policy tables as a dict."""
+def build_policy_tables(curves, eps_hat=DEFAULT_EPS_HAT):
+    """Convenience: build the MRS and CAS policy tables as a dict."""
     return {
-        name: build_policy_table(curves, POLICY_ITER_BUDGETS[name], eps_hat)
-        for name in policies
+        name: build_policy_table(curves, budget, eps_hat)
+        for name, budget in POLICY_ITER_BUDGETS.items()
     }

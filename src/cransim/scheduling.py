@@ -83,19 +83,13 @@ class NetworkAccumulator:
     per_subframe: np.ndarray
 
 
-def _policy_tbs(targets, sinr_lin, table, curves, u, low_snr_fallback, subframe=0):
-    """MCS selection and TB decoding for the active cloud cells of a block,
-    ``subframe`` giving each target's subframe: the transmitted TBs."""
-    sinr_db = 10.0 * np.log10(sinr_lin)
-    sel = select_mcs_index(table, sinr_db, low_snr_fallback)
-    keep = sel >= 0
-    sel = sel[keep]
-    iters, failed = link.simulate_cbs(curves, sel, sinr_db[keep], u[keep].T)
+def _policy_tbs(sinr_db, table, curves, u):
+    """MCS selection and decoding of one TB per SINR (dB) of a block, ``u``
+    holding each TB's code-block uniforms in a row: bits, effort, outage."""
+    sel = select_mcs_index(table, sinr_db)
+    iters, failed = link.simulate_cbs(curves, sel, sinr_db, u.T)
     valid = np.arange(curves.max_cbs)[:, None] < curves.num_cbs[sel]
     return SimpleNamespace(
-        subframe=np.broadcast_to(subframe, keep.shape)[keep],
-        raps=targets[keep],
-        sinr_db=sinr_db[keep],
         bits=curves.tb_bits[sel],
         efforts=np.where(valid, iters * curves.cb_bits[sel].T, 0).sum(axis=0),
         channel_fail=(failed & valid).any(axis=0),
@@ -130,8 +124,7 @@ def comp_outage_masks(raps, sinr_db, efforts, limits, pooled, subframe=0):
 def sweep_network(layout, params, curves, tables, *, subframes, seed,
                   density_grid, density_indices=None, budget_grid=(math.inf,),
                   modes=(LP, CP), policies=("MRS", "CAS"),
-                  subframe_s=link.SUBFRAME_S, low_snr_fallback=True,
-                  keep_subframe_sums=False):
+                  subframe_s=link.SUBFRAME_S, keep_subframe_sums=False):
     """Monte Carlo sweep over UE density (UEs per km^2) and complexity budget.
 
     ``subframes`` is the (nonempty) range of subframe indices to simulate, and
@@ -180,21 +173,21 @@ def sweep_network(layout, params, curves, tables, *, subframes, seed,
             targets, sinr = geometry.cloud_sinrs(drop, layout, params)
             drawn.append((targets, sinr, stream.random((len(targets), curves.max_cbs))))
         targets, sinr, u = (np.concatenate(parts) for parts in zip(*drawn))
+        sinr_db = 10.0 * np.log10(sinr)
         subframe = np.repeat(np.arange(len(subframes)), [len(d[0]) for d in drawn])
         for pi, policy in enumerate(policies):
-            tbs = _policy_tbs(targets, sinr, tables[policy], curves, u,
-                              low_snr_fallback, subframe)
-            acc.n_tbs[di, pi] = len(tbs.raps)
+            tbs = _policy_tbs(sinr_db, tables[policy], curves, u)   # one TB per target
+            acc.n_tbs[di, pi] = len(targets)
             acc.n_channel[di, pi] = tbs.channel_fail.sum()
-            comp = np.stack([comp_outage_masks(tbs.raps, tbs.sinr_db, tbs.efforts,
-                                               limits[mode], mode == CP, tbs.subframe)
+            comp = np.stack([comp_outage_masks(targets, sinr_db, tbs.efforts,
+                                               limits[mode], mode == CP, subframe)
                              for mode in modes], axis=1)   # [budget, mode, TB]
             acc.n_comp[di, :, :, pi] = comp.sum(axis=-1)
             bits = np.where(comp | tbs.channel_fail, 0, tbs.bits)
             np.add.at(acc.bits_per_cell[di, :, :, pi],
-                      (..., np.searchsorted(cloud, tbs.raps)), bits)
+                      (..., np.searchsorted(cloud, targets)), bits)
             subframe_bits = np.zeros(comp.shape[:2] + (len(subframes),), dtype=np.int64)
-            np.add.at(subframe_bits, (..., tbs.subframe), bits)
+            np.add.at(subframe_bits, (..., subframe), bits)
             acc.sumsq_bits[di, :, :, pi] = (subframe_bits * subframe_bits).sum(axis=-1)
             if keep_subframe_sums:
                 acc.per_subframe[di, :, :, pi] = subframe_bits

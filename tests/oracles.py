@@ -188,7 +188,6 @@ class CellTrialConfig:
     subframe_s: float = SUBFRAME_S
     n_trials: int = 100000
     seed: int = 0
-    low_snr_fallback: bool = True
 
     def __post_init__(self):
         if self.n_trials < 1:
@@ -200,13 +199,11 @@ class CellTrialConfig:
 def run_cell_trial(cfg, gamma_db, table, curves, rng):
     """One trial at instantaneous SNR ``gamma_db``.
 
-    Returns ``(tb, mcs, outage_kind)``; ``tb`` and ``mcs`` are None when the
-    SNR is below the table floor and the low-SNR fallback is disabled.
+    Returns ``(tb, mcs, outage_kind)``; below the table floor the lowest
+    MCS is sent.
     """
     mcs = select_mcs(table, gamma_db)
     if mcs is None:
-        if not cfg.low_snr_fallback:
-            return None, None, OUTAGE_NONE
         mcs = table.catalog[0]
     tb = simulate_tb(mcs, curves, gamma_db, rng)
     budget = cfg.c_max_bit_iter_s * cfg.subframe_s
@@ -222,25 +219,23 @@ def run_cell_trial(cfg, gamma_db, table, curves, rng):
     return tb, mcs, kind
 
 
-def simulate_trials(gamma_db, table, curves, u, low_snr_fallback=True):
+def simulate_trials(gamma_db, table, curves, u):
     """``cell.simulate_trials`` as a loop over the selected MCSs, gathering
     and scattering each MCS's rows by index, decoded by ``success_cdf`` and
     ``cb_outcomes``.  ``u`` is trial-major, shape ``(n, curves.max_cbs)``."""
     n = len(gamma_db)
-    sel = select_mcs_index(table, gamma_db, low_snr_fallback)
-    transmitted = sel >= 0
+    sel = select_mcs_index(table, gamma_db)
     bits = np.zeros(n, dtype=np.int64)
     effort = np.zeros(n, dtype=np.int64)
     channel_fail = np.zeros(n, dtype=bool)
-    for m in np.unique(sel[transmitted]):
+    for m in np.unique(sel):
         rows = np.flatnonzero(sel == m)
         c, cb_bits = segment_tb(curves.catalog[m].tb_bits)
         iters, failed = cb_outcomes(success_cdf(curves, int(m), gamma_db[rows]), u[rows, :c])
         bits[rows] = curves.catalog[m].tb_bits
         effort[rows] = iters @ np.asarray(cb_bits, dtype=np.int64)
         channel_fail[rows] = failed.any(axis=1)
-    return SimpleNamespace(transmitted=transmitted, bits=bits, effort=effort,
-                           channel_fail=channel_fail)
+    return SimpleNamespace(bits=bits, effort=effort, channel_fail=channel_fail)
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +246,9 @@ def simulate_trials(gamma_db, table, curves, u, low_snr_fallback=True):
 def compute_sinr(drop, layout, params, rap_index):
     """Linear uplink SINR at cloud RAP ``rap_index`` for its own UE.
 
-    The interference sum runs over every active UE in the layout (optionally
-    restricted to ``params.max_interference_km``), each transmitting with
-    fractional power control relative to its own serving RAP.
+    The interference sum runs over every other active UE in the layout,
+    each transmitting with fractional power control relative to its own
+    serving RAP.
     """
     if rap_index not in layout.cloud_group:
         raise ValueError(f"RAP {rap_index} is not in the cloud group")
@@ -273,8 +268,6 @@ def compute_sinr(drop, layout, params, rap_index):
             continue
         cross = math.hypot(drop.ue_xy[other_row, 0] - rap[0],
                            drop.ue_xy[other_row, 1] - rap[1])
-        if params.max_interference_km is not None and cross > params.max_interference_km:
-            continue
         interference += (
             drop.fading[other_row, col]
             * cross ** (-alpha)

@@ -92,9 +92,6 @@ def test_trial_below_floor_uses_fallback(tables, curves):
     assert mcs.index == 0
     assert tb.channel_outage  # hopeless SNR
     assert tb.effort_bit_iters == mcs.tb_bits * curves.i_max
-    cfg_skip = CellTrialConfig(snr_db=0.0, n_trials=1, low_snr_fallback=False)
-    tb, mcs, kind = run_cell_trial(cfg_skip, -60.0, tables["MRS"], curves, rng)
-    assert tb is None and mcs is None and kind == OUTAGE_NONE
 
 
 def test_trial_both_outage_kinds(tables, curves):
@@ -113,7 +110,7 @@ def test_simulate_trials_unconstrained_identities(tables, curves):
     assert rec.eps_comp == 0.0
     assert rec.eps == rec.eps_channel
     # the effective throughput is the mean delivered rate over all trials,
-    # not (1 - eps) * t_raw, whose eps counts only the transmitted trials
+    # not (1 - eps) * t_raw, the product of two means
     delivered = np.where(block.channel_fail, 0, block.bits) / 1e-3
     assert rec.t_eff_bps == pytest.approx(delivered.mean(), rel=1e-12)
     assert rec.t_eff_hw_bps == pytest.approx(
@@ -122,36 +119,41 @@ def test_simulate_trials_unconstrained_identities(tables, curves):
     assert 0.0 <= rec.eps <= 1.0
 
 
-@pytest.mark.parametrize("fallback", [True, False])
-def test_simulate_trials_matches_scalar_trials(tables, curves, fallback):
+def test_summarize_no_trials(tables, curves):
+    block = simulate_trials(np.empty(0), tables["MRS"], curves, np.empty((curves.max_cbs, 0)))
+    (rec,) = summarize_cell_point(0.0, "MRS", (50e6,), 1e-3, block)
+    assert rec.n_trials == rec.n_transmitted == rec.n_success == 0
+    assert rec.eps == rec.eps_channel == rec.eps_comp == 0.0
+
+
+def test_simulate_trials_matches_scalar_trials(tables, curves):
     # differential oracle: trial i draws its code-block uniforms from a fresh
     # substream, so the vector path's u[i, :c] are the oracle's first c draws
     n = 400
     gamma = np.random.default_rng(21).uniform(-30.0, 40.0, n)
     u = np.array([substream(21, "cell", 0, i).random(curves.max_cbs)
                   for i in range(n)])
-    block = simulate_trials(gamma, tables["MRS"], curves, u.T, fallback)
+    block = simulate_trials(gamma, tables["MRS"], curves, u.T)
     scalar = [
-        run_cell_trial(CellTrialConfig(snr_db=0.0, low_snr_fallback=fallback),
-                       g, tables["MRS"], curves, substream(21, "cell", 0, i))
+        run_cell_trial(CellTrialConfig(snr_db=0.0), g, tables["MRS"], curves,
+                       substream(21, "cell", 0, i))
         for i, g in enumerate(gamma)
     ]
     for i, (tb, mcs, _) in enumerate(scalar):
-        assert block.transmitted[i] == (tb is not None)
-        assert block.bits[i] == (mcs.tb_bits if mcs else 0)
-        assert block.effort[i] == (tb.effort_bit_iters if tb else 0)
-        assert block.channel_fail[i] == (tb.channel_outage if tb else False)
-    efforts = sorted(tb.effort_bit_iters for tb, _, _ in scalar if tb)
+        assert block.bits[i] == mcs.tb_bits
+        assert block.effort[i] == tb.effort_bit_iters
+        assert block.channel_fail[i] == tb.channel_outage
+    efforts = sorted(tb.effort_bit_iters for tb, _, _ in scalar)
     # a budget equal to a realised effort pins the strict inequality
     for c_max in (float(efforts[len(efforts) // 2]), 20_000.0, math.inf):
         kinds = [
             run_cell_trial(CellTrialConfig(snr_db=0.0, c_max_bit_iter_s=c_max,
-                                           subframe_s=1.0, low_snr_fallback=fallback),
+                                           subframe_s=1.0),
                            g, tables["MRS"], curves, substream(21, "cell", 0, i))[2]
             for i, g in enumerate(gamma)
         ]
         (rec,) = summarize_cell_point(0.0, "MRS", (c_max,), 1.0, block)
-        n_tx = sum(tb is not None for tb, _, _ in scalar)
+        n_tx = n  # below the table floor the lowest MCS is sent
         n_channel = sum(k in (OUTAGE_CHANNEL, OUTAGE_BOTH) for k in kinds)
         n_comp = sum(k in (OUTAGE_COMPUTATIONAL, OUTAGE_BOTH) for k in kinds)
         n_lost = sum(k != OUTAGE_NONE for k in kinds)
@@ -175,14 +177,13 @@ TRIAL_MODELS = {"default": _curves_and_tables(default_calibration()),
 
 @settings(max_examples=60, deadline=None)
 @given(name=st.sampled_from(sorted(TRIAL_MODELS)), policy=st.sampled_from(["MRS", "CAS"]),
-       fallback=st.booleans(), single=st.booleans(),
+       single=st.booleans(),
        snrs=st.lists(st.one_of(st.floats(-40.0, 60.0),
                                st.sampled_from([math.inf, -math.inf])), max_size=80),
        mcs=st.integers(0, 25), seed=st.integers(0, 2**32 - 1))
-def test_simulate_trials_matches_oracle_bitwise(name, policy, fallback, single, snrs,
-                                                mcs, seed):
+def test_simulate_trials_matches_oracle_bitwise(name, policy, single, snrs, mcs, seed):
     # the one-sort grouping against the per-MCS gather/scatter loop, with
-    # untransmitted trials, +-inf SNRs, empty input and single-MCS blocks
+    # trials below the table floor, +-inf SNRs, empty input and single-MCS blocks
     curves, tables = TRIAL_MODELS[name]
     table = tables[policy]
     rng = np.random.default_rng(seed)
@@ -191,11 +192,11 @@ def test_simulate_trials_matches_oracle_bitwise(name, policy, fallback, single, 
         lo, hi = table.thresholds_db[mcs], table.thresholds_db[mcs + 1]
         gamma = lo + (hi - lo) * rng.random(len(snrs))
     u = rng.random((curves.max_cbs, len(gamma)))
-    got = simulate_trials(gamma, table, curves, u, fallback)
-    want = oracles.simulate_trials(gamma, table, curves, u.T, fallback)
+    got = simulate_trials(gamma, table, curves, u)
+    want = oracles.simulate_trials(gamma, table, curves, u.T)
     if single:
         assert len(np.unique(got.bits)) <= 1
-    for field in ("transmitted", "bits", "effort", "channel_fail"):
+    for field in ("bits", "effort", "channel_fail"):
         a, b = getattr(got, field), getattr(want, field)
         assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes()), field
 

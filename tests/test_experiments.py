@@ -58,6 +58,10 @@ def tiny_net_config(out_dir, seed=11):
     return cfg
 
 
+# JSON nested deeper than the parser's recursion limit
+DEEP_JSON = b"[" * 100_000 + b"]" * 100_000
+
+
 def write_config(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -441,6 +445,11 @@ def test_emit_plot_data_errors(tmp_path):
             {"schema_version": 1, "experiment": "cell_outage", "records": records}))
         with pytest.raises(SchemaError, match=f"records do not fit cell_outage: .*{problem}"):
             emit_plot_data(bad, tmp_path / "plots")
+    # files that are not JSON, not UTF-8, or nested past the parser's depth
+    for content in (b"{not json", b"\xff\xfe{}", DEEP_JSON):
+        (bad / "results.json").write_bytes(content)
+        with pytest.raises(SchemaError, match="results.json: invalid JSON"):
+            emit_plot_data(bad, tmp_path / "plots")
     assert not (tmp_path / "plots").exists()
     (bad / "results.json").write_text(json.dumps(
         {"schema_version": 1, "experiment": "cell_outage", "records": [1]}))
@@ -467,6 +476,53 @@ def test_cli_invalid_config_exits_2(tmp_path, capsys):
 
 def test_cli_missing_config_exits_2(tmp_path, capsys):
     assert cli_main(["run", "--config", str(tmp_path / "none.json")]) == 2
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", DEEP_JSON], ids=["not_utf8", "deep"])
+def test_cli_unreadable_config_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(content)
+    for command in ("validate", "run"):
+        assert cli_main([command, "--config", str(path)]) == 2, command
+        err = capsys.readouterr().err
+        assert "config error: config: invalid JSON" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_cli_workers_must_be_positive(tmp_path, capsys, workers):
+    cfg_path = write_config(tmp_path, tiny_cell_config(tmp_path / "out"))
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["run", "--config", str(cfg_path), "--workers", workers])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_pool_has_at_most_one_process_per_task(tmp_path, monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Runs the tasks in-process and records the pool size asked for."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    cfg = tiny_cell_config(tmp_path / "one")
+    cfg["cell"]["snr_grid_db"] = [10.0]
+    run(cfg, workers=4)
+    assert sizes == []  # one task runs in-process
+    run(tiny_cell_config(tmp_path / "three"), workers=8)
+    assert sizes == [3]
 
 
 def test_cli_seed_override_changes_results(tmp_path):
@@ -503,11 +559,11 @@ def test_shipped_configs_validate():
 # that alters result bytes must update these and say why in CHANGES.md.
 GOLDEN_NET_DIGESTS = {
     "net_budget_sweep": (
-        "baba0ccefdf187e93750a457c2b56b66d1226c654ef60338e06651c3895b9456",
+        "30912d0a3a58353ced0a3eb864a9faf163d3b2e3922b5b158aa24fc0f7a07d26",
         "02b0ebfe5e184f80080482c959e4adfb759053d56499522cbb4c2219cf10f59a",
     ),
     "net_density_sweep": (
-        "bf137c7630b8713e29fead4584ea1d5069a1b2a6e3fc629c1fcc37263e03d118",
+        "be5f1228f83695d0617da7203b7d586419294b1be79bffe773f89a1852eb0349",
         "82fcfad0984fc099c3c07c0945a82a7272f9d0fe433797c9cbbc6de86990fd46",
     ),
 }
@@ -529,7 +585,7 @@ def test_net_result_digests(tmp_path, monkeypatch, name, workers):
 # to 20000 trials per grid point; the same rule as GOLDEN_NET_DIGESTS applies.
 GOLDEN_CELL_DIGESTS = {
     "cell_outage": (
-        "5902c26c71802dbd0285ff314b17f09d6ca2cc0d443675c3bb5db4ad26d62355",
+        "5781d21ea2a4675f7edc36ce5f5947e78baf0b785ada0fa2880881ba8d4e5c54",
         "2328300a0844ed7455823969eb2e85c14ee181ed7ed65f649135bf3917f06dee",
     ),
 }
@@ -624,7 +680,10 @@ MALFORMED = [
     # the single-cell figures are views of cell_outage, not experiments
     ("cell", "experiment", "cell_throughput", "experiment: must be one of cell_outage,"),
     ("cell", "seed", True, "seed"),
-    ("cell", "low_snr_fallback", "no", "low_snr_fallback"),
+    # options with one value in use are constants, not keys
+    ("cell", "low_snr_fallback", True, "low_snr_fallback: unknown key"),
+    ("net", "network.channel.max_interference_km", 5.0,
+     "network.channel.max_interference_km: unknown key"),
     ("cell", "cell.policies", [], "cell.policies"),
     ("cell", "cell.c_max_mbit_iter_s", [], "cell.c_max_mbit_iter_s"),
     ("net", "network.policies", [], "network.policies"),

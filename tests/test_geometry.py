@@ -8,6 +8,7 @@ from scipy.spatial import cKDTree
 from scipy.stats import chi2
 
 from cransim.geometry import (
+    MIN_UE_RAP_KM,
     ChannelParams,
     LayoutError,
     SubframeDrop,
@@ -131,7 +132,7 @@ def test_positions_inside_own_cell(big_layout):
             continue
         _, nearest = cKDTree(big_layout.rap_xy).query(drop.ue_xy)
         assert np.array_equal(nearest, drop.active_idx)
-        assert np.all(drop.serve_dist_km >= params.min_ue_rap_km)
+        assert np.all(drop.serve_dist_km >= MIN_UE_RAP_KM)
 
 
 def test_in_cell_uniformity_chi2(two_cell_layout):
@@ -323,29 +324,11 @@ def test_power_control_softens_distance_decay():
     assert drop_s5 > drop_s0
 
 
-def test_interference_range_restriction(two_cell_layout):
-    params_all = ChannelParams()
-    params_cut = ChannelParams(max_interference_km=1.0)
-    drop = SubframeDrop(
-        active=np.array([True, True]),
-        active_idx=np.array([0, 1]),
-        ue_xy=np.array([[2.5, 1.25], [6.0, 1.0]]),
-        serve_dist_km=np.array([0.5, 0.25]),
-        fading=np.ones((2, 2)),
-        tx_powers=np.array([0.5 ** 0.37, 0.25 ** 0.37]),
-    )
-    with_int = cloud_sinrs(drop, two_cell_layout, params_all)[1][0]
-    without = cloud_sinrs(drop, two_cell_layout, params_cut)[1][0]
-    assert without > with_int  # far interferer excluded
-
-
 def test_channel_params_validation():
     with pytest.raises(ValueError):
         ChannelParams(alpha=1.5)
     with pytest.raises(ValueError):
         ChannelParams(s=1.2)
-    with pytest.raises(ValueError, match="UE-RAP distance"):
-        ChannelParams(min_ue_rap_km=0.0)
 
 
 def test_layout_csv_round_trip(two_cell_layout, tmp_path):

@@ -28,6 +28,11 @@ def tables(curves):
     return build_policy_tables(curves)
 
 
+def table_index(table, gamma_db):
+    """The raw table lookup, -1 below the floor (where the policy sends MCS 0)."""
+    return np.searchsorted(table.thresholds_db, gamma_db, side="right") - 1
+
+
 def tb_outage(curves, m, gamma, iters):
     eps_cb = cbler(curves, m, gamma, iters)
     return tb_channel_outage_prob(eps_cb, int(curves.num_cbs[m]))
@@ -121,16 +126,14 @@ def test_select_mcs_between_thresholds(tables):
 def test_select_mcs_nondecreasing_in_snr(tables):
     table = tables["CAS"]
     grid = np.linspace(-30, 60, 2000)
-    idx = select_mcs_index(table, grid, low_snr_fallback=False)
+    idx = table_index(table, grid)
     assert np.all(np.diff(idx) >= 0)
 
 
 def test_select_mcs_index_fallback(tables):
     table = tables["MRS"]
-    idx = select_mcs_index(table, np.array([-100.0, 100.0]), low_snr_fallback=True)
+    idx = select_mcs_index(table, np.array([-100.0, 100.0]))
     assert list(idx) == [0, 26]
-    idx = select_mcs_index(table, np.array([-100.0]), low_snr_fallback=False)
-    assert list(idx) == [-1]
 
 
 def test_raw_throughput_values(curves):
@@ -157,8 +160,8 @@ def test_snr_margin_identical_tables(tables):
 
 def test_mrs_rate_dominates_cas_pointwise(curves, tables):
     grid = np.linspace(-30, 60, 1500)
-    mrs = select_mcs_index(tables["MRS"], grid, low_snr_fallback=False)
-    cas = select_mcs_index(tables["CAS"], grid, low_snr_fallback=False)
+    mrs = table_index(tables["MRS"], grid)
+    cas = table_index(tables["CAS"], grid)
     tb = np.concatenate([[0], curves.tb_bits])  # -1 maps to 0 bits
     assert np.all(tb[mrs + 1] >= tb[cas + 1])
 
@@ -168,7 +171,7 @@ def test_constraint_satisfaction_analytic(curves, tables):
     rng = np.random.default_rng(2024)
     for name, table in tables.items():
         gammas = rng.uniform(table.thresholds_db[0], 60.0, 10_000)
-        idx = select_mcs_index(table, gammas, low_snr_fallback=False)
+        idx = table_index(table, gammas)
         for m in range(27):
             rows = gammas[idx == m]
             if len(rows) == 0:
@@ -187,7 +190,7 @@ def test_constraint_satisfaction_empirical(curves, tables):
     for name, table in tables.items():
         budget = table.iteration_budget
         for gamma in rng.uniform(table.thresholds_db[0], 45.0, 30):
-            m = int(select_mcs_index(table, np.array([gamma]), False)[0])
+            m = select_mcs(table, gamma).index
             c = int(curves.num_cbs[m])
             u = rng.random((n_tb, c))
             iters, failed = simulate_cbs(curves, m, np.full(n_tb, gamma), u.T)

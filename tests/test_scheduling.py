@@ -262,11 +262,11 @@ def test_sweep_network_matches_oracle():
             drop = draw_subframe(layout, params, 0.3, rng)
             targets, sinr = cloud_sinrs(drop, layout, params)
             u = rng.random((len(targets), curves.max_cbs))
-            tbs = _policy_tbs(targets, sinr, tables[policy], curves, u, True)
+            sinr_db = 10.0 * np.log10(sinr)
+            tbs = _policy_tbs(sinr_db, tables[policy], curves, u)
             tb_list = [
                 (int(rap), float(g), FakeTb(int(e), bool(f)))
-                for rap, g, e, f in zip(tbs.raps, tbs.sinr_db, tbs.efforts,
-                                        tbs.channel_fail)
+                for rap, g, e, f in zip(targets, sinr_db, tbs.efforts, tbs.channel_fail)
             ]
             n_tbs += len(tb_list)
             n_channel += int(tbs.channel_fail.sum())
@@ -348,11 +348,12 @@ def test_block_sweep_matches_oracle(monkeypatch):
             targets, sinr = rounded_sinrs(draw_subframe(layout, params, density, stream),
                                           layout, params)
             u = stream.random((len(targets), curves.max_cbs))
+            sinr_db = 10.0 * np.log10(sinr)
             for policy in ("MRS", "CAS"):
-                tbs = _policy_tbs(targets, sinr, tables[policy], curves, u, True)
+                tbs = _policy_tbs(sinr_db, tables[policy], curves, u)
                 drops.setdefault((di, policy), []).append([
                     (int(rap), float(g), FakeTb(int(e), bool(f)), int(b))
-                    for rap, g, e, f, b in zip(tbs.raps, tbs.sinr_db, tbs.efforts,
+                    for rap, g, e, f, b in zip(targets, sinr_db, tbs.efforts,
                                                tbs.channel_fail, tbs.bits)])
     sizes = [len(tbs) for tbs in drops[0, "MRS"]]
     busy = [i for i, n in enumerate(sizes) if n]
