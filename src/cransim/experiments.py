@@ -23,7 +23,6 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .cell import sweep_cell
@@ -557,7 +556,7 @@ def run(cfg, workers=1):
             json.dumps(plan.config, sort_keys=True).encode()
         ).hexdigest(),
         "calibration_sha256": _calibration_sha(plan.calibration_file),
-        "numeric_stack": {"numpy": np.__version__, "scipy": scipy.__version__},
+        "numeric_stack": {"numpy": np.__version__},
         "wall_clock_s": round(time.time() - t_start, 3),
         "outputs": {p.name: _sha256(p) for p in sorted(outputs)},
     }

@@ -1,18 +1,20 @@
 """Multi-cell geometry and uplink channel.
 
 RAPs are arbitrary points in a rectangular region; cells are the Voronoi
-tessellation clipped to the region (computed by mirroring the points across
-the four edges, which makes every clipped cell finite and exact).  Users
-form a planar PPP: per subframe, cell i holds a transmitting UE with
-probability 1 - exp(-lambda * A_i) (complement of the void probability),
-placed uniformly in the cell by rejection from its bounding box.
+tessellation clipped to the region.  Each cell is built on its own: the
+region rectangle, clipped (Sutherland-Hodgman) by the bisector half-plane of
+every other RAP, nearest first, until the next RAP is more than twice as far
+away as the cell's farthest vertex, so that its bisector cannot reach the
+cell.  Users form a planar PPP: per subframe, cell i holds a transmitting
+UE with probability 1 - exp(-lambda * A_i) (complement of the void
+probability), placed uniformly in the cell by rejection from its bounding
+box.
 
 A point x of the region lies in cell i iff x . (p_j - p_i) <=
 (|p_j|^2 - |p_i|^2) / 2 for every neighbour j of i.  The neighbours are the
-points that share a ridge with i in the mirrored tessellation, each mirror
-folded back to its RAP (index modulo n).  Folding is exact inside the
-region: a mirror of j is never nearer to x than j itself, and i's own
-mirrors, whose bisectors are the region edges, never bind there.
+RAPs whose bisectors cut the edges that are left of the clipped cell: each
+edge carries the label of the half-plane that made it, and the region's
+edges carry none.
 
 The uplink uses fractional power control P = P0 * d^(s*alpha), and the
 SINR at a cloud RAP follows from unit-mean exponential (Rayleigh) block
@@ -25,7 +27,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import Voronoi
 
 RESOLUTION_KM = 1e-9   # RAPs closer than this to each other or to an edge are rejected
 MIN_UE_RAP_KM = 1e-3   # a UE lies at least this far from its serving RAP
@@ -99,14 +100,47 @@ def shoelace_area(vertices):
     return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
 
 
+def _clipped_cell(i, xs, ys, order, region):
+    """RAP i's cell: the region rectangle clipped by the bisector of RAP i
+    and each RAP of ``order`` (the others, nearest first) until the next
+    one is too far to cut it.  Returns the CCW vertices and the RAPs whose
+    bisectors bound the cell."""
+    xmin, ymin, xmax, ymax = region
+    px, py = xs[i], ys[i]
+    verts = [(xmin, ymin), (xmax, ymin), (xmax, ymax), (xmin, ymax)]
+    labels = [-1, -1, -1, -1]   # labels[k]: the RAP whose bisector holds edge k -> k+1
+    reach = max((x - px) ** 2 + (y - py) ** 2 for x, y in verts)
+    for j in order:
+        dx, dy = xs[j] - px, ys[j] - py
+        half = (dx * dx + dy * dy) / 2.0   # the bisector is x . d <= |d|^2 / 2 about p_i
+        if half > 2.0 * reach:             # |d| > 2 * (farthest vertex), and so for the rest
+            break
+        side = [(x - px) * dx + (y - py) * dy - half for x, y in verts]
+        if max(side) <= 0.0:
+            continue
+        clipped, clipped_labels = [], []
+        for k, (a, sa) in enumerate(zip(verts, side)):
+            b, sb = verts[(k + 1) % len(verts)], side[(k + 1) % len(verts)]
+            if sa <= 0.0:
+                clipped.append(a)
+                clipped_labels.append(j if sa == 0.0 and sb > 0.0 else labels[k])
+            if (sa < 0.0 < sb) or (sb < 0.0 < sa):
+                t = sa / (sa - sb)
+                clipped.append((a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])))
+                clipped_labels.append(j if sa < 0.0 else labels[k])
+        verts, labels = clipped, clipped_labels
+        reach = max((x - px) ** 2 + (y - py) ** 2 for x, y in verts)
+    return np.array(verts), sorted({label for label in labels if label >= 0})
+
+
 def build_layout(rap_xy, region, cloud_group):
     """Voronoi tessellation of the region around the given RAPs.
 
-    Mirrors the points across all four region edges so every original
-    point's Voronoi cell is finite and exactly equals the unbounded cell
-    clipped to the rectangle.  The mirrored tessellation's ridges, folded
-    modulo n, give each cell's neighbours and so its half-planes; rows with
-    fewer neighbours are padded with the cell itself (0 <= 0).
+    Clips each RAP's cell out of the region rectangle with the bisectors of
+    the other RAPs, nearest first (see the module docstring).  The RAPs
+    whose bisectors bound a cell are its neighbours and give its
+    half-planes; rows with fewer neighbours are padded with the cell itself
+    (0 <= 0).
     """
     pts = np.asarray(rap_xy, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
@@ -114,7 +148,6 @@ def build_layout(rap_xy, region, cloud_group):
     xmin, ymin, xmax, ymax = (float(v) for v in region)
     if not (xmax > xmin and ymax > ymin):
         raise LayoutError("region must have positive extent")
-    # a RAP on an edge would coincide with its own mirror
     bad = ~(np.minimum(pts - (xmin, ymin), (xmax, ymax) - pts).min(axis=1) >= RESOLUTION_KM)
     if bad.any():
         raise LayoutError(f"RAP {int(np.flatnonzero(bad)[0])} lies outside the region "
@@ -128,39 +161,24 @@ def build_layout(rap_xy, region, cloud_group):
     if cloud and (cloud[0] < 0 or cloud[-1] >= len(pts)):
         raise ValueError("cloud_group index out of range")
 
-    mirrored = [pts]
-    for axis, bound in ((0, xmin), (0, xmax), (1, ymin), (1, ymax)):
-        m = pts.copy()
-        m[:, axis] = 2.0 * bound - m[:, axis]
-        mirrored.append(m)
-    vor = Voronoi(np.vstack(mirrored))
     n = len(pts)
-    polys = []
-    areas = np.empty(n)
+    xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
+    polys, neighbours = [], []
     for i in range(n):
-        verts_idx = vor.regions[vor.point_region[i]]
-        if -1 in verts_idx or len(verts_idx) < 3:
-            raise LayoutError(f"RAP {i}: unbounded Voronoi cell after mirroring")
-        verts = vor.vertices[verts_idx]
-        centroid = verts.mean(axis=0)
-        order = np.argsort(np.arctan2(verts[:, 1] - centroid[1], verts[:, 0] - centroid[0]))
-        verts = verts[order]
+        gap = pts - pts[i]
+        order = np.argsort((gap * gap).sum(axis=1))[1:]   # [0] is RAP i itself
+        verts, nbrs = _clipped_cell(i, xs, ys, order, (xmin, ymin, xmax, ymax))
         polys.append(verts)
-        areas[i] = shoelace_area(verts)
-    # neighbours: the ridges of the RAPs, folded modulo n
-    pairs = vor.ridge_points[(vor.ridge_points < n).any(axis=1)] % n
-    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-    pairs = np.unique(np.vstack([pairs, pairs[:, ::-1]]), axis=0)
-    degree = np.bincount(pairs[:, 0], minlength=n)
-    nbr = np.repeat(np.arange(n)[:, None], degree.max(), axis=1)
-    rank = np.arange(len(pairs)) - np.repeat(np.cumsum(degree) - degree, degree)
-    nbr[pairs[:, 0], rank] = pairs[:, 1]
+        neighbours.append(nbrs)
+    nbr = np.repeat(np.arange(n)[:, None], max(map(len, neighbours)), axis=1)
+    for i, nbrs in enumerate(neighbours):
+        nbr[i, : len(nbrs)] = nbrs
     sq = (pts ** 2).sum(axis=1)
     return NetworkLayout(
         rap_xy=pts,
         region=(xmin, ymin, xmax, ymax),
         cell_vertices=tuple(polys),
-        areas_km2=areas,
+        areas_km2=np.array([shoelace_area(v) for v in polys]),
         cloud_group=cloud,
         cloud_idx=np.array(cloud, dtype=int),
         lo=np.array([v.min(axis=0) for v in polys]),

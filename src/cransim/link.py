@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
-from scipy.special import expit
 
 CB_MAX_BITS = 6144          # segmentation limit: larger TBs split into CBs
 DEFAULT_I_MAX = 8           # maximum attempted decoder iterations
@@ -90,16 +89,19 @@ class LinkCurves:
 
     def success_cdf(self, mcs_index, gamma_db, i, floor=None):
         """Row ``i`` (1..i_max) of P(CB decoded within i iterations): the
-        running max ``max(floor, expit(a_i * (gamma - b_i)))`` over the
-        waterfalls, ``floor`` being row i - 1 (None for i = 1).
+        running max ``max(floor, 1 / (1 + exp(-a_i * (gamma - b_i))))`` over
+        the waterfalls, ``floor`` being row i - 1 (None for i = 1).
         ``mcs_index`` is a scalar or one index per SNR; NaN is rejected.
         """
         if np.isnan(gamma_db).any():
             raise ValueError("SNR must not be NaN")
         a, b = self._ab[:, i - 1, mcs_index]
-        f = np.asarray(gamma_db - b)    # a * (gamma - b) in place: one allocation
+        f = np.asarray(b - gamma_db)    # the logistic in place: one allocation
         f *= a
-        expit(f, out=f)
+        with np.errstate(over="ignore"):  # exp overflows to inf, and 1 / inf = 0
+            np.exp(f, out=f)
+        f += 1.0
+        np.reciprocal(f, out=f)
         if floor is not None:
             np.maximum(floor, f, out=f)
         return f

@@ -67,11 +67,12 @@ class NetworkRecord:
 class NetworkAccumulator:
     """Sweep totals as int64 arrays indexed ``[density, budget, mode, policy]``.
 
-    ``axes`` holds the labels of those four axes.  TB and channel-outage
-    counts do not depend on the budget or the mode and are indexed
-    ``[density, policy]``; ``bits_per_cell`` adds a trailing cloud-cell axis
-    and ``per_subframe`` (delivered bits, of length 0 unless kept) a trailing
-    subframe axis.  ``sumsq_bits`` sums the squared bits of each subframe.
+    ``axes`` holds the labels of those four axes.  Every policy sends one TB
+    per active cloud cell, so the TB count is indexed ``[density]``; the
+    channel-outage count does not depend on the budget or the mode and is
+    indexed ``[density, policy]``; ``bits_per_cell`` adds a trailing
+    cloud-cell axis and ``per_subframe`` (delivered bits, of length 0 unless
+    kept) a trailing subframe axis.  ``sumsq_bits`` sums the squared bits of each subframe.
     """
 
     axes: tuple
@@ -155,7 +156,7 @@ def sweep_network(layout, params, curves, tables, *, subframes, seed,
     shape = tuple(len(a) for a in axes)
     acc = NetworkAccumulator(
         axes=axes,
-        n_tbs=np.zeros((shape[0], shape[3]), dtype=np.int64),
+        n_tbs=np.zeros(shape[0], dtype=np.int64),
         n_channel=np.zeros((shape[0], shape[3]), dtype=np.int64),
         n_comp=np.zeros(shape, dtype=np.int64),
         sumsq_bits=np.zeros(shape, dtype=np.int64),
@@ -175,9 +176,9 @@ def sweep_network(layout, params, curves, tables, *, subframes, seed,
         targets, sinr, u = (np.concatenate(parts) for parts in zip(*drawn))
         sinr_db = 10.0 * np.log10(sinr)
         subframe = np.repeat(np.arange(len(subframes)), [len(d[0]) for d in drawn])
+        acc.n_tbs[di] = len(targets)
         for pi, policy in enumerate(policies):
             tbs = _policy_tbs(sinr_db, tables[policy], curves, u)   # one TB per target
-            acc.n_tbs[di, pi] = len(targets)
             acc.n_channel[di, pi] = tbs.channel_fail.sum()
             comp = np.stack([comp_outage_masks(targets, sinr_db, tbs.efforts,
                                                limits[mode], mode == CP, subframe)
@@ -215,7 +216,7 @@ def finalize_records(acc, n_subframes, subframe_s=link.SUBFRAME_S):
         *(enumerate(a) for a in acc.axes)
     ):
         arm = (di, bi, mi, pi)
-        n_tbs = int(acc.n_tbs[di, pi])
+        n_tbs = int(acc.n_tbs[di])
         mean_tput, hw = mean_halfwidth(n_subframes, acc.bits_per_cell[arm].sum(),
                                        acc.sumsq_bits[arm], subframe_s)
         per_cell = tuple(

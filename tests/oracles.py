@@ -11,8 +11,10 @@ cdf row for every trial, with no early stop.  The production decoder, which
 evaluates the rows one at a time and only for undecoded trials, must match
 them bit for bit.  ``cbler``, the code-block error rate 1 - F(i) as a
 running min of its own waterfalls, is an independent evaluator of the link
-curves that ``LinkCurves.success_cdf`` serves in the package.  Alongside
-them sit the closed forms the tests compare
+curves that ``LinkCurves.success_cdf`` serves in the package, and
+``voronoi_cells``, the clipped tessellation by Qhull on mirrored points, is
+an independent construction of the cells that ``build_layout`` clips out of
+the region.  Alongside them sit the closed forms the tests compare
 estimates with (``tb_channel_outage_prob``, the exact convolution
 ``comp_outage_prob``, ``raw_throughput``) and a layout writer
 (``save_layout_csv``) for the layout-CSV round trip.
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.spatial import cKDTree
+from scipy.spatial import Voronoi, cKDTree
 from scipy.special import expit
 
 from cransim.link import SUBFRAME_S, McsEntry, segment_tb
@@ -127,12 +129,14 @@ def simulate_tb(mcs, curves, gamma_db, rng):
 
 def success_cdf(curves, mcs_index, gamma_db):
     """Rows 0..i_max of ``LinkCurves.success_cdf`` in trial-major form: the
-    waterfalls along the last axis, their running max by
+    waterfalls along the last axis, each the logistic ``1 / (1 + exp(-x))``
+    in numpy as the package computes it, their running max by
     ``np.maximum.accumulate`` and a zero column in front."""
     g = np.asarray(gamma_db, dtype=float)
     a = np.array([m.slopes_per_db for m in curves.catalog])[mcs_index]
     b = np.array([m.midpoints_db for m in curves.catalog])[mcs_index]
-    f = np.maximum.accumulate(expit(a * (g[..., None] - b)), axis=-1)
+    with np.errstate(over="ignore"):
+        f = np.maximum.accumulate(1.0 / (1.0 + np.exp(a * (b - g[..., None]))), axis=-1)
     return np.concatenate([np.zeros(f.shape[:-1] + (1,)), f], axis=-1)
 
 
@@ -284,6 +288,43 @@ def save_layout_csv(layout, path):
         cloud = set(layout.cloud_group)
         for i, (x, y) in enumerate(layout.rap_xy):
             writer.writerow([i, repr(float(x)), repr(float(y)), int(i in cloud)])
+
+
+def voronoi_cells(rap_xy, region):
+    """The clipped Voronoi cells by Qhull: mirror the RAPs across the four
+    region edges, which makes every RAP's cell finite and equal to its
+    unbounded cell clipped to the rectangle, and fold each ridge between
+    RAPs and mirrors back to the mirrored RAP (index modulo n).
+
+    Returns ``(vertices, areas, ridges)``: per RAP its cell's CCW vertices
+    and area, and ``ridges[i]`` mapping each neighbour j of RAP i to the
+    length of their longest ridge.
+    """
+    pts = np.asarray(rap_xy, dtype=float)
+    xmin, ymin, xmax, ymax = region
+    mirrored = [pts]
+    for axis, bound in ((0, xmin), (0, xmax), (1, ymin), (1, ymax)):
+        m = pts.copy()
+        m[:, axis] = 2.0 * bound - m[:, axis]
+        mirrored.append(m)
+    vor = Voronoi(np.vstack(mirrored))
+    n = len(pts)
+    polys = []
+    for i in range(n):
+        verts = vor.vertices[vor.regions[vor.point_region[i]]]
+        centroid = verts.mean(axis=0)
+        polys.append(verts[np.argsort(np.arctan2(*(verts - centroid).T[::-1]))])
+    ridges = [{} for _ in range(n)]
+    for (p, q), ends in zip(vor.ridge_points, vor.ridge_vertices):
+        i, j = p % n, q % n
+        if (p < n or q < n) and i != j:
+            length = float(np.hypot(*(vor.vertices[ends[0]] - vor.vertices[ends[1]])))
+            for a, b in ((i, j), (j, i)):
+                ridges[a][b] = max(ridges[a].get(b, 0.0), length)
+    areas = np.array([0.5 * abs(float(np.dot(v[:, 0], np.roll(v[:, 1], -1))
+                                      - np.dot(v[:, 1], np.roll(v[:, 0], -1))))
+                      for v in polys])
+    return polys, areas, ridges
 
 
 def sample_positions(layout, cells, rng, min_dist_km, batch=8, max_rounds=10000):

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 from scipy.stats import chi2
 
+import oracles
 from cransim.geometry import (
     MIN_UE_RAP_KM,
+    RESOLUTION_KM,
     ChannelParams,
     LayoutError,
     SubframeDrop,
@@ -183,9 +185,10 @@ GRID = 64  # layouts below put RAPs on a GRID x GRID lattice of the region
 
 @st.composite
 def lattice_layouts(draw):
-    """RAP layouts of the shapes that stress the mirrored tessellation: two
-    RAPs, collinear RAPs, a sliver cell, any; RAPs sit on the interior
-    lattice points 1..GRID-1 (``build_layout`` rejects a RAP on an edge)."""
+    """RAP layouts of the shapes that stress a tessellation: two RAPs,
+    collinear RAPs, a sliver cell, any (lattice points are often cocircular,
+    so cells meet in zero-length ridges); RAPs sit on the interior lattice
+    points 1..GRID-1 (``build_layout`` rejects a RAP on an edge)."""
     kind = draw(st.sampled_from(["two", "collinear", "sliver", "any"]))
     lattice = st.integers(1, GRID - 1)
     if kind == "collinear":
@@ -214,8 +217,8 @@ def lattice_layouts(draw):
        axis=st.integers(0, 1), far=st.booleans(), inset=st.sampled_from([0.0, 1e-12, 5e-10]),
        width=st.sampled_from([1.0, 2.5, 10.0]))
 def test_rap_on_region_edge_is_rejected(ij, axis, far, inset, width):
-    # a RAP on an edge coincides with its own mirror, and Qhull keeps only
-    # one of the two: RAPs (1, 1) and (2, 1) in [0, 2]^2 gave areas [3, 2]
+    # a RAP on an edge would coincide with its own mirror in the Qhull
+    # construction (oracles.voronoi_cells), which keeps only one of the two
     size = np.array([width, 4.0])
     pts = np.array(ij, dtype=float) / GRID * size
     pts[0, axis] = size[axis] - inset if far else inset
@@ -236,6 +239,75 @@ def test_half_planes_decide_nearest_rap(layout, seed):
     inside = (np.matmul(pts[clear], layout.normals) <= layout.offsets).all(axis=2)
     owner = nearest[clear, 0] == np.arange(layout.n_total)[:, None]
     assert np.array_equal(inside, owner)
+
+
+# Agreement with the Qhull construction, fixed before the first comparison:
+# ridges of at most RIDGE_TOL_KM count as zero-length (cocircular RAPs meet
+# in a point), areas agree within AREA_TOL of the region's area and
+# bounding boxes within BOX_TOL_KM.
+RIDGE_TOL_KM = RESOLUTION_KM
+AREA_TOL = 1e-9
+BOX_TOL_KM = 1e-9
+
+
+def bisector_edges(layout):
+    """Per cell, each neighbour its half-planes name (the padding dropped),
+    with the length of the cell's edge on their bisector."""
+    pts = layout.rap_xy
+    out = []
+    for i, verts in enumerate(layout.cell_vertices):
+        edges = {}
+        for d in layout.normals[i].T[layout.normals[i].T.any(axis=1)]:
+            gap = np.hypot(*(pts - (pts[i] + d)).T)
+            j = int(np.argmin(gap))
+            assert gap[j] < 1e-12
+            norm = math.hypot(*d)
+            on = verts[np.abs((verts - pts[i]) @ d - norm * norm / 2) <= RIDGE_TOL_KM * norm]
+            assert len(on), f"the bisector of RAPs {i} and {j} misses cell {i}"
+            along = on @ (-d[1], d[0]) / norm
+            edges[j] = float(along.max() - along.min())
+        out.append(edges)
+    return out
+
+
+def assert_matches_qhull(layout, areas_too=True):
+    polys, areas, ridges = oracles.voronoi_cells(layout.rap_xy, layout.region)
+    for i, edges in enumerate(bisector_edges(layout)):
+        got = {j for j, length in edges.items() if length > RIDGE_TOL_KM}
+        want = {j for j, length in ridges[i].items() if length > RIDGE_TOL_KM}
+        assert got == want, f"cell {i}"
+    if areas_too:
+        xmin, ymin, xmax, ymax = layout.region
+        assert np.abs(layout.areas_km2 - areas).max() <= AREA_TOL * (xmax - xmin) * (ymax - ymin)
+        assert np.abs(layout.lo - [v.min(axis=0) for v in polys]).max() <= BOX_TOL_KM
+        assert np.abs(layout.hi - [v.max(axis=0) for v in polys]).max() <= BOX_TOL_KM
+
+
+@settings(max_examples=200, deadline=None)
+@given(layout=lattice_layouts())
+def test_clipped_cells_match_qhull_on_lattices(layout):
+    assert_matches_qhull(layout)
+
+
+@pytest.mark.parametrize("n_total, side_km, min_sep_km", [(129, 20.0, 1.3), (1000, 40.0, 0.9)])
+def test_clipped_cells_match_qhull_on_synthesized_layouts(n_total, side_km, min_sep_km):
+    layout = synthesize_layout(substream(4242, "layout", n_total), n_total=n_total,
+                               region=(0.0, 0.0, side_km, side_km), min_sep_km=min_sep_km)
+    assert_matches_qhull(layout)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_rap_near_an_edge_conserves_area(seed):
+    # Qhull's cells lose about 6e-9 of their relative area when a RAP sits
+    # 1e-8 km from an edge, so the clipper's areas are checked by their sum
+    rng = np.random.default_rng(seed)
+    width, height = 10.0, 4.0
+    pts = rng.random((10, 2)) * [width, height]
+    axis = seed % 2
+    pts[0, axis] = (width, height)[axis] - 1e-8 if seed % 4 > 1 else 1e-8
+    layout = build_layout(pts, (0.0, 0.0, width, height), ())
+    assert abs(layout.areas_km2.sum() / (width * height) - 1.0) < 1e-12
+    assert_matches_qhull(layout, areas_too=False)
 
 
 def test_sinr_unit_distance_no_interference(two_cell_layout):

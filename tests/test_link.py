@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from importlib import resources
 from types import SimpleNamespace
 
@@ -372,6 +373,23 @@ def test_crossing_calibration_binds_the_running_max():
         f1 = curves.success_cdf(entry.index, g, 1)
         f2 = curves.success_cdf(entry.index, g, 2, f1)
         assert f2 == f1 == raw[0]
+
+
+def test_logistic_within_4_ulps_of_expit():
+    # row 1 of MCS 0 with slope 1 and midpoint 0 is the bare logistic of the
+    # SNR; numpy's exp and scipy's expit may round differently, by a few ulps
+    data = default_calibration()
+    data["mcs"][0]["waterfall"][0] = [1.0, 0.0]
+    curves = LinkCurves(*catalog_from_dict(data))
+    x = np.concatenate([np.linspace(-800.0, 800.0, 1_600_001), [0.0, math.inf, -math.inf]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")     # exp overflows silently to 0 success
+        got = curves.success_cdf(0, x, 1)
+    want = expit(x)
+    assert got[-3:].tolist() == [0.5, 1.0, 0.0]
+    assert got.min() == 0.0 and got.max() == 1.0
+    # both lie in [0, 1], where the ulp distance is the difference of the bit patterns
+    assert np.abs(got.view(np.int64) - want.view(np.int64)).max() <= 4
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,10 +1,15 @@
 """Package-level guards on what ``src/cransim`` contains."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "cransim"
+CONFIGS = TESTS.parent / "configs"
 
 
 def _module_level_names(tree):
@@ -71,3 +76,34 @@ def test_every_import_is_used():
         unused += [f"{path.parent.name}/{path.name}:{name}"
                    for name in _imported_names(tree) if name not in used]
     assert not unused, f"imported but never used: {unused}"
+
+
+# validate every shipped config, then run a short cell and network sweep, in
+# a fresh interpreter; print the scipy modules it then holds
+NO_SCIPY_CHILD = """
+import json, sys
+from pathlib import Path
+import cransim.cli
+
+configs, out = Path(sys.argv[1]), Path(sys.argv[2])
+for path in sorted(configs.glob("*.json")):
+    assert cransim.cli.main(["validate", "--config", str(path)]) == 0, path
+for name, section, key, length in (("cell_outage", "cell", "n_trials", 20),
+                                   ("net_budget_sweep", "network", "n_subframes", 5)):
+    cfg = json.loads((configs / f"{name}.json").read_text())
+    cfg[section][key] = length
+    cfg["output_dir"] = str(out / name)
+    (out / f"{name}.json").write_text(json.dumps(cfg))
+    assert cransim.cli.main(["run", "--config", str(out / f"{name}.json")]) == 0, name
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_run_path_imports_no_scipy(tmp_path):
+    # scipy is a test dependency: nothing that validates or runs may need it
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_CHILD, str(CONFIGS), str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
+    assert (tmp_path / "net_budget_sweep" / "results.json").is_file()

@@ -285,7 +285,7 @@ def test_sweep_network_matches_oracle():
         assert acc.per_subframe[0, :, :, pi].tolist() == sf_bits.tolist()
         assert acc.n_comp[0, :, :, pi].tolist() == n_comp.tolist()
         assert acc.bits_per_cell[0, :, :, pi].tolist() == cell_bits.tolist()
-        assert acc.n_tbs[0, pi] == n_tbs and acc.n_channel[0, pi] == n_channel
+        assert acc.n_tbs[0] == n_tbs and acc.n_channel[0, pi] == n_channel
         assert acc.sumsq_bits[0, :, :, pi].tolist() == (sf_bits ** 2).sum(axis=-1).tolist()
         # the grid straddles the outage regime, and pooling changes decisions
         assert n_comp[0].tolist() == [n_tbs, n_tbs] and n_comp[-1].tolist() == [0, 0]
@@ -381,7 +381,7 @@ def test_block_sweep_matches_oracle(monkeypatch):
     n_comp = np.zeros(acc.n_comp.shape, dtype=int)
     for (di, policy), tbs_list in drops.items():
         pi = ("MRS", "CAS").index(policy)
-        assert acc.n_tbs[di, pi] == sum(map(len, tbs_list))
+        assert acc.n_tbs[di] == sum(map(len, tbs_list))
         assert acc.n_channel[di, pi] == sum(tb.channel_outage for tbs in tbs_list
                                             for _, _, tb, _ in tbs)
         for (bi, c), (mi, mode) in itertools.product(enumerate(budgets),
