@@ -3,9 +3,10 @@
 Per trial the instantaneous SNR is exponential with linear mean 10^(G/10)
 for average SNR G; the policy picks an MCS, the transport block is decoded
 under the link model, and a computational outage is declared when the
-block's effort exceeds the per-subframe budget c_max * subframe (strict
-inequality).  Channel-outage blocks still consume their full effort, since
-the decoder cannot know in advance that a block will fail.
+block's effort exceeds the per-subframe budget c_max * SUBFRAME_S (strict
+inequality; the calibration fixes the subframe at 1 ms).  Channel-outage
+blocks still consume their full effort, since the decoder cannot know in
+advance that a block will fail.
 """
 
 from __future__ import annotations
@@ -45,30 +46,31 @@ class CellRecord:
     effort_per_success_hw: float
 
 
-def wilson_halfwidth(k, n, z=Z_95):
-    """Half-width of the Wilson score interval for a binomial proportion."""
+def wilson_halfwidth(k, n):
+    """Half-width of the 95% Wilson score interval for a binomial proportion."""
     if n == 0:
         return 0.0
     p = k / n
+    z = Z_95
     denom = 1.0 + z * z / n
     half = (z / denom) * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n))
     return half
 
 
-def mean_halfwidth(n, total, total_sq, subframe_s):
-    """Mean and 95% half-width, per ``subframe_s``, of a series of ``n``
-    integers (bits or bit-iterations) from its exact sums of x and x * x.
+def mean_halfwidth(n, total, total_sq):
+    """Mean and 95% half-width, per second, of a series of ``n`` integers
+    (bits or bit-iterations per subframe) from its exact sums of x and x * x.
 
     Sample variance (ddof 1); the half-width is 0 for n < 2 and the mean of
     no values NaN.  The variance of the mean is one correctly rounded
     division of Python integers, so the order of the series cannot matter.
     """
     n, total, total_sq = int(n), int(total), int(total_sq)
-    mean = total / n / subframe_s if n else math.nan
+    mean = total / n / SUBFRAME_S if n else math.nan
     if n < 2:
         return mean, 0.0
     var_of_mean = (n * total_sq - total * total) / (n * n * (n - 1))
-    return mean, Z_95 * math.sqrt(var_of_mean) / subframe_s
+    return mean, Z_95 * math.sqrt(var_of_mean) / SUBFRAME_S
 
 
 @dataclass
@@ -100,7 +102,7 @@ def simulate_trials(gamma_db, table, curves, u):
     fail_s = np.zeros(len(sel), dtype=bool)
     for m in np.flatnonzero(np.diff(edges)):
         lo, hi = edges[m], edges[m + 1]
-        effort_s[lo:hi], fail_s[lo:hi], _ = simulate_tb_batch(
+        effort_s[lo:hi], fail_s[lo:hi] = simulate_tb_batch(
             curves, int(m), gamma_s[lo:hi], u_s[:, lo:hi])
     block = _TrialBlock(bits=curves.tb_bits[sel], effort=np.empty_like(effort_s),
                         channel_fail=np.empty_like(fail_s))
@@ -109,18 +111,18 @@ def simulate_trials(gamma_db, table, curves, u):
     return block
 
 
-def summarize_cell_point(snr_db, policy, c_max_values, subframe_s, block):
+def summarize_cell_point(snr_db, policy, c_max_values, block):
     """Reduce a trial block to one CellRecord per budget in ``c_max_values``.
 
     Every trial transmits (``n_transmitted`` equals ``n_trials``), and a
     block is in computational outage when its effort strictly exceeds
-    ``c_max * subframe_s``.  The effective throughput E[(1 - eps(gamma))
+    ``c_max * SUBFRAME_S``.  The effective throughput E[(1 - eps(gamma))
     R(gamma)] is the mean of the bits delivered per trial; the complexity
     metric charges the nominal effort of every block (outage blocks
     included) against the count of successful decodes.
     """
     def mean_hw(x):
-        return mean_halfwidth(n, x.sum(), np.dot(x, x), subframe_s)
+        return mean_halfwidth(n, x.sum(), np.dot(x, x))
 
     n = len(block.bits)
     n_channel = int(block.channel_fail.sum())
@@ -132,7 +134,7 @@ def summarize_cell_point(snr_db, policy, c_max_values, subframe_s, block):
                   t_raw_bps=t_raw, t_raw_hw_bps=t_raw_hw)
     records = []
     for c_max in c_max_values:
-        comp_fail = block.effort > c_max * subframe_s
+        comp_fail = block.effort > c_max * SUBFRAME_S
         lost = block.channel_fail | comp_fail
         n_lost = int(lost.sum())
         n_success = n - n_lost
@@ -160,8 +162,7 @@ def draw_cell_trials(rng, snr_db, n_trials, max_cbs):
 
 
 def sweep_cell(snr_grid_db, tables, curves, n_trials, seed,
-               c_max_values=(math.inf,), policies=("MRS", "CAS"),
-               subframe_s=SUBFRAME_S, grid_indices=None):
+               c_max_values=(math.inf,), policies=("MRS", "CAS"), grid_indices=None):
     """Full sweep over average SNR for every (policy, budget) arm.
 
     ``grid_indices`` are the indices into ``snr_grid_db`` to sweep, all by
@@ -180,6 +181,6 @@ def sweep_cell(snr_grid_db, tables, curves, n_trials, seed,
         for policy in policies:
             block = simulate_trials(gamma_db, tables[policy], curves, u)
             for c_max, rec in zip(c_max_values, summarize_cell_point(
-                    snr_db, policy, c_max_values, subframe_s, block)):
+                    snr_db, policy, c_max_values, block)):
                 out[(policy, c_max)].append(rec)
     return {key: tuple(recs) for key, recs in out.items()}

@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .cell import sweep_cell
 from .geometry import ChannelParams, load_layout_csv, synthesize_layout
-from .link import SUBFRAME_S, load_calibration
+from .link import load_calibration
 from .policy import ConfigurationError, build_policy_tables, snr_margin
 from .rng import substream
 from .scheduling import finalize_records, merge_accumulators, sweep_network
@@ -66,7 +66,6 @@ DEFAULT_CONFIG = {
     "output_dir": "results",
     "calibration_file": None,
     "eps_hat": 0.1,
-    "subframe_s": SUBFRAME_S,
     "cell": {
         "snr_grid_db": {"start": -20.0, "stop": 40.0, "step": 2.0},
         "policies": ["MRS", "CAS"],
@@ -252,7 +251,6 @@ _RULES = {
     "output_dir": _rule(str, None, "must be a string"),
     "calibration_file": _rule(None, _path, "must be null or an existing file"),
     "eps_hat": _rule(float, lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
-    "subframe_s": _rule(float, lambda v: v > 0, "must be positive"),
     "cell.snr_grid_db": _grid(lambda v: v is not None and _db(v),
                               f"entries must be numbers {_DB_MESSAGE}"),
     "cell.n_trials": _rule(int, lambda v: v >= 1, "must be a positive integer"),
@@ -313,7 +311,6 @@ class Plan:
     seed: int
     calibration_file: str | None
     eps_hat: float
-    subframe_s: float
     policies: tuple = ()
     budgets: tuple = ()          # bit-iterations/s; inf = unconstrained
     snr_grid_db: tuple = ()      # the cell experiment
@@ -375,7 +372,9 @@ def _resolve(cfg):
         # or a subframe delivering a TB in every cloud cell
         field, n, tbs_per_term = "network.n_subframes", plan.n_subframes, n_cloud
     peak = tbs_per_term * int(curves.tb_bits.max())
-    limit = (2**63 - 1) // (peak * peak)  # numpy's int64 sums wrap silently
+    # numpy's int64 sums wrap silently; |a * b| <= max(a * a, b * b) bounds
+    # the LP x CP cross sums too
+    limit = (2**63 - 1) // (peak * peak)
     if n > limit:
         return None, [f"{field}: must be at most {limit}, so that the exact sums of "
                       f"squares of up to {peak} per term stay within int64"]
@@ -410,8 +409,7 @@ def _cell_point_task(plan, gi):
     curves, tables = _models(plan.calibration_file, plan.eps_hat)
     res = sweep_cell(
         plan.snr_grid_db, tables, curves, plan.n_trials, plan.seed,
-        c_max_values=plan.budgets, policies=plan.policies,
-        subframe_s=plan.subframe_s, grid_indices=(gi,),
+        c_max_values=plan.budgets, policies=plan.policies, grid_indices=(gi,),
     )
     return [rec for recs in res.values() for rec in recs]
 
@@ -424,7 +422,6 @@ def _net_block_task(plan, block):
         subframes=subframes, seed=plan.seed, density_grid=plan.densities,
         density_indices=(density_index,),
         budget_grid=plan.budgets, modes=plan.modes, policies=plan.policies,
-        subframe_s=plan.subframe_s,
     )
 
 
@@ -535,7 +532,7 @@ def run(cfg, workers=1):
                   for di in range(len(dict.fromkeys(plan.densities)))
                   for t0 in range(0, n, NET_BLOCK_SUBFRAMES)]
         acc = merge_accumulators(_run_tasks(_net_block_task, plan, blocks, workers))
-        record_dicts = _record_dicts(finalize_records(acc, n, plan.subframe_s))
+        record_dicts = _record_dicts(finalize_records(acc, n))
 
     else:  # policy_tables
         curves, tables = _models(plan.calibration_file, plan.eps_hat)

@@ -31,7 +31,7 @@ import numpy as np
 
 CB_MAX_BITS = 6144          # segmentation limit: larger TBs split into CBs
 DEFAULT_I_MAX = 8           # maximum attempted decoder iterations
-SUBFRAME_S = 1e-3
+SUBFRAME_S = 1e-3           # the calibration's subframe: the one time unit
 
 QPSK = "QPSK"
 QAM16 = "QAM16"
@@ -170,11 +170,11 @@ def simulate_tb_batch(curves, mcs_index, gamma_db, u):
 
     ``gamma_db`` has shape (n,), ``u`` is CB-major, (>= num_cbs, n), of which
     the first ``num_cbs`` rows are consumed.  Returns ``(effort,
-    channel_outage, iters)``, the first two of shape (n,).
+    channel_outage)``, each of shape (n,).
     """
     c = int(curves.num_cbs[mcs_index])
     iters, failed = simulate_cbs(curves, mcs_index, gamma_db, u[:c])
-    return curves.cb_bits[mcs_index, :c] @ iters, failed.any(axis=0), iters
+    return curves.cb_bits[mcs_index, :c] @ iters, failed.any(axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Computational budgeting: local versus pooled (cloud) processing.
 
 Local processing (LP) grants each RAP its own per-subframe budget
-c_max * subframe; cloud processing (CP) pools n_cloud of those budgets and
-serves the cloud group's transport blocks lowest-SINR-first (ties broken by
-RAP index), so the blocks sacrificed to a budget shortfall are always the
-ones sent at the highest MCSs.  The blocks decoded within the budget are
+c_max * SUBFRAME_S (1 ms); cloud processing (CP) pools n_cloud of those
+budgets and serves the cloud group's transport blocks lowest-SINR-first
+(ties broken by RAP index), so the blocks sacrificed to a budget shortfall
+are always the ones sent at the highest MCSs.  The blocks decoded within the budget are
 the longest prefix of that order whose cumulative effort is at most the
 budget (under LP, each RAP's blocks against its own budget); the first
 block that would overrun it, and every block after it, is in computational
@@ -71,8 +71,10 @@ class NetworkAccumulator:
     per active cloud cell, so the TB count is indexed ``[density]``; the
     channel-outage count does not depend on the budget or the mode and is
     indexed ``[density, policy]``; ``bits_per_cell`` adds a trailing
-    cloud-cell axis and ``per_subframe`` (delivered bits, of length 0 unless
-    kept) a trailing subframe axis.  ``sumsq_bits`` sums the squared bits of each subframe.
+    cloud-cell axis.  ``sumsq_bits`` sums the squared bits delivered in each
+    subframe, and ``cross_bits``, indexed ``[density, budget, policy]``, the
+    product of each subframe's LP and CP bits (zeros unless both modes run),
+    so a paired CP - LP difference has exact sums too.
     """
 
     axes: tuple
@@ -81,7 +83,7 @@ class NetworkAccumulator:
     n_comp: np.ndarray
     sumsq_bits: np.ndarray
     bits_per_cell: np.ndarray
-    per_subframe: np.ndarray
+    cross_bits: np.ndarray
 
 
 def _policy_tbs(sinr_db, table, curves, u):
@@ -124,8 +126,7 @@ def comp_outage_masks(raps, sinr_db, efforts, limits, pooled, subframe=0):
 
 def sweep_network(layout, params, curves, tables, *, subframes, seed,
                   density_grid, density_indices=None, budget_grid=(math.inf,),
-                  modes=(LP, CP), policies=("MRS", "CAS"),
-                  subframe_s=link.SUBFRAME_S, keep_subframe_sums=False):
+                  modes=(LP, CP), policies=("MRS", "CAS")):
     """Monte Carlo sweep over UE density (UEs per km^2) and complexity budget.
 
     ``subframes`` is the (nonempty) range of subframe indices to simulate, and
@@ -161,12 +162,11 @@ def sweep_network(layout, params, curves, tables, *, subframes, seed,
         n_comp=np.zeros(shape, dtype=np.int64),
         sumsq_bits=np.zeros(shape, dtype=np.int64),
         bits_per_cell=np.zeros(shape + (layout.n_cloud,), dtype=np.int64),
-        per_subframe=np.zeros(shape + (len(subframes) if keep_subframe_sums else 0,),
-                              dtype=np.int64),
+        cross_bits=np.zeros((shape[0], shape[1], shape[3]), dtype=np.int64),
     )
     cloud = layout.cloud_idx
     per_rap = np.array(budgets, dtype=float)
-    limits = {LP: per_rap * subframe_s, CP: layout.n_cloud * per_rap * subframe_s}
+    limits = {LP: per_rap * link.SUBFRAME_S, CP: layout.n_cloud * per_rap * link.SUBFRAME_S}
     for di in range(len(densities)) if density_indices is None else density_indices:
         drawn = []
         for stream in rng.substreams(seed, "net", di, last=subframes):
@@ -190,26 +190,24 @@ def sweep_network(layout, params, curves, tables, *, subframes, seed,
             subframe_bits = np.zeros(comp.shape[:2] + (len(subframes),), dtype=np.int64)
             np.add.at(subframe_bits, (..., subframe), bits)
             acc.sumsq_bits[di, :, :, pi] = (subframe_bits * subframe_bits).sum(axis=-1)
-            if keep_subframe_sums:
-                acc.per_subframe[di, :, :, pi] = subframe_bits
+            if len(modes) == 2:
+                lp, cp = subframe_bits[:, modes.index(LP)], subframe_bits[:, modes.index(CP)]
+                acc.cross_bits[di, :, pi] = (lp * cp).sum(axis=-1)
     return acc
 
 
 def merge_accumulators(parts):
     """Merge the accumulators of a run's parts into one.
 
-    Counts and sums add elementwise, exactly in any order; a part holds
-    zeros at the densities it did not sweep.  Kept per-subframe bits are
-    concatenated in the order given (parts over the same densities).
+    Every field but ``axes`` is an exact sum and adds elementwise, in any
+    order; a part holds zeros at the densities it did not sweep.
     """
     parts = list(parts)
-    sums = {f.name: sum(getattr(part, f.name) for part in parts)
-            for f in fields(NetworkAccumulator) if f.name not in ("axes", "per_subframe")}
-    return replace(parts[0], **sums, per_subframe=np.concatenate(
-        [part.per_subframe for part in parts], axis=-1))
+    return replace(parts[0], **{f.name: sum(getattr(part, f.name) for part in parts)
+                                for f in fields(NetworkAccumulator) if f.name != "axes"})
 
 
-def finalize_records(acc, n_subframes, subframe_s=link.SUBFRAME_S):
+def finalize_records(acc, n_subframes):
     """Reduce a sweep accumulator to NetworkRecords, sorted by arm."""
     records = []
     for (di, density), (bi, c), (mi, mode), (pi, policy) in itertools.product(
@@ -218,9 +216,9 @@ def finalize_records(acc, n_subframes, subframe_s=link.SUBFRAME_S):
         arm = (di, bi, mi, pi)
         n_tbs = int(acc.n_tbs[di])
         mean_tput, hw = mean_halfwidth(n_subframes, acc.bits_per_cell[arm].sum(),
-                                       acc.sumsq_bits[arm], subframe_s)
+                                       acc.sumsq_bits[arm])
         per_cell = tuple(
-            float(b) / (n_subframes * subframe_s) for b in acc.bits_per_cell[arm]
+            float(b) / (n_subframes * link.SUBFRAME_S) for b in acc.bits_per_cell[arm]
         )
         records.append(
             NetworkRecord(

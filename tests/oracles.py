@@ -165,11 +165,11 @@ def select_mcs(table, gamma_db):
     return table.catalog[idx]
 
 
-def raw_throughput(mcs, subframe_s=SUBFRAME_S):
+def raw_throughput(mcs):
     """Selected rate in bits/second; zero when no MCS is feasible."""
     if mcs is None:
         return 0.0
-    return mcs.tb_bits / subframe_s
+    return mcs.tb_bits / SUBFRAME_S
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +189,6 @@ class CellTrialConfig:
     snr_db: float
     policy: str = "MRS"
     c_max_bit_iter_s: float = math.inf
-    subframe_s: float = SUBFRAME_S
     n_trials: int = 100000
     seed: int = 0
 
@@ -210,7 +209,7 @@ def run_cell_trial(cfg, gamma_db, table, curves, rng):
     if mcs is None:
         mcs = table.catalog[0]
     tb = simulate_tb(mcs, curves, gamma_db, rng)
-    budget = cfg.c_max_bit_iter_s * cfg.subframe_s
+    budget = cfg.c_max_bit_iter_s * SUBFRAME_S
     comp = tb.effort_bit_iters > budget
     if tb.channel_outage and comp:
         kind = OUTAGE_BOTH

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from cransim.cell import sweep_cell
+from cransim.cell import Z_95, mean_halfwidth, sweep_cell
 from cransim.experiments import run as run_experiment
 from cransim.geometry import (
     ChannelParams,
@@ -26,10 +26,10 @@ from cransim.geometry import (
     draw_subframe,
     synthesize_layout,
 )
-from cransim.link import SUBFRAME_S, load_calibration, segment_tb, simulate_cbs
+from cransim.link import load_calibration, segment_tb, simulate_cbs
 from cransim.policy import build_policy_tables
 from cransim.rng import substream
-from cransim.scheduling import sweep_network
+from cransim.scheduling import finalize_records, sweep_network
 from oracles import cbler, comp_outage_prob, raw_throughput, tb_channel_outage_prob
 
 SNR_GRID = [float(g) for g in range(-20, 42, 2)]
@@ -73,7 +73,7 @@ def budget_sweep(curves, tables, net_layout):
     acc = sweep_network(
         net_layout, params, curves, tables, subframes=range(NET_SUBFRAMES),
         seed=1889, density_grid=(0.1,), budget_grid=budgets, modes=("LP", "CP"),
-        policies=("MRS", "CAS"), keep_subframe_sums=True,
+        policies=("MRS", "CAS"),
     )
     return acc, budgets
 
@@ -85,7 +85,7 @@ def density_sweep(curves, tables, net_layout):
     acc = sweep_network(
         net_layout, params, curves, tables, subframes=range(DENSITY_SUBFRAMES),
         seed=771, density_grid=densities, budget_grid=(math.inf, 30e6),
-        modes=("CP",), policies=("MRS", "CAS"), keep_subframe_sums=True,
+        modes=("CP",), policies=("MRS", "CAS"),
     )
     return acc, densities
 
@@ -245,13 +245,28 @@ def test_criterion_6_throughput_band(cell_sweeps):
            f"longest contiguous CAS>MRS band = {best_width:g} dB")
 
 
-def _per_subframe(acc, key):
-    """Per-subframe sum throughputs of one (density, budget, mode, policy) arm."""
-    return acc.per_subframe[tuple(axis.index(v) for axis, v in zip(acc.axes, key))] / SUBFRAME_S
+def _records(acc, n_subframes):
+    """``finalize_records`` keyed by arm, (density, budget, mode, policy)."""
+    return {(r.ue_density_per_km2, r.c_max_bit_iter_s, r.mode, r.policy): r
+            for r in finalize_records(acc, n_subframes)}
+
+
+def _paired_gain(acc, n_subframes, density, c, policy):
+    """Mean and standard error of the per-subframe CP - LP sum throughput of
+    one arm, from exact integer sums: with d = a - b per subframe,
+    sum d = sum a - sum b and sum d^2 = sum a^2 + sum b^2 - 2 sum ab."""
+    di, bi, pi = (acc.axes[k].index(v) for k, v in ((0, density), (1, c), (3, policy)))
+    a, b = ((di, bi, acc.axes[2].index(mode), pi) for mode in ("CP", "LP"))
+    sum_d = int(acc.bits_per_cell[a].sum()) - int(acc.bits_per_cell[b].sum())
+    sum_d2 = (int(acc.sumsq_bits[a]) + int(acc.sumsq_bits[b])
+              - 2 * int(acc.cross_bits[di, bi, pi]))
+    mean, hw = mean_halfwidth(n_subframes, sum_d, sum_d2)
+    return mean, hw / Z_95
 
 
 def test_criterion_7_pooling_dominance(budget_sweep):
     acc, budgets = budget_sweep
+    records = _records(acc, NET_SUBFRAMES)
     finite = [c for c in budgets if math.isfinite(c)]
     density = 0.1
     ok_all = True
@@ -260,13 +275,12 @@ def test_criterion_7_pooling_dominance(budget_sweep):
         means = {}
         for mode in ("LP", "CP"):
             for c in budgets:
-                means[(mode, c)] = _per_subframe(acc, (density, c, mode, policy)).mean()
+                means[(mode, c)] = records[density, c, mode, policy].sum_throughput_bps
         # paired CP-vs-LP comparison on identical drops
         worst = math.inf
         for c in finite:
-            d = (_per_subframe(acc, (density, c, "CP", policy))
-                 - _per_subframe(acc, (density, c, "LP", policy)))
-            margin = d.mean() + 3 * d.std(ddof=1) / math.sqrt(len(d))
+            d_mean, d_sem = _paired_gain(acc, NET_SUBFRAMES, density, c, policy)
+            margin = d_mean + 3 * d_sem
             worst = min(worst, margin)
         dominance = worst >= 0
         # exact monotonicity on fixed drops
@@ -296,11 +310,10 @@ def test_criterion_7_pooling_dominance(budget_sweep):
 
 def test_criterion_8_density_sweep(density_sweep):
     acc, densities = density_sweep
-    mrs = [
-        _per_subframe(acc, (d, 30e6, "CP", "MRS")) for d in densities
-    ]
-    means = np.array([v.mean() for v in mrs])
-    sems = np.array([v.std(ddof=1) / math.sqrt(len(v)) for v in mrs])
+    records = _records(acc, DENSITY_SUBFRAMES)
+    mrs = [records[d, 30e6, "CP", "MRS"] for d in densities]
+    means = np.array([r.sum_throughput_bps for r in mrs])
+    sems = np.array([r.sum_throughput_hw_bps / Z_95 for r in mrs])
     peak = int(np.argmax(means))
     last = len(densities) - 1
     decline = means[peak] - means[last]
@@ -309,8 +322,8 @@ def test_criterion_8_density_sweep(density_sweep):
 
     worst_gap = 0.0
     for d in densities:
-        t30 = _per_subframe(acc, (d, 30e6, "CP", "CAS")).mean()
-        tinf = _per_subframe(acc, (d, math.inf, "CP", "CAS")).mean()
+        t30 = records[d, 30e6, "CP", "CAS"].sum_throughput_bps
+        tinf = records[d, math.inf, "CP", "CAS"].sum_throughput_bps
         worst_gap = max(worst_gap, abs(t30 - tinf) / tinf)
     cas_close = worst_gap <= 0.05
 

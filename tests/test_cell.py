@@ -18,7 +18,7 @@ from cransim.cell import (
     sweep_cell,
     wilson_halfwidth,
 )
-from cransim.link import LinkCurves, catalog_from_dict, load_calibration
+from cransim.link import SUBFRAME_S, LinkCurves, catalog_from_dict, load_calibration
 from cransim.policy import build_policy_tables
 from cransim.rng import substream
 from oracles import (
@@ -106,7 +106,7 @@ def test_simulate_trials_unconstrained_identities(tables, curves):
     rng = substream(10, "cell", 0)
     gamma, u = draw_cell_trials(rng, 10.0, 20_000, curves.max_cbs)
     block = simulate_trials(gamma, tables["MRS"], curves, u)
-    (rec,) = summarize_cell_point(10.0, "MRS", (math.inf,), 1e-3, block)
+    (rec,) = summarize_cell_point(10.0, "MRS", (math.inf,), block)
     assert rec.eps_comp == 0.0
     assert rec.eps == rec.eps_channel
     # the effective throughput is the mean delivered rate over all trials,
@@ -121,7 +121,7 @@ def test_simulate_trials_unconstrained_identities(tables, curves):
 
 def test_summarize_no_trials(tables, curves):
     block = simulate_trials(np.empty(0), tables["MRS"], curves, np.empty((curves.max_cbs, 0)))
-    (rec,) = summarize_cell_point(0.0, "MRS", (50e6,), 1e-3, block)
+    (rec,) = summarize_cell_point(0.0, "MRS", (50e6,), block)
     assert rec.n_trials == rec.n_transmitted == rec.n_success == 0
     assert rec.eps == rec.eps_channel == rec.eps_comp == 0.0
 
@@ -144,15 +144,18 @@ def test_simulate_trials_matches_scalar_trials(tables, curves):
         assert block.effort[i] == tb.effort_bit_iters
         assert block.channel_fail[i] == tb.channel_outage
     efforts = sorted(tb.effort_bit_iters for tb, _, _ in scalar)
-    # a budget equal to a realised effort pins the strict inequality
-    for c_max in (float(efforts[len(efforts) // 2]), 20_000.0, math.inf):
+    # a budget equal to a realised effort pins the strict inequality: its
+    # per-subframe budget c_max * SUBFRAME_S must be that effort exactly
+    median = efforts[len(efforts) // 2]
+    c_at_effort = median / SUBFRAME_S
+    assert c_at_effort * SUBFRAME_S == median
+    for c_max in (c_at_effort, 20e6, math.inf):
         kinds = [
-            run_cell_trial(CellTrialConfig(snr_db=0.0, c_max_bit_iter_s=c_max,
-                                           subframe_s=1.0),
+            run_cell_trial(CellTrialConfig(snr_db=0.0, c_max_bit_iter_s=c_max),
                            g, tables["MRS"], curves, substream(21, "cell", 0, i))[2]
             for i, g in enumerate(gamma)
         ]
-        (rec,) = summarize_cell_point(0.0, "MRS", (c_max,), 1.0, block)
+        (rec,) = summarize_cell_point(0.0, "MRS", (c_max,), block)
         n_tx = n  # below the table floor the lowest MCS is sent
         n_channel = sum(k in (OUTAGE_CHANNEL, OUTAGE_BOTH) for k in kinds)
         n_comp = sum(k in (OUTAGE_COMPUTATIONAL, OUTAGE_BOTH) for k in kinds)
@@ -311,25 +314,25 @@ def test_wilson_halfwidth_against_scipy():
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.integers(0, 2**20), max_size=40), st.sampled_from([1e-3, 0.7e-3, 1.0]))
-def test_mean_halfwidth_matches_exact_arithmetic(values, subframe_s):
+@given(st.lists(st.integers(0, 2**20), max_size=40))
+def test_mean_halfwidth_matches_exact_arithmetic(values):
     # from the exact sums the helper rounds only where exact rational
     # arithmetic must: it equals the Fraction computation bit for bit
     n = len(values)
-    mean, hw = mean_halfwidth(n, sum(values), sum(v * v for v in values), subframe_s)
+    mean, hw = mean_halfwidth(n, sum(values), sum(v * v for v in values))
     if n == 0:
         assert math.isnan(mean) and hw == 0.0
         return
     exact_mean = Fraction(sum(values), n)
-    assert mean == float(exact_mean) / subframe_s
+    assert mean == float(exact_mean) / SUBFRAME_S
     if n == 1:
         assert hw == 0.0
         return
     var_of_mean = sum((v - exact_mean) ** 2 for v in values) / ((n - 1) * n)
-    assert hw == Z_95 * math.sqrt(float(var_of_mean)) / subframe_s
+    assert hw == Z_95 * math.sqrt(float(var_of_mean)) / SUBFRAME_S
     x = np.array(values, dtype=np.int64)
-    assert mean == pytest.approx(x.mean() / subframe_s, rel=1e-12)
-    assert hw == pytest.approx(Z_95 * np.std(x, ddof=1) / math.sqrt(n) / subframe_s,
+    assert mean == pytest.approx(x.mean() / SUBFRAME_S, rel=1e-12)
+    assert hw == pytest.approx(Z_95 * np.std(x, ddof=1) / math.sqrt(n) / SUBFRAME_S,
                                rel=1e-9, abs=1e-9)
 
 

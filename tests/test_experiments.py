@@ -265,10 +265,11 @@ def test_net_run_deterministic_and_worker_invariant(tmp_path):
 
 def test_net_run_independent_of_block_length(tmp_path, monkeypatch):
     # every sum is an exact integer sum, so the bytes do not depend on how
-    # the subframes are split into work blocks; with 0.7 ms subframes the
-    # throughputs are not whole numbers, and float sums of them would
+    # the subframes are split into work blocks; a float sum of the squared
+    # per-subframe throughputs would round differently per split.  (The
+    # throughputs are whole numbers of bit/s at 1 ms, so a float sum of them
+    # is exact in any split: GOLDEN_NET_DIGESTS pins those bytes instead.)
     cfg = tiny_net_config(tmp_path / "b250")
-    cfg["subframe_s"] = 0.7e-3
     cfg["network"]["n_subframes"] = 40
     run(cfg)
     monkeypatch.setattr(experiments, "NET_BLOCK_SUBFRAMES", 7)
@@ -558,11 +559,11 @@ def test_shipped_configs_validate():
 # that alters result bytes must update these and say why in CHANGES.md.
 GOLDEN_NET_DIGESTS = {
     "net_budget_sweep": (
-        "30912d0a3a58353ced0a3eb864a9faf163d3b2e3922b5b158aa24fc0f7a07d26",
+        "edc0b2c437001f99c108207aa474b5ab9a07a3b182198a48a96dcf10ac280ed4",
         "02b0ebfe5e184f80080482c959e4adfb759053d56499522cbb4c2219cf10f59a",
     ),
     "net_density_sweep": (
-        "be5f1228f83695d0617da7203b7d586419294b1be79bffe773f89a1852eb0349",
+        "c6226465ae78ba5983018bab67179e3c049f2aac683f07a35d03e5dd9b512e74",
         "82fcfad0984fc099c3c07c0945a82a7272f9d0fe433797c9cbbc6de86990fd46",
     ),
 }
@@ -584,7 +585,7 @@ def test_net_result_digests(tmp_path, monkeypatch, name, workers):
 # to 20000 trials per grid point; the same rule as GOLDEN_NET_DIGESTS applies.
 GOLDEN_CELL_DIGESTS = {
     "cell_outage": (
-        "5781d21ea2a4675f7edc36ce5f5947e78baf0b785ada0fa2880881ba8d4e5c54",
+        "08708e6e8d58c98d09610574bad14f3ba0e3dbf982566506d6e070a3d5cfb4fe",
         "2328300a0844ed7455823969eb2e85c14ee181ed7ed65f649135bf3917f06dee",
     ),
 }
@@ -657,7 +658,6 @@ MALFORMED = [
      "network.channel.snr_ref_db: must be a number whose linear power 10^(x/10)"),
     ("cell", "eps_hat", "x", "eps_hat"),
     ("cell", "eps_hat", 1e-300, "eps_hat: MCS 0 never meets"),
-    ("cell", "subframe_s", "x", "subframe_s"),
     ("cell", "calibration_file", 5, "calibration_file"),
     # a section the experiment does not read, and the keys that the two
     # network grids replaced, are errors rather than silently ignored
@@ -683,6 +683,8 @@ MALFORMED = [
     ("cell", "low_snr_fallback", True, "low_snr_fallback: unknown key"),
     ("net", "network.channel.max_interference_km", 5.0,
      "network.channel.max_interference_km: unknown key"),
+    # the calibration fixes the subframe at 1 ms
+    ("cell", "subframe_s", 0.001, "subframe_s: unknown key"),
     ("cell", "cell.policies", [], "cell.policies"),
     ("cell", "cell.c_max_mbit_iter_s", [], "cell.c_max_mbit_iter_s"),
     ("net", "network.policies", [], "network.policies"),

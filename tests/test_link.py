@@ -244,7 +244,7 @@ def test_batch_mean_effort_matches_analytic_expectation(curves):
         _, cb_bits = segment_tb(entry.tb_bits)
         var_tb = sum(k * k * var_cb for k in cb_bits)
         u = rng.random((n, curves.max_cbs))
-        effort, _, _ = simulate_tb_batch(curves, m, np.full(n, gamma), u.T)
+        effort, _ = simulate_tb_batch(curves, m, np.full(n, gamma), u.T)
         se = math.sqrt(var_tb / n)
         assert abs(effort.mean() - expected) < 3.0 * se
 
@@ -258,7 +258,8 @@ def test_batch_matches_scalar_path(curves):
     n_cbs = int(curves.num_cbs[m])
     tb = simulate_tb(curves.catalog[m], curves, gamma, rng_a)
     u = rng_b.random(n_cbs).reshape(n_cbs, 1)
-    effort, fail, iters = simulate_tb_batch(curves, m, np.array([gamma]), u)
+    effort, fail = simulate_tb_batch(curves, m, np.array([gamma]), u)
+    iters, _ = simulate_cbs(curves, m, np.array([gamma]), u)
     assert effort[0] == tb.effort_bit_iters
     assert bool(fail[0]) == tb.channel_outage
     assert tuple(iters[:, 0]) == tb.cb_iters

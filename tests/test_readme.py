@@ -31,3 +31,4 @@ def test_readme_library_use_runs():
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
     assert namespace["acc"].sumsq_bits.shape == (1, 3, 2, 2)
+    assert namespace["acc"].cross_bits.shape == (1, 3, 2)

@@ -2,6 +2,7 @@ import itertools
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -238,9 +239,29 @@ def test_schedule_arrays_matches_oracle(tbs, pooled, data):
         ]
 
 
+def _one_subframe_parts(sweep, subframes, density_indices=(0,)):
+    """``{(density index, subframe): sweep over that subframe alone}``."""
+    return {(di, t): sweep(subframes=range(t, t + 1), density_indices=(di,))
+            for di in density_indices for t in subframes}
+
+
+def _assert_merges_to(parts, acc):
+    # every field is an exact sum: the parts merged in either order give the
+    # bytes of the one-call sweep
+    for merged in (merge_accumulators(parts), merge_accumulators(parts[::-1])):
+        assert merged.axes == acc.axes
+        for f in (f for f in fields(NetworkAccumulator) if f.name != "axes"):
+            got, want = getattr(merged, f.name), getattr(acc, f.name)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
+                                                             want.tobytes())
+
+
 def test_sweep_network_matches_oracle():
     # every arm of a small sweep against the scalar scheduler, subframe by
-    # subframe; LP gets c_max * subframe per RAP, CP n_cloud times that pooled
+    # subframe; LP gets c_max * SUBFRAME_S per RAP, CP n_cloud times that
+    # pooled.  Each subframe is also swept alone, so its delivered bits are
+    # checked one by one, and the one-call sweep's sums of squares and LP x CP
+    # cross sums are checked against the oracle's per-subframe bits
     curves = load_calibration()
     tables = build_policy_tables(curves)
     layout = synthesize_layout(substream(5, "layout", 0), n_total=24, n_cloud=4,
@@ -248,8 +269,10 @@ def test_sweep_network_matches_oracle():
     params = ChannelParams()
     budgets = (0.0, 10e6, 40e6, math.inf)
     subframes = range(20)
-    acc = sweep_network(layout, params, curves, tables, subframes=subframes, seed=11,
-                        density_grid=(0.3,), budget_grid=budgets, keep_subframe_sums=True)
+    sweep = partial(sweep_network, layout, params, curves, tables, seed=11,
+                    density_grid=(0.3,), budget_grid=budgets)
+    acc = sweep(subframes=subframes)
+    parts = _one_subframe_parts(sweep, subframes)
     assert acc.axes == ((0.3,), budgets, (LP, CP), ("MRS", "CAS"))
     n_cells = layout.n_cloud
     for pi, policy in enumerate(("MRS", "CAS")):
@@ -282,15 +305,20 @@ def test_sweep_network_matches_oracle():
                             bits += int(b)
                             cell_bits[bi, mi, layout.cloud_group.index(rap)] += int(b)
                     sf_bits[bi, mi, ti] = bits
-        assert acc.per_subframe[0, :, :, pi].tolist() == sf_bits.tolist()
+        for ti, t in enumerate(subframes):
+            part_bits = parts[0, t].bits_per_cell[0, :, :, pi].sum(axis=-1)
+            assert part_bits.tolist() == sf_bits[:, :, ti].tolist()
         assert acc.n_comp[0, :, :, pi].tolist() == n_comp.tolist()
         assert acc.bits_per_cell[0, :, :, pi].tolist() == cell_bits.tolist()
         assert acc.n_tbs[0] == n_tbs and acc.n_channel[0, pi] == n_channel
         assert acc.sumsq_bits[0, :, :, pi].tolist() == (sf_bits ** 2).sum(axis=-1).tolist()
+        assert acc.cross_bits[0, :, pi].tolist() == (sf_bits[:, 0] * sf_bits[:, 1]).sum(
+            axis=-1).tolist()
         # the grid straddles the outage regime, and pooling changes decisions
         assert n_comp[0].tolist() == [n_tbs, n_tbs] and n_comp[-1].tolist() == [0, 0]
         assert 0 < n_comp[1:-1].sum() < 4 * n_tbs
         assert (n_comp[1:-1, 0] != n_comp[1:-1, 1]).any()
+    _assert_merges_to(list(parts.values()), acc)
 
 
 @settings(max_examples=300, deadline=None)
@@ -325,14 +353,14 @@ def test_block_masks_match_oracle(blocks, gaps, data):
 def test_block_sweep_matches_oracle(monkeypatch):
     # the block-batched sweep against the scalar scheduler, one subframe at a
     # time: sparse drops leave empty subframes between busy ones, SINRs
-    # rounded to 1 dB tie across subframes, CP budgets sit at exact
-    # per-subframe prefix sums, per-subframe bits are kept, and subframes
-    # last 0.7 ms rather than the default 1 ms
+    # rounded to 1 dB tie across subframes, and CP budgets sit at exact
+    # per-subframe prefix sums.  Each subframe swept alone gives its
+    # delivered bits; the block's sums must hold the same bits
     curves = load_calibration()
     tables = build_policy_tables(curves)
     layout = synthesize_layout(substream(5, "layout", 0), n_total=24, n_cloud=4,
                                region=(0.0, 0.0, 9.0, 9.0), min_sep_km=1.0)
-    n_cells, subframe_s, seed = layout.n_cloud, 0.7e-3, 3
+    n_cells, seed = layout.n_cloud, 3
     densities, subframes = (0.05, 0.3), range(5, 45)
 
     def rounded_sinrs(drop, layout, params):
@@ -364,21 +392,23 @@ def test_block_sweep_matches_oracle(monkeypatch):
             for _, g, _, _ in tbs:
                 ties.setdefault((di, policy, g), set()).add(t)
     assert max(len(ts) for ts in ties.values()) > 1
-    # budgets whose pooled limit n_cells * c * subframe_s is exactly the
+    # budgets whose pooled limit n_cells * c * SUBFRAME_S is exactly the
     # cumulative effort of a prefix of some subframe's CP order
     prefix = sorted({p for tbs_list in drops.values() for tbs in tbs_list
                      for p in itertools.accumulate(
                          tb.effort_bit_iters for _, _, tb, _ in sorted(
                              tbs, key=lambda row: (row[1], row[0])))})
-    exact = [p / n_cells / subframe_s for p in prefix]
-    exact = [c for c, p in zip(exact, prefix) if n_cells * c * subframe_s == p]
+    exact = [p / n_cells / SUBFRAME_S for p in prefix]
+    exact = [c for c, p in zip(exact, prefix) if n_cells * c * SUBFRAME_S == p]
     budgets = (0.0, *exact[::max(1, len(exact) // 8)], math.inf)
     assert len(budgets) > 6
 
-    acc = sweep_network(layout, ChannelParams(), curves, tables, subframes=subframes,
-                        seed=seed, density_grid=densities, budget_grid=budgets,
-                        subframe_s=subframe_s, keep_subframe_sums=True)
+    sweep = partial(sweep_network, layout, ChannelParams(), curves, tables, seed=seed,
+                    density_grid=densities, budget_grid=budgets)
+    acc = sweep(subframes=subframes)
+    parts = _one_subframe_parts(sweep, subframes, density_indices=(0, 1))
     n_comp = np.zeros(acc.n_comp.shape, dtype=int)
+    sf_bits = {}  # arm -> the oracle's delivered bits per subframe
     for (di, policy), tbs_list in drops.items():
         pi = ("MRS", "CAS").index(policy)
         assert acc.n_tbs[di] == sum(map(len, tbs_list))
@@ -386,8 +416,9 @@ def test_block_sweep_matches_oracle(monkeypatch):
                                             for _, _, tb, _ in tbs)
         for (bi, c), (mi, mode) in itertools.product(enumerate(budgets),
                                                      enumerate((LP, CP))):
-            limit = (n_cells if mode == CP else 1) * c * subframe_s
-            sf_bits, cell_bits = [], [0] * n_cells
+            arm = (di, bi, mi, pi)
+            limit = (n_cells if mode == CP else 1) * c * SUBFRAME_S
+            sf_bits[arm], cell_bits = [], [0] * n_cells
             for tbs in tbs_list:
                 out = schedule_subframe([row[:3] for row in tbs], mode, limit)
                 bits = 0
@@ -397,24 +428,17 @@ def test_block_sweep_matches_oracle(monkeypatch):
                     if d == DECODED:
                         bits += b
                         cell_bits[layout.cloud_group.index(rap)] += b
-                sf_bits.append(bits)
-            arm = (di, bi, mi, pi)
-            assert acc.per_subframe[arm].tolist() == sf_bits
+                sf_bits[arm].append(bits)
+            assert [parts[di, t].bits_per_cell[arm].sum() for t in subframes] == sf_bits[arm]
             assert acc.bits_per_cell[arm].tolist() == cell_bits
-            assert acc.sumsq_bits[arm] == sum(b * b for b in sf_bits)
+            assert acc.sumsq_bits[arm] == sum(b * b for b in sf_bits[arm])
+    for di, bi, pi in np.ndindex(acc.cross_bits.shape):
+        lp, cp = sf_bits[di, bi, 0, pi], sf_bits[di, bi, 1, pi]
+        assert acc.cross_bits[di, bi, pi] == sum(a * b for a, b in zip(lp, cp))
     assert acc.n_comp.tolist() == n_comp.tolist()
     # the prefix-sum budgets straddle the outage regime under CP
     assert 0 < n_comp[:, 1:-1, 1].sum() < n_comp[:, 0, 1].sum() * (len(budgets) - 2)
-
-    # parts split by (density, block) and merged in any order give the bytes
-    # of the one-call sweep
-    parts = [sweep_network(layout, ChannelParams(), curves, tables, subframes=block,
-                           seed=seed, density_grid=densities, density_indices=(di,),
-                           budget_grid=budgets, subframe_s=subframe_s)
-             for di in (0, 1) for block in (range(5, 22), range(22, 45))]
-    for merged in (merge_accumulators(parts), merge_accumulators(parts[::-1])):
-        for f in fields(NetworkAccumulator)[1:-1]:
-            assert getattr(merged, f.name).tobytes() == getattr(acc, f.name).tobytes()
+    _assert_merges_to(list(parts.values()), acc)
 
 
 # ---------------------------------------------------------------------------
