@@ -170,9 +170,12 @@ def sweep_cell(snr_grid_db, tables, curves, n_trials, seed,
     All arms at one grid point share the same SNR and code-block draws
     (common random numbers), so arm differences are variance-free.  Returns
     ``{(policy, c_max): records}`` with one CellRecord per swept grid point.
+    No grid or list may repeat a value.
     """
-    from .rng import substream
+    from .rng import substream   # per call: benchmarks/run.py wraps it after import
 
+    if any(len(set(a)) < len(a) for a in (snr_grid_db, c_max_values, policies)):
+        raise ValueError("snr_grid_db, c_max_values and policies must not repeat a value")
     out = {(p, c): [] for p in policies for c in c_max_values}
     for gi in range(len(snr_grid_db)) if grid_indices is None else grid_indices:
         snr_db = snr_grid_db[gi]

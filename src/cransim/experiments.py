@@ -194,12 +194,15 @@ def _rule(kind, ok, message):
 
 
 def _choices(allowed, noun):
-    """A nonempty list drawn from ``allowed``, resolved to a tuple."""
+    """A nonempty list of distinct names drawn from ``allowed``, resolved to a tuple."""
     def rule(value, field, errors, got):
         if not (isinstance(value, list) and value):
             errors.append(f"{field}: must be a nonempty list of {', '.join(allowed)}")
             return ()
-        errors.extend(f"{field}: unknown {noun} {v}" for v in value if v not in allowed)
+        unknown = [v for v in value if v not in allowed]
+        errors.extend(f"{field}: unknown {noun} {v}" for v in unknown)
+        if not unknown and len(set(value)) < len(value):
+            errors.append(f"{field}: must not repeat a value")
         return tuple(value)
     return rule
 
@@ -209,12 +212,15 @@ def _mbit(value):
 
 
 def _grid(ok, message, convert=None):
-    """A grid (see ``resolve_grid``) whose values all pass ``ok``, as a tuple."""
+    """A grid (see ``resolve_grid``) of distinct values passing ``ok``, as a tuple."""
     def rule(value, field, errors, got):
         values = resolve_grid(value, field, errors)
+        resolved = tuple(values if convert is None else map(convert, values))
         if not all(map(ok, values)):
             errors.append(f"{field}: {message}")
-        return tuple(values if convert is None else map(convert, values))
+        elif len(set(resolved)) < len(resolved):
+            errors.append(f"{field}: must not repeat a value")
+        return resolved
     return rule
 
 
@@ -443,8 +449,6 @@ def _run_tasks(task_fn, plan, items, workers):
 def _jsonable(value):
     if isinstance(value, float):
         return None if math.isinf(value) else value
-    if isinstance(value, (np.floating, np.integer)):
-        return _jsonable(value.item())
     if isinstance(value, (tuple, list)):
         return [_jsonable(v) for v in value]
     return value
@@ -480,14 +484,11 @@ def _write_results(out_dir, plan, record_dicts):
         "records": record_dicts,
     })
     csv_path = out_dir / "results.csv"
-    if record_dicts:
-        fields = ["schema_version"] + list(record_dicts[0].keys())
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(fields)
-            for d in record_dicts:
-                writer.writerow([RESULTS_SCHEMA_VERSION]
-                                + [_csv_cell(d[k]) for k in list(d.keys())])
+    with open(csv_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["schema_version"] + list(record_dicts[0].keys()))
+        for d in record_dicts:
+            writer.writerow([RESULTS_SCHEMA_VERSION] + [_csv_cell(v) for v in d.values()])
     return [json_path, csv_path]
 
 
@@ -529,7 +530,7 @@ def run(cfg, workers=1):
     elif section == "network":
         n = plan.n_subframes
         blocks = [(di, range(t0, min(t0 + NET_BLOCK_SUBFRAMES, n)))
-                  for di in range(len(dict.fromkeys(plan.densities)))
+                  for di in range(len(plan.densities))
                   for t0 in range(0, n, NET_BLOCK_SUBFRAMES)]
         acc = merge_accumulators(_run_tasks(_net_block_task, plan, blocks, workers))
         record_dicts = _record_dicts(finalize_records(acc, n))
@@ -568,24 +569,22 @@ def run(cfg, workers=1):
 _POLICY_BUDGET = ("policy", "c_max_bit_iter_s")
 
 # experiment -> figure specs: (file-name prefix, x field, y field, half-width
-# field or None for exact values, series sort-key fields, series label
-# fields).  A figure is drawn only where x takes two or more finite values
+# field or None for exact values, series label fields).  A figure is drawn
+# only where x takes two or more finite values
 _PLOT_SERIES = {
     "cell_outage": (
-        ("cell_outage", "snr_db", "eps", "eps_hw", _POLICY_BUDGET, _POLICY_BUDGET),
-        ("cell_throughput", "snr_db", "t_eff_bps", "t_eff_hw_bps", _POLICY_BUDGET, _POLICY_BUDGET),
+        ("cell_outage", "snr_db", "eps", "eps_hw", _POLICY_BUDGET),
+        ("cell_throughput", "snr_db", "t_eff_bps", "t_eff_hw_bps", _POLICY_BUDGET),
         ("cell_complexity", "snr_db", "effort_per_success_bit_iter_s", "effort_per_success_hw",
-         _POLICY_BUDGET, _POLICY_BUDGET),
+         _POLICY_BUDGET),
     ),
     "net_sweep": (
         ("net_budget_sweep", "c_max_bit_iter_s", "sum_throughput_bps", "sum_throughput_hw_bps",
-         ("mode", "policy", "ue_density_per_km2"), ("policy", "mode", "ue_density_per_km2")),
+         ("policy", "mode", "ue_density_per_km2")),
         ("net_density_sweep", "ue_density_per_km2", "sum_throughput_bps",
-         "sum_throughput_hw_bps", ("mode",) + _POLICY_BUDGET,
-         ("policy", "mode", "c_max_bit_iter_s")),
+         "sum_throughput_hw_bps", ("policy", "mode", "c_max_bit_iter_s")),
     ),
-    "policy_tables": (("policy_tables", "mcs_index", "threshold_db", None,
-                       ("policy",), ("policy",)),),
+    "policy_tables": (("policy_tables", "mcs_index", "threshold_db", None, ("policy",)),),
 }
 
 
@@ -643,22 +642,21 @@ def emit_plot_data(in_dir, out_dir):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     return [_write_series(out_dir, label, sorted(rows))
-            for series in figures for (_, label), rows in sorted(series.items())]
+            for series in figures for label, rows in sorted(series.items())]
 
 
-def _figure(records, prefix, x_field, y_field, hw_field, key_fields, label_fields):
-    """One figure's series, ``{(sort key, label): [(x, y, half-width)]}``;
-    empty when x takes fewer than two finite values."""
+def _figure(records, prefix, x_field, y_field, hw_field, label_fields):
+    """One figure's series, ``{label: [(x, y, half-width)]}``; empty when x
+    takes fewer than two finite values."""
     series = {}
     for rec in records:
         x = float(_plot_value(rec, x_field))
         if math.isinf(x):
             continue  # the unconstrained budget reference has no x position
-        key = tuple(_plot_value(rec, f) for f in key_fields)
         label = "__".join([prefix] + [_label_part(rec, f) for f in label_fields])
         y = rec[y_field]
         hw = 0.0 if hw_field is None or y is None else float(rec[hw_field])
-        series.setdefault((key, label), []).append((x, math.nan if y is None else float(y), hw))
+        series.setdefault(label, []).append((x, math.nan if y is None else float(y), hw))
     if len({x for rows in series.values() for x, _, _ in rows}) < 2:
         return {}
     return series

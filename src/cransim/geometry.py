@@ -30,6 +30,9 @@ import numpy as np
 
 RESOLUTION_KM = 1e-9   # RAPs closer than this to each other or to an edge are rejected
 MIN_UE_RAP_KM = 1e-3   # a UE lies at least this far from its serving RAP
+SAMPLE_BATCH = 8       # candidates per pending cell per rejection round
+MAX_SAMPLE_ROUNDS = 10000      # rejection rounds before UE placement gives up
+MAX_LAYOUT_ATTEMPTS = 400000   # candidate RAPs before layout synthesis gives up
 
 
 class LayoutError(ValueError):
@@ -89,9 +92,7 @@ class SubframeDrop:
     active: np.ndarray        # (n_total,) bool
     active_idx: np.ndarray    # indices of active cells
     ue_xy: np.ndarray         # (n_active, 2)
-    serve_dist_km: np.ndarray  # (n_active,) UE to own RAP
     fading: np.ndarray        # (n_active, n_cloud) unit-mean exponential
-    tx_powers: np.ndarray     # (n_active,) P0-normalized d^(s*alpha)
 
 
 def shoelace_area(vertices):
@@ -189,7 +190,7 @@ def build_layout(rap_xy, region, cloud_group):
 
 
 def synthesize_layout(rng, n_total=129, region=(0.0, 0.0, 20.0, 20.0),
-                      min_sep_km=1.3, n_cloud=8, max_attempts=400000):
+                      min_sep_km=1.3, n_cloud=8):
     """Hard-core (minimum-separation) RAP layout; cloud group = cells
     nearest the region centroid."""
     xmin, ymin, xmax, ymax = region
@@ -197,7 +198,7 @@ def synthesize_layout(rng, n_total=129, region=(0.0, 0.0, 20.0, 20.0),
     n = attempts = 0
     while n < n_total:
         attempts += 1
-        if attempts > max_attempts:
+        if attempts > MAX_LAYOUT_ATTEMPTS:
             raise LayoutError(
                 f"could not place {n_total} RAPs with separation {min_sep_km} km"
             )
@@ -220,10 +221,10 @@ def activation_probabilities(layout, density):
     return 1.0 - np.exp(-density * layout.areas_km2)
 
 
-def _sample_positions(layout, cells, rng, min_dist_km, batch=8, max_rounds=10000):
+def _sample_positions(layout, cells, rng):
     """Uniform point in each listed cell via bounding-box rejection.
 
-    Each round draws ``batch`` candidates in the bounding box of every
+    Each round draws ``SAMPLE_BATCH`` candidates in the bounding box of every
     pending cell with one ``rng.random`` call, whose rows (in pending order)
     hold the doubles that one call per cell would draw, and keeps each
     cell's first candidate that satisfies all of the cell's half-planes (its
@@ -234,65 +235,59 @@ def _sample_positions(layout, cells, rng, min_dist_km, batch=8, max_rounds=10000
     rounds = 0
     while len(pending):
         rounds += 1
-        if rounds > max_rounds:
+        if rounds > MAX_SAMPLE_ROUNDS:
             raise RuntimeError("position rejection sampling failed to converge")
         cell_ids = cells[pending]
-        lo = layout.lo[cell_ids, None, :]
-        cand = lo + rng.random((len(pending), batch, 2)) * (layout.hi[cell_ids, None, :] - lo)
+        lo, hi = layout.lo[cell_ids, None, :], layout.hi[cell_ids, None, :]
+        cand = lo + rng.random((len(pending), SAMPLE_BATCH, 2)) * (hi - lo)
         normals, offsets = layout.normals[cell_ids], layout.offsets[cell_ids]
         inside = (np.matmul(cand, normals) <= offsets).all(axis=2)
         gap = cand - layout.rap_xy[cell_ids, None, :]
-        ok = inside & ((gap * gap).sum(axis=2) >= min_dist_km * min_dist_km)
+        ok = inside & ((gap * gap).sum(axis=2) >= MIN_UE_RAP_KM * MIN_UE_RAP_KM)
         hit = ok.any(axis=1)
         out[pending[hit]] = cand[hit, ok[hit].argmax(axis=1)]
         pending = pending[~hit]
     return out
 
 
-def draw_subframe(layout, params, density, rng):
+def draw_subframe(layout, density, rng):
     """Draw one subframe at ``density`` UEs per km^2: activations, UE
-    positions, fading, TX powers."""
+    positions, fading."""
     p_active = activation_probabilities(layout, density)
     active = rng.random(layout.n_total) < p_active
     active_idx = np.flatnonzero(active)
     # with no active UE the size-0 draws leave the generator state unchanged
-    ue_xy = _sample_positions(layout, active_idx, rng, MIN_UE_RAP_KM)
-    serve = layout.rap_xy[active_idx]
-    serve_dist = np.hypot(ue_xy[:, 0] - serve[:, 0], ue_xy[:, 1] - serve[:, 1])
+    ue_xy = _sample_positions(layout, active_idx, rng)
     fading = rng.standard_exponential((len(active_idx), layout.n_cloud))
-    tx_powers = serve_dist ** (params.s * params.alpha)
-    return SubframeDrop(
-        active=active,
-        active_idx=active_idx,
-        ue_xy=ue_xy,
-        serve_dist_km=serve_dist,
-        fading=fading,
-        tx_powers=tx_powers,
-    )
+    return SubframeDrop(active=active, active_idx=active_idx, ue_xy=ue_xy, fading=fading)
 
 
 def cloud_sinrs(drop, layout, params):
     """Vectorized SINR for every active cloud cell.
 
-    Returns ``(rap_indices, sinr_linear)`` where both are aligned arrays for
-    the active cloud cells, ordered by RAP index.
+    Every active UE transmits with the fractional power control d^(s * alpha)
+    of its distance d to its own RAP.  Returns ``(rap_indices, sinr_linear)``
+    where both are aligned arrays for the active cloud cells, ordered by RAP
+    index.
     """
     cloud = layout.cloud_idx
     mask = drop.active[cloud]
     targets = cloud[mask]
     cols = np.flatnonzero(mask)
     rows = np.searchsorted(drop.active_idx, targets)
-    alpha = params.alpha
-    s = params.s
+    alpha, s = params.alpha, params.s
+    serve = layout.rap_xy[drop.active_idx]
+    serve_dist = np.hypot(drop.ue_xy[:, 0] - serve[:, 0], drop.ue_xy[:, 1] - serve[:, 1])
+    tx_powers = serve_dist ** (s * alpha)
     raps = layout.rap_xy[targets]                       # (k, 2)
     cross = np.hypot(raps[:, 0, None] - drop.ue_xy[:, 0],
                      raps[:, 1, None] - drop.ue_xy[:, 1])  # (k, n_active)
     g = drop.fading[:, cols].T                          # (k, n_active)
     # cross > 0: a UE is at least MIN_UE_RAP_KM > 0 from its own RAP, its nearest
-    terms = g * cross ** (-alpha) * drop.tx_powers[None, :]
+    terms = g * cross ** (-alpha) * tx_powers[None, :]
     terms[np.arange(len(targets)), rows] = 0.0          # own UE is the signal
     interference = terms.sum(axis=1)
-    d_serve = drop.serve_dist_km[rows]
+    d_serve = serve_dist[rows]
     signal = drop.fading[rows, cols] * d_serve ** (alpha * (s - 1.0))
     return targets, signal / (1.0 / params.snr_ref_linear + interference)
 

@@ -36,7 +36,6 @@ class PolicyTable:
     """Per-MCS minimum SNR meeting the outage target after ``iteration_budget``."""
 
     iteration_budget: int
-    eps_hat: float
     thresholds_db: tuple
     catalog: tuple
 
@@ -73,12 +72,7 @@ def build_policy_table(curves, iteration_budget, eps_hat=DEFAULT_EPS_HAT):
     # whole table collapsed to the search floor)
     if not np.all(np.diff(thresholds) >= 0):
         raise ConfigurationError("policy thresholds are not monotone in MCS index")
-    return PolicyTable(
-        iteration_budget=iteration_budget,
-        eps_hat=eps_hat,
-        thresholds_db=tuple(thresholds),
-        catalog=curves.catalog,
-    )
+    return PolicyTable(iteration_budget, tuple(thresholds), curves.catalog)
 
 
 def select_mcs_index(table, gamma_db):

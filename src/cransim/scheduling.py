@@ -91,23 +91,23 @@ def _policy_tbs(sinr_db, table, curves, u):
     holding each TB's code-block uniforms in a row: bits, effort, outage."""
     sel = select_mcs_index(table, sinr_db)
     iters, failed = link.simulate_cbs(curves, sel, sinr_db, u.T)
-    valid = np.arange(curves.max_cbs)[:, None] < curves.num_cbs[sel]
+    cb_bits = curves.cb_bits[sel].T   # zero in the padded CB slots of an MCS
     return SimpleNamespace(
         bits=curves.tb_bits[sel],
-        efforts=np.where(valid, iters * curves.cb_bits[sel].T, 0).sum(axis=0),
-        channel_fail=(failed & valid).any(axis=0),
+        efforts=(iters * cb_bits).sum(axis=0),
+        channel_fail=(failed & (cb_bits > 0)).any(axis=0),
     )
 
 
-def comp_outage_masks(raps, sinr_db, efforts, limits, pooled, subframe=0):
+def comp_outage_masks(raps, sinr_db, efforts, limits, pooled, subframe):
     """Computational-outage masks of a block's TBs, one row per budget.
 
     ``limits`` are the per-subframe budgets in bit-iterations: the pooled
     budget under CP (``pooled``), the per-RAP one under LP, where each RAP
     carries one TB per subframe so the check is per TB.  ``subframe`` gives
-    each TB's nonnegative subframe id (one subframe by default); every
-    subframe is scheduled against its own budget.  Returns a ``(len(limits),
-    len(efforts))`` boolean array with the TBs in input order.
+    each TB's nonnegative subframe id (a scalar for a single subframe);
+    every subframe is scheduled against its own budget.  Returns a
+    ``(len(limits), len(efforts))`` boolean array with the TBs in input order.
     """
     limits = np.asarray(limits, dtype=float)[:, None]
     if not pooled:
@@ -130,8 +130,8 @@ def sweep_network(layout, params, curves, tables, *, subframes, seed,
     """Monte Carlo sweep over UE density (UEs per km^2) and complexity budget.
 
     ``subframes`` is the (nonempty) range of subframe indices to simulate, and
-    ``density_indices`` the indices into the (deduplicated) density grid to
-    sweep, all by default; the others stay zero.
+    ``density_indices`` the indices into the density grid to sweep, all by
+    default; the others stay zero.  No grid or list may repeat a value.
 
     All (budget, mode, policy) arms at one density share the same subframe
     drops and code-block uniforms (common random numbers), so budget and
@@ -140,12 +140,13 @@ def sweep_network(layout, params, curves, tables, *, subframes, seed,
     at one density in one pass), so a subframe's draws do not depend on how
     the subframes are split into blocks or spread across workers.
 
-    Returns a NetworkAccumulator over the grid (repeated grid values count
-    once); use ``finalize_records`` to turn it into NetworkRecords.
+    Returns a NetworkAccumulator over the grid; use ``finalize_records`` to
+    turn it into NetworkRecords.
     """
-    axes = tuple(tuple(dict.fromkeys(a))
-                 for a in (density_grid, budget_grid, modes, policies))
+    axes = tuple(map(tuple, (density_grid, budget_grid, modes, policies)))
     densities, budgets, modes, policies = axes
+    if any(len(set(a)) < len(a) for a in axes):
+        raise ValueError("density_grid, budget_grid, modes and policies must not repeat a value")
     if not set(modes) <= {LP, CP}:
         raise ValueError(f"modes must be LP or CP, got {modes}")
     if not all(v >= 0 for v in densities + budgets):
@@ -170,7 +171,7 @@ def sweep_network(layout, params, curves, tables, *, subframes, seed,
     for di in range(len(densities)) if density_indices is None else density_indices:
         drawn = []
         for stream in rng.substreams(seed, "net", di, last=subframes):
-            drop = geometry.draw_subframe(layout, params, densities[di], stream)
+            drop = geometry.draw_subframe(layout, densities[di], stream)
             targets, sinr = geometry.cloud_sinrs(drop, layout, params)
             drawn.append((targets, sinr, stream.random((len(targets), curves.max_cbs))))
         targets, sinr, u = (np.concatenate(parts) for parts in zip(*drawn))

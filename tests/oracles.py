@@ -250,8 +250,8 @@ def compute_sinr(drop, layout, params, rap_index):
     """Linear uplink SINR at cloud RAP ``rap_index`` for its own UE.
 
     The interference sum runs over every other active UE in the layout,
-    each transmitting with fractional power control relative to its own
-    serving RAP.
+    each transmitting with fractional power control d^(s * alpha) of its
+    distance d to its own serving RAP.
     """
     if rap_index not in layout.cloud_group:
         raise ValueError(f"RAP {rap_index} is not in the cloud group")
@@ -261,7 +261,12 @@ def compute_sinr(drop, layout, params, rap_index):
     row = int(np.flatnonzero(drop.active_idx == rap_index)[0])
     alpha = params.alpha
     s = params.s
-    d_serve = drop.serve_dist_km[row]
+
+    def serve_dist(r):
+        own = layout.rap_xy[drop.active_idx[r]]
+        return math.hypot(drop.ue_xy[r, 0] - own[0], drop.ue_xy[r, 1] - own[1])
+
+    d_serve = serve_dist(row)
     signal = drop.fading[row, col] * d_serve ** (alpha * (s - 1.0))
     noise = 1.0 / params.snr_ref_linear
     rap = layout.rap_xy[rap_index]
@@ -274,7 +279,7 @@ def compute_sinr(drop, layout, params, rap_index):
         interference += (
             drop.fading[other_row, col]
             * cross ** (-alpha)
-            * drop.tx_powers[other_row]
+            * serve_dist(other_row) ** (s * alpha)
         )
     return signal / (noise + interference)
 

@@ -276,12 +276,14 @@ def test_criterion_7_pooling_dominance(budget_sweep):
         for mode in ("LP", "CP"):
             for c in budgets:
                 means[(mode, c)] = records[density, c, mode, policy].sum_throughput_bps
-        # paired CP-vs-LP comparison on identical drops
-        worst = math.inf
+        # paired CP-vs-LP comparison on identical drops, at the budgets where
+        # either mode delivers bits (elsewhere the margin is exactly 0)
+        margins = {}
         for c in finite:
-            d_mean, d_sem = _paired_gain(acc, NET_SUBFRAMES, density, c, policy)
-            margin = d_mean + 3 * d_sem
-            worst = min(worst, margin)
+            if means[("LP", c)] or means[("CP", c)]:
+                d_mean, d_sem = _paired_gain(acc, NET_SUBFRAMES, density, c, policy)
+                margins[c] = d_mean + 3 * d_sem
+        worst = min(margins.values())
         dominance = worst >= 0
         # exact monotonicity on fixed drops
         monotone = all(
@@ -300,8 +302,9 @@ def test_criterion_7_pooling_dominance(budget_sweep):
             )
         steeper = reach["CP"] < reach["LP"]
         ok_all = ok_all and dominance and monotone and steeper
+        per_budget = " ".join(f"{c/1e6:g}M:{m/1e6:+.2f}" for c, m in margins.items())
         details.append(
-            f"{policy}: min CP-LP margin={worst/1e6:+.2f}Mbit/s "
+            f"{policy}: min CP-LP margin={worst/1e6:+.2f}Mbit/s (per budget {per_budget}) "
             f"90% at CP={reach['CP']/1e6 if math.isfinite(reach['CP']) else 'inf'} "
             f"LP={reach['LP']/1e6 if math.isfinite(reach['LP']) else 'inf'}"
         )
@@ -342,11 +345,10 @@ def test_criterion_9_geometry(net_layout):
 
     raps = np.array([[2.0, 1.25], [6.0, 1.25]])
     two = build_layout(raps, (0.0, 0.0, 8.0, 2.5), cloud_group=(0, 1))
-    params = ChannelParams()
     n = 30_000
     hits = np.zeros(2)
     for t in range(n):
-        drop = draw_subframe(two, params, 0.1, substream(91, "net", 0, t))
+        drop = draw_subframe(two, 0.1, substream(91, "net", 0, t))
         hits += drop.active
     p = activation_probabilities(two, 0.1)
     sig = np.sqrt(p * (1 - p) / n)
@@ -355,14 +357,12 @@ def test_criterion_9_geometry(net_layout):
     alpha, s, snr_db = 3.7, 0.1, 20.0
     ch = ChannelParams(alpha=alpha, s=s, snr_ref_db=snr_db)
     d_serve, g_serve = 0.5, 1.2
-    d_int_own, d_cross, g_cross = 0.8, 1.5, 0.7
+    d_int_own, d_cross, g_cross = 0.8, 3.2, 0.7   # the interferer is in cell 1
     drop = SubframeDrop(
         active=np.array([True, True]),
         active_idx=np.array([0, 1]),
-        ue_xy=np.array([[2.0 + d_serve, 1.25], [2.0 + d_cross, 1.25]]),
-        serve_dist_km=np.array([d_serve, d_int_own]),
+        ue_xy=np.array([[2.0 + d_serve, 1.25], [6.0 - d_int_own, 1.25]]),
         fading=np.array([[g_serve, 0.3], [g_cross, 0.9]]),
-        tx_powers=np.array([d_serve ** (s * alpha), d_int_own ** (s * alpha)]),
     )
     got = cloud_sinrs(drop, two, ch)[1][0]
     num = g_serve * d_serve ** (alpha * (s - 1.0))

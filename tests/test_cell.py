@@ -255,6 +255,16 @@ def test_sweep_grid_indices_match_the_full_sweep(tables, curves):
         assert part[key] == (records[2], records[0])
 
 
+def test_sweep_rejects_repeated_values(tables, curves):
+    # a repeated grid value would write its records more than once
+    kwargs = dict(snr_grid_db=[0.0, 10.0], tables=tables, curves=curves, n_trials=20,
+                  seed=3, c_max_values=(math.inf, 50e6), policies=("MRS", "CAS"))
+    for key, value in (("snr_grid_db", [0.0, 0.0, 10.0]), ("c_max_values", (50e6, 50e6)),
+                       ("policies", ("MRS", "MRS"))):
+        with pytest.raises(ValueError, match="must not repeat a value"):
+            sweep_cell(**dict(kwargs, **{key: value}))
+
+
 def test_sweep_single_trial_runs(tables, curves):
     res = sweep_cell([10.0], tables, curves, n_trials=1, seed=0,
                      c_max_values=(math.inf,), policies=("MRS",))

@@ -689,6 +689,15 @@ MALFORMED = [
     ("cell", "cell.c_max_mbit_iter_s", [], "cell.c_max_mbit_iter_s"),
     ("net", "network.policies", [], "network.policies"),
     ("net", "network.modes", [], "network.modes"),
+    # a repeated grid or list value would be swept twice or silently once
+    ("cell", "cell.snr_grid_db", [0, 0, 10], "cell.snr_grid_db: must not repeat a value"),
+    ("cell", "cell.c_max_mbit_iter_s", [50, 50],
+     "cell.c_max_mbit_iter_s: must not repeat a value"),
+    ("cell", "cell.policies", ["MRS", "MRS"], "cell.policies: must not repeat a value"),
+    ("net", "network.density_grid_per_km2", [0.1, 0.1],
+     "network.density_grid_per_km2: must not repeat a value"),
+    ("net", "network.budget_grid_mbit_iter_s", {"log_start": 1, "log_stop": 1, "num": 3},
+     "network.budget_grid_mbit_iter_s: must not repeat a value"),
     ("net", "network.channel.min_ue_rap_km", 50.0,
      "network.channel.min_ue_rap_km: unknown key"),
     # log grids whose values overflow the float range

@@ -8,6 +8,7 @@ from scipy.spatial import cKDTree
 from scipy.stats import chi2
 
 import oracles
+from cransim import geometry
 from cransim.geometry import (
     MIN_UE_RAP_KM,
     RESOLUTION_KM,
@@ -104,12 +105,11 @@ def test_activation_probability_formula(two_cell_layout):
 
 def test_activation_frequency_matches_void_probability(two_cell_layout):
     # closed-form Bernoulli oracle: lambda * A = 1 -> p = 1 - e^{-1}
-    params = ChannelParams()
     n = 30_000
     hits = np.zeros(2)
     for t in range(n):
         rng = substream(99, "net", 0, t)
-        drop = draw_subframe(two_cell_layout, params, 0.1, rng)
+        drop = draw_subframe(two_cell_layout, 0.1, rng)
         hits += drop.active
     p = 1 - math.exp(-1.0)
     sigma = math.sqrt(p * (1 - p) / n)
@@ -118,33 +118,31 @@ def test_activation_frequency_matches_void_probability(two_cell_layout):
 
 def test_zero_and_huge_density(two_cell_layout):
     rng = substream(1, "net", 0, 0)
-    none = draw_subframe(two_cell_layout, ChannelParams(), 0.0, rng)
+    none = draw_subframe(two_cell_layout, 0.0, rng)
     assert not none.active.any()
     rng = substream(1, "net", 0, 1)
-    all_on = draw_subframe(two_cell_layout, ChannelParams(), 1e6, rng)
+    all_on = draw_subframe(two_cell_layout, 1e6, rng)
     assert all_on.active.all()
 
 
 def test_positions_inside_own_cell(big_layout):
-    params = ChannelParams()
     for t in range(50):
         rng = substream(3, "net", 0, t)
-        drop = draw_subframe(big_layout, params, 0.3, rng)
+        drop = draw_subframe(big_layout, 0.3, rng)
         if len(drop.active_idx) == 0:
             continue
-        _, nearest = cKDTree(big_layout.rap_xy).query(drop.ue_xy)
+        dist, nearest = cKDTree(big_layout.rap_xy).query(drop.ue_xy)
         assert np.array_equal(nearest, drop.active_idx)
-        assert np.all(drop.serve_dist_km >= MIN_UE_RAP_KM)
+        assert np.all(dist >= MIN_UE_RAP_KM)
 
 
 def test_in_cell_uniformity_chi2(two_cell_layout):
     # cell 0 is exactly the rectangle [0,4] x [0,2.5]; bin on an equal-area
     # grid and test uniformity
-    params = ChannelParams()
     xs = []
     for t in range(20_000):
         rng = substream(17, "net", 0, t)
-        drop = draw_subframe(two_cell_layout, params, 10.0, rng)  # always active
+        drop = draw_subframe(two_cell_layout, 10.0, rng)  # always active
         row = np.flatnonzero(drop.active_idx == 0)
         if len(row):
             xs.append(drop.ue_xy[row[0]])
@@ -160,23 +158,30 @@ def test_in_cell_uniformity_chi2(two_cell_layout):
 
 @pytest.mark.parametrize("batch", [1, 2, 8])
 @pytest.mark.parametrize("layout_name", ["two_cell_layout", "big_layout", "sliver_layout"])
-def test_sample_positions_matches_oracle(layout_name, batch, request):
-    # same substream into both samplers: same points, same stream position
+def test_sample_positions_matches_oracle(layout_name, batch, request, monkeypatch):
+    # same substream into both samplers: same points, same stream position.
+    # The sampler reads its batch, round limit and separation from module
+    # constants, set here; the oracle takes them as arguments
     layout = request.getfixturevalue(layout_name)
     n = layout.n_total
+    monkeypatch.setattr(geometry, "SAMPLE_BATCH", batch)
     cell_sets = (np.array([], dtype=int), np.array([n // 2]), np.arange(n))
     for k, cells in enumerate(cell_sets):
         for min_dist in (1e-3, 0.5):
+            monkeypatch.setattr(geometry, "MIN_UE_RAP_KM", min_dist)
             fast, slow = (substream(11, "net", batch, k) for _ in range(2))
-            got = _sample_positions(layout, cells, fast, min_dist, batch=batch)
+            got = _sample_positions(layout, cells, fast)
             want = sample_positions(layout, cells, slow, min_dist, batch=batch)
             assert np.array_equal(got, want)
             np.testing.assert_equal(fast.bit_generator.state, slow.bit_generator.state)
     # a separation no candidate clears: both give up after max_rounds rounds
+    monkeypatch.setattr(geometry, "MIN_UE_RAP_KM", 1e3)
+    monkeypatch.setattr(geometry, "MAX_SAMPLE_ROUNDS", 3)
     fast, slow = (substream(12, "net", batch) for _ in range(2))
-    for sampler, rng in ((_sample_positions, fast), (sample_positions, slow)):
-        with pytest.raises(RuntimeError, match="converge"):
-            sampler(layout, np.arange(n), rng, 1e3, batch=batch, max_rounds=3)
+    with pytest.raises(RuntimeError, match="converge"):
+        _sample_positions(layout, np.arange(n), fast)
+    with pytest.raises(RuntimeError, match="converge"):
+        sample_positions(layout, np.arange(n), slow, 1e3, batch=batch, max_rounds=3)
     np.testing.assert_equal(fast.bit_generator.state, slow.bit_generator.state)
 
 
@@ -316,9 +321,7 @@ def test_sinr_unit_distance_no_interference(two_cell_layout):
         active=np.array([True, False]),
         active_idx=np.array([0]),
         ue_xy=np.array([[3.0, 1.25]]),  # 1 km from RAP 0
-        serve_dist_km=np.array([1.0]),
         fading=np.ones((1, 2)),
-        tx_powers=np.array([1.0]),
     )
     gamma = cloud_sinrs(drop, two_cell_layout, params)[1][0]
     assert 10 * math.log10(gamma) == pytest.approx(20.0, abs=1e-9)
@@ -331,9 +334,7 @@ def test_sinr_full_compensation_distance_free(two_cell_layout):
             active=np.array([True, False]),
             active_idx=np.array([0]),
             ue_xy=np.array([[2.0 + d, 1.25]]),
-            serve_dist_km=np.array([d]),
             fading=np.ones((1, 2)),
-            tx_powers=np.array([d ** (params.s * params.alpha)]),
         )
         gamma = cloud_sinrs(drop, two_cell_layout, params)[1][0]
         assert gamma == pytest.approx(params.snr_ref_linear)
@@ -345,18 +346,16 @@ def test_sinr_single_interferer_hand_oracle(two_cell_layout):
     params = ChannelParams(alpha=alpha, s=s, snr_ref_db=snr_db)
     d_serve = 0.5
     g_serve = 1.2
-    d_int_own = 0.8      # interferer to its own RAP (cell 1)
-    d_cross = 1.5        # interferer UE to RAP 0
+    d_int_own = 0.8      # interferer to its own RAP (cell 1, 4 km from RAP 0)
+    d_cross = 3.2        # interferer UE to RAP 0
     g_cross = 0.7
     ue0 = np.array([2.0 + d_serve, 1.25])
-    ue1 = np.array([2.0 + d_cross, 1.25])  # 1.5 km from RAP 0
+    ue1 = np.array([6.0 - d_int_own, 1.25])
     drop = SubframeDrop(
         active=np.array([True, True]),
         active_idx=np.array([0, 1]),
         ue_xy=np.vstack([ue0, ue1]),
-        serve_dist_km=np.array([d_serve, d_int_own]),
         fading=np.array([[g_serve, 0.3], [g_cross, 0.9]]),
-        tx_powers=np.array([d_serve ** (s * alpha), d_int_own ** (s * alpha)]),
     )
     gamma = cloud_sinrs(drop, two_cell_layout, params)[1][0]
     num = g_serve * d_serve ** (alpha * (s - 1.0))
@@ -367,9 +366,7 @@ def test_sinr_single_interferer_hand_oracle(two_cell_layout):
         active=np.array([True, False]),
         active_idx=np.array([0]),
         ue_xy=ue0[None, :],
-        serve_dist_km=np.array([d_serve]),
         fading=np.array([[g_serve, 0.3]]),
-        tx_powers=np.array([d_serve ** (s * alpha)]),
     )
     assert cloud_sinrs(lone, two_cell_layout, params)[1][0] > gamma
 
@@ -378,7 +375,7 @@ def test_cloud_sinrs_matches_scalar(big_layout):
     params = ChannelParams()
     for t in range(20):
         rng = substream(5, "net", 0, t)
-        drop = draw_subframe(big_layout, params, 0.3, rng)
+        drop = draw_subframe(big_layout, 0.3, rng)
         targets, sinr = cloud_sinrs(drop, big_layout, params)
         for rap, value in zip(targets, sinr):
             assert value == pytest.approx(

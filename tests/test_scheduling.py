@@ -65,6 +65,22 @@ def test_budget_validation():
                       density_grid=(0.1,))
 
 
+def test_sweep_network_rejects_repeated_values():
+    # a repeated grid value would be swept once, or its arm counted twice
+    curves = load_calibration()
+    tables = build_policy_tables(curves)
+    layout = synthesize_layout(substream(5, "layout", 0), n_total=24, n_cloud=4,
+                               region=(0.0, 0.0, 9.0, 9.0), min_sep_km=1.0)
+    sweep = partial(sweep_network, layout, ChannelParams(), curves, tables,
+                    subframes=range(1), seed=11)
+    for repeated in (dict(density_grid=(0.1, 0.1)),
+                     dict(density_grid=(0.1,), budget_grid=(10e6, math.inf, 10e6)),
+                     dict(density_grid=(0.1,), modes=(CP, CP)),
+                     dict(density_grid=(0.1,), policies=("MRS", "CAS", "MRS"))):
+        with pytest.raises(ValueError, match="must not repeat a value"):
+            sweep(**repeated)
+
+
 def test_zero_budget_drops_everything():
     tbs = [(0, 1.0, FakeTb(5)), (1, 2.0, FakeTb(5))]
     out = schedule_subframe(tbs, CP, 0.0)
@@ -225,7 +241,7 @@ def test_schedule_arrays_matches_oracle(tbs, pooled, data):
         np.array([rap for rap, _, _ in tbs]),
         np.array([sinr for _, sinr, _ in tbs]),
         np.array([int(tb.effort_bit_iters) for _, _, tb in tbs]),
-        edges, pooled,
+        edges, pooled, 0,
     )
     assert comp.shape == (len(edges), len(tbs))
     for limit, row in zip(edges, comp):
@@ -282,7 +298,7 @@ def test_sweep_network_matches_oracle():
         n_tbs = n_channel = 0
         for ti, t in enumerate(subframes):
             rng = substream(11, "net", 0, t)
-            drop = draw_subframe(layout, params, 0.3, rng)
+            drop = draw_subframe(layout, 0.3, rng)
             targets, sinr = cloud_sinrs(drop, layout, params)
             u = rng.random((len(targets), curves.max_cbs))
             sinr_db = 10.0 * np.log10(sinr)
@@ -373,7 +389,7 @@ def test_block_sweep_matches_oracle(monkeypatch):
     for di, density in enumerate(densities):
         for t in subframes:
             stream = substream(seed, "net", di, t)
-            targets, sinr = rounded_sinrs(draw_subframe(layout, params, density, stream),
+            targets, sinr = rounded_sinrs(draw_subframe(layout, density, stream),
                                           layout, params)
             u = stream.random((len(targets), curves.max_cbs))
             sinr_db = 10.0 * np.log10(sinr)
