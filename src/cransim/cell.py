@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rng
 from .link import SUBFRAME_S, simulate_tb_batch
 from .policy import select_mcs_index
 
@@ -172,14 +173,12 @@ def sweep_cell(snr_grid_db, tables, curves, n_trials, seed,
     ``{(policy, c_max): records}`` with one CellRecord per swept grid point.
     No grid or list may repeat a value.
     """
-    from .rng import substream   # per call: benchmarks/run.py wraps it after import
-
     if any(len(set(a)) < len(a) for a in (snr_grid_db, c_max_values, policies)):
         raise ValueError("snr_grid_db, c_max_values and policies must not repeat a value")
     out = {(p, c): [] for p in policies for c in c_max_values}
     for gi in range(len(snr_grid_db)) if grid_indices is None else grid_indices:
         snr_db = snr_grid_db[gi]
-        gamma_db, u = draw_cell_trials(substream(seed, "cell", gi), snr_db, n_trials,
+        gamma_db, u = draw_cell_trials(rng.substream(seed, "cell", gi), snr_db, n_trials,
                                        curves.max_cbs)
         for policy in policies:
             block = simulate_trials(gamma_db, tables[policy], curves, u)

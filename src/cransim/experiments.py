@@ -3,8 +3,10 @@
 Each experiment is described by a single JSON config.  Outputs are a
 results.json + results.csv pair plus a manifest recording content hashes,
 so re-running an identical config (at any worker count) reproduces the
-result files byte for byte.  Substreams are derived per grid point and per
-subframe, never per worker; parallelism only changes wall-clock time.
+result files byte for byte.  Substreams are derived per cell grid point and
+per (density, chunk of ``scheduling.CHUNK_SUBFRAMES`` subframes), never per
+worker; a network work block is one such chunk, and parallelism only changes
+wall-clock time.
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ from .geometry import ChannelParams, load_layout_csv, synthesize_layout
 from .link import load_calibration
 from .policy import ConfigurationError, build_policy_tables, snr_margin
 from .rng import substream
-from .scheduling import finalize_records, merge_accumulators, sweep_network
+from .scheduling import CHUNK_SUBFRAMES, finalize_records, merge_accumulators, sweep_network
 
 RESULTS_SCHEMA_VERSION = 1
-NET_BLOCK_SUBFRAMES = 250
+NET_BLOCK_SUBFRAMES = CHUNK_SUBFRAMES   # a block drawing exactly one chunk
 MAX_GRID_POINTS = 10000
 
 # experiment -> the one config section it reads (None: none)
@@ -447,25 +449,19 @@ def _run_tasks(task_fn, plan, items, workers):
 # ---------------------------------------------------------------------------
 
 def _jsonable(value):
+    """``value`` as strict JSON has it: a non-finite float (an unconstrained
+    budget, a mean of no values) is null."""
     if isinstance(value, float):
-        return None if math.isinf(value) else value
-    if isinstance(value, (tuple, list)):
+        return value if math.isfinite(value) else None
+    if isinstance(value, tuple):
         return [_jsonable(v) for v in value]
     return value
 
 
-def _record_dicts(records):
-    return [{k: _jsonable(v) for k, v in rec.__dict__.items()} for rec in records]
-
-
 def _csv_cell(value):
-    if value is None:
-        return "inf"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, list):
-        return ";".join(repr(float(v)) for v in value)
-    return str(value)
+    if isinstance(value, tuple):
+        return ";".join(map(repr, value))
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def _write_json(path, payload):
@@ -481,7 +477,7 @@ def _write_results(out_dir, plan, record_dicts):
         "artifact_version": __version__,
         "experiment": plan.experiment,
         "config": plan.config,
-        "records": record_dicts,
+        "records": [{k: _jsonable(v) for k, v in d.items()} for d in record_dicts],
     })
     csv_path = out_dir / "results.csv"
     with open(csv_path, "w", newline="") as fh:
@@ -523,9 +519,9 @@ def run(cfg, workers=1):
 
     if section == "cell":
         results = _run_tasks(_cell_point_task, plan, range(len(plan.snr_grid_db)), workers)
-        record_dicts = _record_dicts(sorted(
+        record_dicts = [vars(rec) for rec in sorted(
             (rec for recs in results for rec in recs),
-            key=lambda r: (r.policy, r.c_max_bit_iter_s, r.snr_db)))
+            key=lambda r: (r.policy, r.c_max_bit_iter_s, r.snr_db))]
 
     elif section == "network":
         n = plan.n_subframes
@@ -533,7 +529,7 @@ def run(cfg, workers=1):
                   for di in range(len(plan.densities))
                   for t0 in range(0, n, NET_BLOCK_SUBFRAMES)]
         acc = merge_accumulators(_run_tasks(_net_block_task, plan, blocks, workers))
-        record_dicts = _record_dicts(finalize_records(acc, n))
+        record_dicts = [vars(rec) for rec in finalize_records(acc, n)]
 
     else:  # policy_tables
         curves, tables = _models(plan.calibration_file, plan.eps_hat)

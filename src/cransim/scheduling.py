@@ -15,12 +15,15 @@ whole budget grid at once: under CP one cumulative sum of the sorted efforts
 compared with every pooled budget, under LP (one block per RAP) one
 comparison of each effort with every per-RAP budget.
 
-The sweep takes a block of subframes at a time.  It derives the block's
-Philox keys in one pass (``rng.substreams``); its loop over subframes only
-re-keys one generator and draws (drop, cloud SINRs, code-block uniforms).
-Each policy then decodes the whole block in one call, and CP schedules it
-with one cumulative sum of the integer efforts in (subframe, SINR, RAP)
-order, less each subframe's offset (exact).  Results accumulate as exact
+The draws of one density come in fixed chunks of ``CHUNK_SUBFRAMES``
+subframes, one substream per chunk, so a subframe's draws depend on neither
+the work block nor the worker.  The sweep takes a block of subframes at a
+time: it opens the substream of each chunk the block overlaps and draws that
+chunk's subframes from it in turn (drop, cloud SINRs, code-block uniforms),
+discarding those before the block and drawing none after it.  Each policy
+then decodes the whole block in one call, and CP schedules it with one
+cumulative sum of the integer efforts in (subframe, SINR, RAP) order, less
+each subframe's offset (exact).  Results accumulate as exact
 integer sums into int64 arrays indexed ``[density, budget, mode, policy]``;
 ``merge_accumulators`` adds a run's (density, block) parts in any order.
 """
@@ -40,6 +43,7 @@ from .policy import select_mcs_index
 
 LP = "LP"
 CP = "CP"
+CHUNK_SUBFRAMES = 250   # subframes per network substream: part of the result bytes
 
 
 # ---------------------------------------------------------------------------
@@ -129,16 +133,16 @@ def sweep_network(layout, params, curves, tables, *, subframes, seed,
                   modes=(LP, CP), policies=("MRS", "CAS")):
     """Monte Carlo sweep over UE density (UEs per km^2) and complexity budget.
 
-    ``subframes`` is the (nonempty) range of subframe indices to simulate, and
-    ``density_indices`` the indices into the density grid to sweep, all by
-    default; the others stay zero.  No grid or list may repeat a value.
+    ``subframes`` is the nonempty range (of step 1) of subframe indices to
+    simulate, and ``density_indices`` the indices into the density grid to
+    sweep, all by default; the others stay zero.  No grid or list may repeat a value.
 
     All (budget, mode, policy) arms at one density share the same subframe
     drops and code-block uniforms (common random numbers), so budget and
-    mode comparisons are paired.  Per-subframe substreams are keyed by
-    ``(seed, "net", density_index, subframe_index)`` (all of a call's keys
-    at one density in one pass), so a subframe's draws do not depend on how
-    the subframes are split into blocks or spread across workers.
+    mode comparisons are paired.  Subframe t is drawn from the substream
+    ``(seed, "net", density_index, t // CHUNK_SUBFRAMES)``, after the chunk's
+    earlier subframes, so a subframe's draws do not depend on how the
+    subframes are split into blocks or spread across workers.
 
     Returns a NetworkAccumulator over the grid; use ``finalize_records`` to
     turn it into NetworkRecords.
@@ -153,8 +157,8 @@ def sweep_network(layout, params, curves, tables, *, subframes, seed,
         raise ValueError("densities and budgets must be nonnegative (budgets may be inf)")
     if layout.n_cloud < 1:
         raise ValueError("n_cloud must be >= 1")
-    if not len(subframes):
-        raise ValueError("subframes must be nonempty")
+    if not (isinstance(subframes, range) and subframes.step == 1 and len(subframes)):
+        raise ValueError("subframes must be a nonempty range of step 1")
     shape = tuple(len(a) for a in axes)
     acc = NetworkAccumulator(
         axes=axes,
@@ -170,10 +174,16 @@ def sweep_network(layout, params, curves, tables, *, subframes, seed,
     limits = {LP: per_rap * link.SUBFRAME_S, CP: layout.n_cloud * per_rap * link.SUBFRAME_S}
     for di in range(len(densities)) if density_indices is None else density_indices:
         drawn = []
-        for stream in rng.substreams(seed, "net", di, last=subframes):
-            drop = geometry.draw_subframe(layout, densities[di], stream)
-            targets, sinr = geometry.cloud_sinrs(drop, layout, params)
-            drawn.append((targets, sinr, stream.random((len(targets), curves.max_cbs))))
+        for chunk in range(subframes.start // CHUNK_SUBFRAMES,
+                           (subframes.stop - 1) // CHUNK_SUBFRAMES + 1):
+            stream = rng.substream(seed, "net", di, chunk)
+            for t in range(chunk * CHUNK_SUBFRAMES,
+                           min(subframes.stop, (chunk + 1) * CHUNK_SUBFRAMES)):
+                drop = geometry.draw_subframe(layout, densities[di], stream)
+                targets, sinr = geometry.cloud_sinrs(drop, layout, params)
+                u = stream.random((len(targets), curves.max_cbs))
+                if t >= subframes.start:
+                    drawn.append((targets, sinr, u))
         targets, sinr, u = (np.concatenate(parts) for parts in zip(*drawn))
         sinr_db = 10.0 * np.log10(sinr)
         subframe = np.repeat(np.arange(len(subframes)), [len(d[0]) for d in drawn])

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cransim import experiments
+from cransim import experiments, scheduling
 from cransim.cli import main as cli_main
 from cransim.experiments import (
     EXPERIMENTS,
@@ -276,6 +276,23 @@ def test_net_run_independent_of_block_length(tmp_path, monkeypatch):
     cfg["output_dir"] = str(tmp_path / "b7")
     run(cfg)
     assert read_outputs(tmp_path / "b250") == read_outputs(tmp_path / "b7")
+
+
+def test_net_run_independent_of_block_length_across_chunks(tmp_path, monkeypatch):
+    # with 16-subframe draw chunks, 40 subframes span three chunks: 250-subframe
+    # blocks open each chunk's stream once, while 7-subframe blocks start and
+    # end inside chunks, skipping into a chunk and stopping short of its end
+    cfg = tiny_net_config(tmp_path / "c250")
+    cfg["network"]["n_subframes"] = 40
+    run(cfg)
+    monkeypatch.setattr(scheduling, "CHUNK_SUBFRAMES", 16)
+    for block in (250, 7):
+        monkeypatch.setattr(experiments, "NET_BLOCK_SUBFRAMES", block)
+        cfg["output_dir"] = str(tmp_path / f"b{block}")
+        run(cfg)
+    assert read_outputs(tmp_path / "b250") == read_outputs(tmp_path / "b7")
+    # the chunk length is part of the bytes
+    assert read_outputs(tmp_path / "b250") != read_outputs(tmp_path / "c250")
 
 
 def test_net_density_run(tmp_path):
@@ -555,16 +572,17 @@ def test_shipped_configs_validate():
 
 
 # SHA-256 of (results.json, results.csv) for the shipped network configs cut to
-# 300 subframes: two work blocks, so the block merge is exercised.  A change
-# that alters result bytes must update these and say why in CHANGES.md.
+# 300 subframes: two work blocks and two draw chunks, so the block merge is
+# exercised and the second chunk is cut short.  A change that alters result
+# bytes must update these and say why in CHANGES.md.
 GOLDEN_NET_DIGESTS = {
     "net_budget_sweep": (
-        "edc0b2c437001f99c108207aa474b5ab9a07a3b182198a48a96dcf10ac280ed4",
-        "02b0ebfe5e184f80080482c959e4adfb759053d56499522cbb4c2219cf10f59a",
+        "6c64623fd60c6797d3d0a879865d5cf5f4ec96da82136a1c28620474ebc35a69",
+        "6786c47295e78987984af5c9b9fe4d11c4cf9d0b342685891683c0dd559cf960",
     ),
     "net_density_sweep": (
-        "c6226465ae78ba5983018bab67179e3c049f2aac683f07a35d03e5dd9b512e74",
-        "82fcfad0984fc099c3c07c0945a82a7272f9d0fe433797c9cbbc6de86990fd46",
+        "6f932f729c8f661cbdb8846da44304053665b721e9eecd2179125bf837d02e3d",
+        "fd004c60f4aed5707cf9de96d5fa28e613a012c0fc826b626f43b600fc727f27",
     ),
 }
 
@@ -585,7 +603,7 @@ def test_net_result_digests(tmp_path, monkeypatch, name, workers):
 # to 20000 trials per grid point; the same rule as GOLDEN_NET_DIGESTS applies.
 GOLDEN_CELL_DIGESTS = {
     "cell_outage": (
-        "08708e6e8d58c98d09610574bad14f3ba0e3dbf982566506d6e070a3d5cfb4fe",
+        "0653e072c895e7ab476d013765fcaf0cb7d0c2af9f751a3d1f37b77f8e7bc85c",
         "2328300a0844ed7455823969eb2e85c14ee181ed7ed65f649135bf3917f06dee",
     ),
 }
@@ -601,6 +619,29 @@ def test_cell_result_digests(tmp_path, monkeypatch, name, workers):
     cfg["cell"]["n_trials"] = 20000
     outputs = run(cfg, workers)["outputs"]
     assert (outputs["results.json"], outputs["results.csv"]) == GOLDEN_CELL_DIGESTS[name]
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+@pytest.mark.parametrize("name", sorted(
+    p.stem for p in (Path(__file__).resolve().parent.parent / "configs").glob("*.json")))
+def test_shipped_results_are_strict_json(tmp_path, monkeypatch, name):
+    # every JSON output parses without NaN or Infinity tokens; a mean of no
+    # values (the effort per success bit where no block decoded) is null
+    monkeypatch.delenv("CRANSIM_OUTPUT_DIR", raising=False)
+    cfg = load_config(CONFIG_DIR / f"{name}.json")
+    cfg["output_dir"] = str(tmp_path)
+    for section, key, length in (("cell", "n_trials", 200), ("network", "n_subframes", 20)):
+        if section in cfg:
+            cfg[section][key] = length
+    run(cfg)
+    payloads = {path.name: json.loads(path.read_text(), parse_constant=_reject_constant)
+                for path in tmp_path.glob("*.json")}
+    if name == "cell_outage":
+        assert any(r["effort_per_success_bit_iter_s"] is None
+                   for r in payloads["results.json"]["records"])
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
-from scipy.stats import chi2
+from scipy.stats import chi2, kstest
 
 import oracles
 from cransim import geometry
@@ -154,6 +154,16 @@ def test_in_cell_uniformity_chi2(two_cell_layout):
     expected = len(pts) / 40.0
     stat = float(((counts - expected) ** 2 / expected).sum())
     assert chi2.sf(stat, df=39) > 0.01
+
+
+def test_fading_is_unit_exponential(two_cell_layout):
+    # Rayleigh fading: every (UE, cloud RAP) power gain is Exp(1).  Both
+    # cells are always active, so 2500 subframes pool 10000 gains
+    rng = substream(23, "net", 0, 0)
+    gains = np.concatenate([draw_subframe(two_cell_layout, 10.0, rng).fading.ravel()
+                            for _ in range(2500)])
+    assert len(gains) == 10_000
+    assert kstest(gains, "expon").pvalue > 1e-3
 
 
 @pytest.mark.parametrize("batch", [1, 2, 8])

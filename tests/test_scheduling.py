@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cransim import geometry
+from cransim import geometry, scheduling
 from cransim.geometry import ChannelParams, cloud_sinrs, draw_subframe, synthesize_layout
 from cransim.link import SUBFRAME_S, load_calibration
 from cransim.policy import build_policy_tables
@@ -60,9 +60,10 @@ def test_budget_validation():
                               region=(0.0, 0.0, 9.0, 9.0), min_sep_km=1.0)
     with pytest.raises(ValueError, match="n_cloud"):
         sweep_network(empty, ChannelParams(), curves, tables, **kwargs)
-    with pytest.raises(ValueError, match="subframes"):
-        sweep_network(layout, ChannelParams(), curves, tables, subframes=range(0), seed=11,
-                      density_grid=(0.1,))
+    for bad in (range(0), range(0, 4, 2), [0, 1]):
+        with pytest.raises(ValueError, match="subframes"):
+            sweep_network(layout, ChannelParams(), curves, tables, subframes=bad, seed=11,
+                          density_grid=(0.1,))
 
 
 def test_sweep_network_rejects_repeated_values():
@@ -255,6 +256,19 @@ def test_schedule_arrays_matches_oracle(tbs, pooled, data):
         ]
 
 
+def _draw_in_turn(layout, density, seed, di, subframes, sinrs=cloud_sinrs):
+    """``(targets, sinr, u)`` of each subframe in ``subframes``: every chunk's
+    subframes from its first on, each drawn in turn from the chunk's stream."""
+    drawn, params, max_cbs = [], ChannelParams(), load_calibration().max_cbs
+    for t in range(subframes.stop):
+        chunk, k = divmod(t, scheduling.CHUNK_SUBFRAMES)
+        if k == 0:
+            stream = substream(seed, "net", di, chunk)
+        targets, sinr = sinrs(draw_subframe(layout, density, stream), layout, params)
+        drawn.append((targets, sinr, stream.random((len(targets), max_cbs))))
+    return drawn[subframes.start:]
+
+
 def _one_subframe_parts(sweep, subframes, density_indices=(0,)):
     """``{(density index, subframe): sweep over that subframe alone}``."""
     return {(di, t): sweep(subframes=range(t, t + 1), density_indices=(di,))
@@ -291,16 +305,13 @@ def test_sweep_network_matches_oracle():
     parts = _one_subframe_parts(sweep, subframes)
     assert acc.axes == ((0.3,), budgets, (LP, CP), ("MRS", "CAS"))
     n_cells = layout.n_cloud
+    drawn = _draw_in_turn(layout, 0.3, 11, 0, subframes)
     for pi, policy in enumerate(("MRS", "CAS")):
         sf_bits = np.zeros((len(budgets), 2, len(subframes)), dtype=int)
         n_comp = np.zeros((len(budgets), 2), dtype=int)
         cell_bits = np.zeros((len(budgets), 2, n_cells), dtype=int)
         n_tbs = n_channel = 0
-        for ti, t in enumerate(subframes):
-            rng = substream(11, "net", 0, t)
-            drop = draw_subframe(layout, 0.3, rng)
-            targets, sinr = cloud_sinrs(drop, layout, params)
-            u = rng.random((len(targets), curves.max_cbs))
+        for ti, (targets, sinr, u) in enumerate(drawn):
             sinr_db = 10.0 * np.log10(sinr)
             tbs = _policy_tbs(sinr_db, tables[policy], curves, u)
             tb_list = [
@@ -371,7 +382,9 @@ def test_block_sweep_matches_oracle(monkeypatch):
     # time: sparse drops leave empty subframes between busy ones, SINRs
     # rounded to 1 dB tie across subframes, and CP budgets sit at exact
     # per-subframe prefix sums.  Each subframe swept alone gives its
-    # delivered bits; the block's sums must hold the same bits
+    # delivered bits; the block's sums must hold the same bits.  With
+    # 16-subframe draw chunks the block starts inside one chunk and ends
+    # inside another, and the one-subframe sweeps skip into every chunk
     curves = load_calibration()
     tables = build_policy_tables(curves)
     layout = synthesize_layout(substream(5, "layout", 0), n_total=24, n_cloud=4,
@@ -384,14 +397,11 @@ def test_block_sweep_matches_oracle(monkeypatch):
         return targets, 10.0 ** (np.round(10.0 * np.log10(sinr)) / 10.0)
 
     monkeypatch.setattr(geometry, "cloud_sinrs", rounded_sinrs)
+    monkeypatch.setattr(scheduling, "CHUNK_SUBFRAMES", 16)
     drops = {}  # (density index, policy) -> one TB list per subframe
-    params = ChannelParams()
     for di, density in enumerate(densities):
-        for t in subframes:
-            stream = substream(seed, "net", di, t)
-            targets, sinr = rounded_sinrs(draw_subframe(layout, density, stream),
-                                          layout, params)
-            u = stream.random((len(targets), curves.max_cbs))
+        for targets, sinr, u in _draw_in_turn(layout, density, seed, di, subframes,
+                                              rounded_sinrs):
             sinr_db = 10.0 * np.log10(sinr)
             for policy in ("MRS", "CAS"):
                 tbs = _policy_tbs(sinr_db, tables[policy], curves, u)
