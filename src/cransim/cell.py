@@ -31,7 +31,6 @@ class CellRecord:
     policy: str
     c_max_bit_iter_s: float
     n_trials: int
-    n_transmitted: int
     n_success: int
     eps: float
     eps_hw: float
@@ -115,12 +114,12 @@ def simulate_trials(gamma_db, table, curves, u):
 def summarize_cell_point(snr_db, policy, c_max_values, block):
     """Reduce a trial block to one CellRecord per budget in ``c_max_values``.
 
-    Every trial transmits (``n_transmitted`` equals ``n_trials``), and a
-    block is in computational outage when its effort strictly exceeds
-    ``c_max * SUBFRAME_S``.  The effective throughput E[(1 - eps(gamma))
-    R(gamma)] is the mean of the bits delivered per trial; the complexity
-    metric charges the nominal effort of every block (outage blocks
-    included) against the count of successful decodes.
+    Every trial transmits, and a block is in computational outage when its
+    effort strictly exceeds ``c_max * SUBFRAME_S``.  The effective
+    throughput E[(1 - eps(gamma)) R(gamma)] is the mean of the bits
+    delivered per trial; the complexity metric charges the nominal effort
+    of every block (outage blocks included) against the count of
+    successful decodes.
     """
     def mean_hw(x):
         return mean_halfwidth(n, x.sum(), np.dot(x, x))
@@ -129,7 +128,7 @@ def summarize_cell_point(snr_db, policy, c_max_values, block):
     n_channel = int(block.channel_fail.sum())
     t_raw, t_raw_hw = mean_hw(block.bits)
     effort_mean, effort_mean_hw = mean_hw(block.effort)
-    shared = dict(snr_db=float(snr_db), policy=policy, n_trials=n, n_transmitted=n,
+    shared = dict(snr_db=float(snr_db), policy=policy, n_trials=n,
                   eps_channel=n_channel / n if n else 0.0,
                   eps_channel_hw=wilson_halfwidth(n_channel, n),
                   t_raw_bps=t_raw, t_raw_hw_bps=t_raw_hw)

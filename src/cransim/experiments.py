@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .cell import sweep_cell
-from .geometry import ChannelParams, load_layout_csv, synthesize_layout
+from .geometry import ChannelParams, synthesize_layout
 from .link import load_calibration
 from .policy import ConfigurationError, build_policy_tables, snr_margin
 from .rng import substream
@@ -75,7 +75,6 @@ DEFAULT_CONFIG = {
         "n_trials": 100000,
     },
     "network": {
-        "layout_csv": None,
         "synthesize": {"n_total": 129, "n_cloud": 8, "region_km": [0.0, 0.0, 20.0, 20.0],
                        "min_sep_km": 1.3, "layout_seed": 4242},
         "channel": {"alpha": 3.7, "s": 0.1, "snr_ref_db": 20.0},
@@ -87,7 +86,6 @@ DEFAULT_CONFIG = {
         "n_subframes": 10000,
     },
 }
-_SYNTHESIZE = DEFAULT_CONFIG["network"]["synthesize"]
 
 
 def _merge_defaults(cfg, defaults, path=""):
@@ -109,18 +107,12 @@ def _known(experiment):
 
 def _schema(cfg):
     """``DEFAULT_CONFIG`` less the sections that ``cfg``'s experiment does not
-    read (all of them while the experiment is unknown), and less the keys of
-    the layout synthesizer, all but ``region_km``, when a layout CSV is set."""
+    read (all of them while the experiment is unknown)."""
     exp = cfg.get("experiment")
     if not _known(exp):
         return DEFAULT_CONFIG
-    schema = {k: v for k, v in DEFAULT_CONFIG.items()
-              if not isinstance(v, dict) or k == EXPERIMENTS[exp]}
-    net = cfg.get("network")
-    if "network" in schema and isinstance(net, dict) and net.get("layout_csv") is not None:
-        region = {"region_km": _SYNTHESIZE["region_km"]}   # read by the CSV loader too
-        schema["network"] = dict(schema["network"], synthesize=region)
-    return schema
+    return {k: v for k, v in DEFAULT_CONFIG.items()
+            if not isinstance(v, dict) or k == EXPERIMENTS[exp]}
 
 
 def load_config(path):
@@ -268,7 +260,6 @@ _RULES = {
     "network.n_subframes": _rule(int, lambda v: v >= 1, "must be a positive integer"),
     "network.policies": _choices(("MRS", "CAS"), "policy"),
     "network.modes": _choices(("LP", "CP"), "mode"),
-    "network.layout_csv": _rule(None, _path, "must be null or an existing file"),
     "network.synthesize.n_total": _rule(int, lambda v: v >= 2, "must be an integer >= 2"),
     "network.synthesize.n_cloud": _n_cloud,
     "network.synthesize.region_km": _rule(
@@ -289,15 +280,13 @@ _RULES = {
 
 def _flatten(cfg, schema, errors, path=""):
     """The leaves of a merged config by dotted field; reports unknown keys,
-    unread sections and keys, and non-object sections (whose leaves are then
-    left out)."""
+    unread sections, and non-object sections (whose leaves are then left
+    out)."""
     leaves = {}
     for key, value in cfg.items():
         field = path + key
         if not path and key in DEFAULT_CONFIG and key not in schema:
             errors.append(f"{key}: experiment {cfg['experiment']} reads no {key} section")
-        elif path == "network.synthesize." and key in _SYNTHESIZE and key not in schema:
-            errors.append(f"{field}: not read when network.layout_csv is set")
         elif key not in schema:
             errors.append(_unknown_key(field, key, schema))
         elif field in _RULES:
@@ -366,14 +355,11 @@ def _resolve(cfg):
         channel = ChannelParams(**{k: net["channel." + k]
                                    for k in DEFAULT_CONFIG["network"]["channel"]})
         net["synthesize.region_km"] = tuple(map(float, net["synthesize.region_km"]))
-        layout = (net["layout_csv"], *(net.get("synthesize." + k) for k in _SYNTHESIZE))
-        layout_field = "network.synthesize" if layout[0] is None else "network.layout_csv"
+        layout = tuple(net["synthesize." + k] for k in DEFAULT_CONFIG["network"]["synthesize"])
         try:
             n_cloud = _layout(*layout).n_cloud
-        except (ValueError, csv.Error) as exc:
-            return None, [f"{layout_field}: {exc}"]
-        if not n_cloud:
-            return None, [f"{layout_field}: no RAP is in the cloud group"]
+        except ValueError as exc:
+            return None, [f"network.synthesize: {exc}"]
         plan = replace(plan, policies=net["policies"], budgets=net["budget_grid_mbit_iter_s"],
                        layout=layout, channel=channel, densities=net["density_grid_per_km2"],
                        modes=net["modes"], n_subframes=net["n_subframes"])
@@ -406,9 +392,7 @@ def _models(calibration_file, eps_hat):
 
 
 @lru_cache(maxsize=8)
-def _layout(layout_csv, n_total, n_cloud, region_km, min_sep_km, layout_seed):
-    if layout_csv is not None:
-        return load_layout_csv(layout_csv, region_km)
+def _layout(n_total, n_cloud, region_km, min_sep_km, layout_seed):
     return synthesize_layout(substream(layout_seed, "layout", 0), n_total=n_total,
                              region=region_km, min_sep_km=min_sep_km, n_cloud=n_cloud)
 

@@ -23,7 +23,6 @@ fading with the noise folded into the unit-distance SNR.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +35,7 @@ MAX_LAYOUT_ATTEMPTS = 400000   # candidate RAPs before layout synthesis gives up
 
 
 class LayoutError(ValueError):
-    """Raised for invalid RAP layouts or layout files."""
+    """Raised for invalid RAP layouts."""
 
 
 @dataclass(frozen=True)
@@ -157,10 +156,6 @@ def build_layout(rap_xy, region, cloud_group):
     if len(np.unique(scaled, axis=0)) != len(pts):
         raise LayoutError("duplicate RAP positions")
     cloud = tuple(sorted(int(i) for i in cloud_group))
-    if len(set(cloud)) != len(cloud):
-        raise ValueError("cloud_group contains repeated indices")
-    if cloud and (cloud[0] < 0 or cloud[-1] >= len(pts)):
-        raise ValueError("cloud_group index out of range")
 
     n = len(pts)
     xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
@@ -290,34 +285,3 @@ def cloud_sinrs(drop, layout, params):
     d_serve = serve_dist[rows]
     signal = drop.fading[rows, cols] * d_serve ** (alpha * (s - 1.0))
     return targets, signal / (1.0 / params.snr_ref_linear + interference)
-
-
-def load_layout_csv(path, region):
-    """Read a layout CSV (columns id,x_km,y_km,in_cloud_group)."""
-    xs = []
-    cloud = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = {"id", "x_km", "y_km", "in_cloud_group"}
-        if reader.fieldnames is None or set(reader.fieldnames) != expected:
-            raise LayoutError(
-                f"layout CSV must have header id,x_km,y_km,in_cloud_group, got {reader.fieldnames}"
-            )
-        for lineno, rec in enumerate(reader, start=2):
-            try:
-                i = int(rec["id"])
-                x = float(rec["x_km"])
-                y = float(rec["y_km"])
-                flag = int(rec["in_cloud_group"])
-            except (TypeError, ValueError) as exc:
-                raise LayoutError(f"layout CSV row {lineno}: {exc}") from exc
-            if i != len(xs):
-                raise LayoutError(f"layout CSV row {lineno}: ids must be 0,1,2,...")
-            if flag not in (0, 1):
-                raise LayoutError(f"layout CSV row {lineno}: in_cloud_group must be 0 or 1")
-            xs.append((x, y))
-            if flag:
-                cloud.append(i)
-    if len(xs) < 2:
-        raise LayoutError("layout CSV must list at least 2 RAPs")
-    return build_layout(np.array(xs), region, cloud)

@@ -16,13 +16,11 @@ curves that ``LinkCurves.success_cdf`` serves in the package, and
 an independent construction of the cells that ``build_layout`` clips out of
 the region.  Alongside them sit the closed forms the tests compare
 estimates with (``tb_channel_outage_prob``, the exact convolution
-``comp_outage_prob``, ``raw_throughput``) and a layout writer
-(``save_layout_csv``) for the layout-CSV round trip.
+``comp_outage_prob``, ``raw_throughput``).
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -282,16 +280,6 @@ def compute_sinr(drop, layout, params, rap_index):
             * serve_dist(other_row) ** (s * alpha)
         )
     return signal / (noise + interference)
-
-
-def save_layout_csv(layout, path):
-    """Write ``layout`` in the CSV form ``load_layout_csv`` reads."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "x_km", "y_km", "in_cloud_group"])
-        cloud = set(layout.cloud_group)
-        for i, (x, y) in enumerate(layout.rap_xy):
-            writer.writerow([i, repr(float(x)), repr(float(y)), int(i in cloud)])
 
 
 def voronoi_cells(rap_xy, region):

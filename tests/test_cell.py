@@ -122,7 +122,7 @@ def test_simulate_trials_unconstrained_identities(tables, curves):
 def test_summarize_no_trials(tables, curves):
     block = simulate_trials(np.empty(0), tables["MRS"], curves, np.empty((curves.max_cbs, 0)))
     (rec,) = summarize_cell_point(0.0, "MRS", (50e6,), block)
-    assert rec.n_trials == rec.n_transmitted == rec.n_success == 0
+    assert rec.n_trials == rec.n_success == 0
     assert rec.eps == rec.eps_channel == rec.eps_comp == 0.0
 
 
@@ -160,7 +160,7 @@ def test_simulate_trials_matches_scalar_trials(tables, curves):
         n_channel = sum(k in (OUTAGE_CHANNEL, OUTAGE_BOTH) for k in kinds)
         n_comp = sum(k in (OUTAGE_COMPUTATIONAL, OUTAGE_BOTH) for k in kinds)
         n_lost = sum(k != OUTAGE_NONE for k in kinds)
-        assert rec.n_transmitted == n_tx
+        assert rec.n_trials == n_tx
         assert rec.n_success == n_tx - n_lost
         assert rec.eps == n_lost / n_tx
         assert rec.eps_channel == n_channel / n_tx

@@ -171,26 +171,15 @@ def test_validation_rejects_non_object_sections(tmp_path, section):
 
 
 def test_validation_builds_the_layout(tmp_path, capsys):
-    # a layout CSV with no cloud rows used to pass validate and crash in run
-    csv_path = tmp_path / "layout.csv"
-    rows = [f"{i},{1.5 * (i % 6) + 0.5!r},{2.0 * (i // 6) + 0.5!r},0" for i in range(24)]
-    csv_path.write_text("id,x_km,y_km,in_cloud_group\n" + "\n".join(rows) + "\n")
-    cfg = tiny_net_config(tmp_path)
-    cfg["network"].update(layout_csv=str(csv_path), synthesize={"region_km": [0.0, 0.0, 9.0, 9.0]})
-    assert validate_config(cfg) == ["network.layout_csv: no RAP is in the cloud group"]
-    cfg_path = write_config(tmp_path, cfg)
-    for command in ("validate", "run"):
-        assert cli_main([command, "--config", str(cfg_path)]) == 2
-    assert "network.layout_csv: no RAP is in the cloud group" in capsys.readouterr().err
-    # with a layout CSV, region_km is the one synthesize key read, and merged
-    del cfg["network"]["synthesize"]
-    merged = load_config(write_config(tmp_path, cfg))["network"]["synthesize"]
-    assert merged == {"region_km": [0.0, 0.0, 20.0, 20.0]}
-    assert validate_config(cfg) == ["network.layout_csv: no RAP is in the cloud group"]
-    # a LayoutError from the synthesizer names the synthesize section
+    # a LayoutError from the synthesizer names the synthesize section, and
+    # run reports it before any worker starts
     cfg = tiny_net_config(tmp_path)
     cfg["network"]["synthesize"]["region_km"] = [9.0, 0.0, 0.0, 9.0]
     assert validate_config(cfg) == ["network.synthesize: region must have positive extent"]
+    cfg_path = write_config(tmp_path, cfg)
+    for command in ("validate", "run"):
+        assert cli_main([command, "--config", str(cfg_path)]) == 2
+    assert "network.synthesize: region must have positive extent" in capsys.readouterr().err
 
 
 def test_net_density_budget_range(tmp_path):
@@ -577,11 +566,11 @@ def test_shipped_configs_validate():
 # bytes must update these and say why in CHANGES.md.
 GOLDEN_NET_DIGESTS = {
     "net_budget_sweep": (
-        "6c64623fd60c6797d3d0a879865d5cf5f4ec96da82136a1c28620474ebc35a69",
+        "8a521669d57d1cd2e64ab185ea3f5a2978a3d94af4a3c46d28b7b99ede792ab9",
         "6786c47295e78987984af5c9b9fe4d11c4cf9d0b342685891683c0dd559cf960",
     ),
     "net_density_sweep": (
-        "6f932f729c8f661cbdb8846da44304053665b721e9eecd2179125bf837d02e3d",
+        "ab418d1c3cdac178a11934ea1cd92e62150ddba4c3da83a1baee5ba31f8e2c6b",
         "fd004c60f4aed5707cf9de96d5fa28e613a012c0fc826b626f43b600fc727f27",
     ),
 }
@@ -603,8 +592,8 @@ def test_net_result_digests(tmp_path, monkeypatch, name, workers):
 # to 20000 trials per grid point; the same rule as GOLDEN_NET_DIGESTS applies.
 GOLDEN_CELL_DIGESTS = {
     "cell_outage": (
-        "0653e072c895e7ab476d013765fcaf0cb7d0c2af9f751a3d1f37b77f8e7bc85c",
-        "2328300a0844ed7455823969eb2e85c14ee181ed7ed65f649135bf3917f06dee",
+        "0c7074e092b2416b4ed9128064f941c923e75a1295e9e62260952ab4d346abf3",
+        "7242f2b1706959aa928f2edc5f68b08c54dd1f4090bd2c2338f3fca568862864",
     ),
 }
 
@@ -670,15 +659,6 @@ def small_cell_config(out_dir):
 def small_net_config(out_dir):
     cfg = tiny_net_config(out_dir)
     cfg["network"].update(n_subframes=5, budget_grid_mbit_iter_s=[10.0])
-    return cfg
-
-
-def small_csv_config(out_dir):
-    """``small_net_config`` on a 3-RAP layout CSV written next to ``out_dir``."""
-    csv_path = Path(out_dir).parent / "layout.csv"
-    csv_path.write_text("id,x_km,y_km,in_cloud_group\n0,3.0,3.0,1\n1,6.0,3.0,1\n2,4.5,6.0,0\n")
-    cfg = small_net_config(out_dir)
-    cfg["network"].update(layout_csv=str(csv_path), synthesize={"region_km": [0.0, 0.0, 9.0, 9.0]})
     return cfg
 
 
@@ -751,15 +731,8 @@ MALFORMED = [
     ("cell", "calibration_file", FileWith(json.dumps({"experiment": "cell_outage"})),
      "calibration_file: unsupported calibration schema_version None"),
     ("net", "calibration_file", FileWith("i_max = 8"), "calibration_file: Expecting value"),
-    # a RAP on the region edge (the region is [0, 9]^2)
-    ("csv", "network.layout_csv",
-     FileWith("id,x_km,y_km,in_cloud_group\n0,4.0,4.0,1\n1,9.0,4.0,1\n"),
-     "network.layout_csv: RAP 1 lies outside the region or within 1e-09 km of its boundary"),
-    # a layout CSV fixes the RAPs: the synthesizer's keys would be ignored
-    ("csv", "network.synthesize", {"n_total": 50, "n_cloud": 7},
-     "network.synthesize.n_total: not read when network.layout_csv is set"),
-    ("csv", "network.synthesize.layout_seed", 3,
-     "network.synthesize.layout_seed: not read when network.layout_csv is set"),
+    # the synthesizer is the one source of a layout
+    ("net", "network.layout_csv", "layout.csv", "network.layout_csv: unknown key"),
     ("cell", "calibration_file", FileWith(json.dumps({"schema_version": 1})),
      "calibration_file: malformed calibration: KeyError('mcs')"),
     # run lengths whose exact sums of squares could leave int64: a trial's
@@ -775,7 +748,7 @@ MALFORMED = [
 @pytest.mark.parametrize("base, field, value, message", MALFORMED,
                          ids=[f"{field}={value!r}" for _, field, value, _ in MALFORMED])
 def test_malformed_config_exits_2(tmp_path, capsys, base, field, value, message):
-    make = {"cell": small_cell_config, "net": small_net_config, "csv": small_csv_config}[base]
+    make = {"cell": small_cell_config, "net": small_net_config}[base]
     if isinstance(value, FileWith):
         (tmp_path / "value").write_text(value.text)
         value = str(tmp_path / "value")

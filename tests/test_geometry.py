@@ -20,12 +20,11 @@ from cransim.geometry import (
     build_layout,
     cloud_sinrs,
     draw_subframe,
-    load_layout_csv,
     shoelace_area,
     synthesize_layout,
 )
 from cransim.rng import substream
-from oracles import compute_sinr, sample_positions, save_layout_csv
+from oracles import compute_sinr, sample_positions
 
 
 @pytest.fixture(scope="module")
@@ -74,8 +73,6 @@ def test_layout_errors():
         build_layout(raps, (0, 0, 2, 2), ())
     with pytest.raises(LayoutError, match="outside"):
         build_layout(np.array([[1.0, 1.0], [5.0, 1.0]]), (0, 0, 2, 2), ())
-    with pytest.raises(ValueError, match="range"):
-        build_layout(np.array([[0.5, 1.0], [1.5, 1.0]]), (0, 0, 2, 2), (0, 7))
 
 
 def test_nearest_rap_point_counts_match_areas(big_layout):
@@ -408,24 +405,6 @@ def test_channel_params_validation():
         ChannelParams(alpha=1.5)
     with pytest.raises(ValueError):
         ChannelParams(s=1.2)
-
-
-def test_layout_csv_round_trip(two_cell_layout, tmp_path):
-    path = tmp_path / "layout.csv"
-    save_layout_csv(two_cell_layout, path)
-    loaded = load_layout_csv(path, two_cell_layout.region)
-    assert np.allclose(loaded.rap_xy, two_cell_layout.rap_xy)
-    assert loaded.cloud_group == two_cell_layout.cloud_group
-
-
-def test_layout_csv_errors_name_row(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("id,x_km,y_km,in_cloud_group\n0,1.0,1.0,1\n1,oops,2.0,0\n")
-    with pytest.raises(LayoutError, match="row 3"):
-        load_layout_csv(path, (0, 0, 4, 4))
-    path.write_text("id,x_km,y_km\n0,1.0,1.0\n")
-    with pytest.raises(LayoutError, match="header"):
-        load_layout_csv(path, (0, 0, 4, 4))
 
 
 def test_synthesizer_respects_min_separation(big_layout):
