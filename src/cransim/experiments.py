@@ -18,7 +18,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from importlib import resources
@@ -424,6 +423,8 @@ def _run_tasks(task_fn, plan, items, workers):
     workers = min(workers, len(items))
     if workers <= 1:
         return [task(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor   # only a pooled run pays its import
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(task, items))
 

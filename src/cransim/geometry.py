@@ -70,8 +70,7 @@ class NetworkLayout:
     areas_km2: np.ndarray              # (n,)
     cloud_group: tuple                 # sorted RAP indices
     cloud_idx: np.ndarray              # cloud_group as an index array
-    lo: np.ndarray                     # (n, 2) lower-left corner of each cell's bounding box
-    hi: np.ndarray                     # (n, 2) upper-right corner
+    box: np.ndarray                    # (n, 2, 2) per cell: bounding-box span, lower-left corner
     normals: np.ndarray                # (n, 2, deg) p_j - p_i per neighbour j of cell i
     offsets: np.ndarray                # (n, 1, deg) (|p_j|^2 - |p_i|^2) / 2
 
@@ -170,6 +169,8 @@ def build_layout(rap_xy, region, cloud_group):
     for i, nbrs in enumerate(neighbours):
         nbr[i, : len(nbrs)] = nbrs
     sq = (pts ** 2).sum(axis=1)
+    lo = np.array([v.min(axis=0) for v in polys])
+    hi = np.array([v.max(axis=0) for v in polys])
     return NetworkLayout(
         rap_xy=pts,
         region=(xmin, ymin, xmax, ymax),
@@ -177,8 +178,7 @@ def build_layout(rap_xy, region, cloud_group):
         areas_km2=np.array([shoelace_area(v) for v in polys]),
         cloud_group=cloud,
         cloud_idx=np.array(cloud, dtype=int),
-        lo=np.array([v.min(axis=0) for v in polys]),
-        hi=np.array([v.max(axis=0) for v in polys]),
+        box=np.stack([hi - lo, lo], axis=1),
         normals=np.ascontiguousarray((pts[nbr] - pts[:, None, :]).transpose(0, 2, 1)),
         offsets=(sq[nbr] - sq[:, None])[:, None, :] / 2.0,
     )
@@ -233,14 +233,23 @@ def _sample_positions(layout, cells, rng):
         if rounds > MAX_SAMPLE_ROUNDS:
             raise RuntimeError("position rejection sampling failed to converge")
         cell_ids = cells[pending]
-        lo, hi = layout.lo[cell_ids, None, :], layout.hi[cell_ids, None, :]
-        cand = lo + rng.random((len(pending), SAMPLE_BATCH, 2)) * (hi - lo)
-        normals, offsets = layout.normals[cell_ids], layout.offsets[cell_ids]
-        inside = (np.matmul(cand, normals) <= offsets).all(axis=2)
+        span, lo = layout.box[cell_ids, :, None].transpose(1, 0, 2, 3)   # each (p, 1, 2)
+        cand = rng.random((len(pending), SAMPLE_BATCH, 2))
+        cand *= span
+        cand += lo                        # lo + r * (hi - lo), double for double
+        below = np.matmul(cand, layout.normals[cell_ids]) <= layout.offsets[cell_ids]
+        # all of a candidate's half-planes, reduced along the leading axis of a
+        # transposed copy: over the short trailing axis numpy would make one
+        # inner-loop call per candidate
+        by_plane = np.ascontiguousarray(below.reshape(-1, below.shape[-1]).T)
+        inside = np.logical_and.reduce(by_plane).reshape(len(pending), SAMPLE_BATCH)
         gap = cand - layout.rap_xy[cell_ids, None, :]
-        ok = inside & ((gap * gap).sum(axis=2) >= MIN_UE_RAP_KM * MIN_UE_RAP_KM)
-        hit = ok.any(axis=1)
-        out[pending[hit]] = cand[hit, ok[hit].argmax(axis=1)]
+        gap *= gap                        # dx * dx + dy * dy below, as a sum over the pair does
+        ok = inside & (gap[..., 0] + gap[..., 1] >= MIN_UE_RAP_KM * MIN_UE_RAP_KM)
+        first = ok.argmax(axis=1)         # the first accepted candidate, or 0 if none is
+        rows = np.arange(len(pending))
+        hit = ok[rows, first]
+        out[pending[hit]] = cand[rows, first][hit]
         pending = pending[~hit]
     return out
 
@@ -257,31 +266,47 @@ def draw_subframe(layout, density, rng):
     return SubframeDrop(active=active, active_idx=active_idx, ue_xy=ue_xy, fading=fading)
 
 
-def cloud_sinrs(drop, layout, params):
-    """Vectorized SINR for every active cloud cell.
+def cloud_sinrs(drops, layout, params):
+    """SINR of every active cloud cell in a block of drops (a list of
+    ``SubframeDrop``), vectorised over the whole block.
 
     Every active UE transmits with the fractional power control d^(s * alpha)
-    of its distance d to its own RAP.  Returns ``(rap_indices, sinr_linear)``
-    where both are aligned arrays for the active cloud cells, ordered by RAP
-    index.
+    of its distance d to its own RAP, and interferes at every cloud RAP but
+    its own.  Returns ``(subframe, targets, sinr_linear)``, aligned arrays in
+    (subframe, RAP) order, ``subframe`` indexing ``drops``.
+
+    Each SINR is bit for bit the one its drop alone would give: the
+    interference of a target in a subframe with n active UEs is numpy's
+    pairwise sum of a length-n row, so rows are reduced in C-contiguous
+    ``(rows, n)`` stacks of equal n (padding them to a common length would
+    regroup the sum).
     """
     cloud = layout.cloud_idx
-    mask = drop.active[cloud]
-    targets = cloud[mask]
-    cols = np.flatnonzero(mask)
-    rows = np.searchsorted(drop.active_idx, targets)
     alpha, s = params.alpha, params.s
-    serve = layout.rap_xy[drop.active_idx]
-    serve_dist = np.hypot(drop.ue_xy[:, 0] - serve[:, 0], drop.ue_xy[:, 1] - serve[:, 1])
+    counts = np.array([len(d.active_idx) for d in drops])
+    start = np.cumsum(counts) - counts                   # each drop's first UE row
+    active = np.array([d.active for d in drops])         # (drops, n_total)
+    subframe, cols = np.nonzero(active[:, cloud])
+    targets = cloud[cols]
+    own = start[subframe] + np.cumsum(active, axis=1)[subframe, targets] - 1   # its UE's row
+    ue_x, ue_y = np.concatenate([d.ue_xy for d in drops]).T.copy()
+    fading = np.concatenate([d.fading for d in drops]).ravel()   # [UE row * n_cloud + column]
+    serving = np.concatenate([d.active_idx for d in drops])
+    serve_dist = np.hypot(ue_x - layout.rap_xy[serving, 0], ue_y - layout.rap_xy[serving, 1])
     tx_powers = serve_dist ** (s * alpha)
-    raps = layout.rap_xy[targets]                       # (k, 2)
-    cross = np.hypot(raps[:, 0, None] - drop.ue_xy[:, 0],
-                     raps[:, 1, None] - drop.ue_xy[:, 1])  # (k, n_active)
-    g = drop.fading[:, cols].T                          # (k, n_active)
-    # cross > 0: a UE is at least MIN_UE_RAP_KM > 0 from its own RAP, its nearest
-    terms = g * cross ** (-alpha) * tx_powers[None, :]
-    terms[np.arange(len(targets)), rows] = 0.0          # own UE is the signal
-    interference = terms.sum(axis=1)
-    d_serve = serve_dist[rows]
-    signal = drop.fading[rows, cols] * d_serve ** (alpha * (s - 1.0))
-    return targets, signal / (1.0 / params.snr_ref_linear + interference)
+    signal = fading[own * len(cloud) + cols] * serve_dist[own] ** (alpha * (s - 1.0))
+    lengths = counts[subframe]
+    interference = np.empty(len(targets))
+    for n in np.unique(lengths):
+        rows = np.flatnonzero(lengths == n)
+        first = start[subframe[rows]]
+        ues = first[:, None] + np.arange(n)              # (rows, n) UE rows of each target's subframe
+        raps = layout.rap_xy[targets[rows]]
+        # cross > 0: a UE is at least MIN_UE_RAP_KM > 0 from its own RAP, its nearest
+        terms = np.hypot(raps[:, 0, None] - ue_x[ues], raps[:, 1, None] - ue_y[ues])
+        terms **= -alpha                                 # in place: fading * cross^-alpha * power
+        terms *= fading[ues * len(cloud) + cols[rows, None]]
+        terms *= tx_powers[ues]
+        terms[np.arange(len(rows)), own[rows] - first] = 0.0   # own UE is the signal
+        interference[rows] = terms.sum(axis=1)
+    return subframe, targets, signal / (1.0 / params.snr_ref_linear + interference)

@@ -19,8 +19,12 @@ The draws of one density come in fixed chunks of ``CHUNK_SUBFRAMES``
 subframes, one substream per chunk, so a subframe's draws depend on neither
 the work block nor the worker.  The sweep takes a block of subframes at a
 time: it opens the substream of each chunk the block overlaps and draws that
-chunk's subframes from it in turn (drop, cloud SINRs, code-block uniforms),
-discarding those before the block and drawing none after it.  Each policy
+chunk's subframes from it in turn (the drop, then the code-block uniforms of
+its active cloud cells), discarding those before the block and drawing none
+after it.  The block's drops are buffered and their cloud SINRs computed in
+one ``geometry.cloud_sinrs`` call per ``SINR_BUFFER_UES`` active UEs, a
+bound on memory only: the SINRs are bit for bit those of one call per
+drop.  Each policy
 then decodes the whole block in one call, and CP schedules it with one
 cumulative sum of the integer efforts in (subframe, SINR, RAP) order, less
 each subframe's offset (exact).  Results accumulate as exact
@@ -44,6 +48,7 @@ from .policy import select_mcs_index
 LP = "LP"
 CP = "CP"
 CHUNK_SUBFRAMES = 250   # subframes per network substream: part of the result bytes
+SINR_BUFFER_UES = 4096  # active UEs of the buffered drops that trigger a cloud_sinrs call (memory only)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +147,8 @@ def sweep_network(layout, params, curves, tables, *, subframes, seed,
     mode comparisons are paired.  Subframe t is drawn from the substream
     ``(seed, "net", density_index, t // CHUNK_SUBFRAMES)``, after the chunk's
     earlier subframes, so a subframe's draws do not depend on how the
-    subframes are split into blocks or spread across workers.
+    subframes are split into blocks or spread across workers, and its SINRs
+    not on ``SINR_BUFFER_UES``.
 
     Returns a NetworkAccumulator over the grid; use ``finalize_records`` to
     turn it into NetworkRecords.
@@ -173,20 +179,28 @@ def sweep_network(layout, params, curves, tables, *, subframes, seed,
     per_rap = np.array(budgets, dtype=float)
     limits = {LP: per_rap * link.SUBFRAME_S, CP: layout.n_cloud * per_rap * link.SUBFRAME_S}
     for di in range(len(densities)) if density_indices is None else density_indices:
-        drawn = []
+        sinrs, uniforms, buffer, buffered = [], [], [], 0   # buffer: drops awaiting cloud_sinrs
         for chunk in range(subframes.start // CHUNK_SUBFRAMES,
                            (subframes.stop - 1) // CHUNK_SUBFRAMES + 1):
             stream = rng.substream(seed, "net", di, chunk)
             for t in range(chunk * CHUNK_SUBFRAMES,
                            min(subframes.stop, (chunk + 1) * CHUNK_SUBFRAMES)):
                 drop = geometry.draw_subframe(layout, densities[di], stream)
-                targets, sinr = geometry.cloud_sinrs(drop, layout, params)
-                u = stream.random((len(targets), curves.max_cbs))
-                if t >= subframes.start:
-                    drawn.append((targets, sinr, u))
-        targets, sinr, u = (np.concatenate(parts) for parts in zip(*drawn))
+                # one row of code-block uniforms per active cloud cell, in RAP order
+                u = stream.random((np.count_nonzero(drop.active[cloud]), curves.max_cbs))
+                if t < subframes.start:
+                    continue
+                buffer.append(drop)
+                uniforms.append(u)
+                buffered += len(drop.active_idx)
+                if buffered >= SINR_BUFFER_UES or t == subframes.stop - 1:
+                    subframe, targets, sinr = geometry.cloud_sinrs(buffer, layout, params)
+                    first = t + 1 - len(buffer) - subframes.start   # the buffer's first subframe
+                    sinrs.append((subframe + first, targets, sinr))
+                    buffer, buffered = [], 0
+        subframe, targets, sinr = (np.concatenate(parts) for parts in zip(*sinrs))
+        u = np.concatenate(uniforms)
         sinr_db = 10.0 * np.log10(sinr)
-        subframe = np.repeat(np.arange(len(subframes)), [len(d[0]) for d in drawn])
         acc.n_tbs[di] = len(targets)
         for pi, policy in enumerate(policies):
             tbs = _policy_tbs(sinr_db, tables[policy], curves, u)   # one TB per target

@@ -14,9 +14,10 @@ running min of its own waterfalls, is an independent evaluator of the link
 curves that ``LinkCurves.success_cdf`` serves in the package, and
 ``voronoi_cells``, the clipped tessellation by Qhull on mirrored points, is
 an independent construction of the cells that ``build_layout`` clips out of
-the region.  Alongside them sit the closed forms the tests compare
-estimates with (``tb_channel_outage_prob``, the exact convolution
-``comp_outage_prob``, ``raw_throughput``).
+the region.  ``drop_sinrs`` is the per-drop vector form of the block
+``cloud_sinrs``, which must match it bit for bit.  Alongside them sit the
+closed forms the tests compare estimates with (``tb_channel_outage_prob``,
+the exact convolution ``comp_outage_prob``, ``raw_throughput``).
 """
 
 from __future__ import annotations
@@ -240,8 +241,36 @@ def simulate_trials(gamma_db, table, curves, u):
 
 
 # ---------------------------------------------------------------------------
-# geometry: SINR at one cloud RAP, the layout CSV, UE placement cell by cell
+# geometry: SINRs of one drop, SINR at one cloud RAP, UE placement cell by cell
 # ---------------------------------------------------------------------------
+
+
+def drop_sinrs(drop, layout, params):
+    """SINR of every active cloud cell of one drop, vectorised over the drop
+    alone: ``(rap_indices, sinr_linear)`` ordered by RAP index.
+
+    Every active UE transmits with the fractional power control
+    d^(s * alpha) of its distance d to its own RAP.
+    """
+    cloud = layout.cloud_idx
+    mask = drop.active[cloud]
+    targets = cloud[mask]
+    cols = np.flatnonzero(mask)
+    rows = np.searchsorted(drop.active_idx, targets)
+    alpha, s = params.alpha, params.s
+    serve = layout.rap_xy[drop.active_idx]
+    serve_dist = np.hypot(drop.ue_xy[:, 0] - serve[:, 0], drop.ue_xy[:, 1] - serve[:, 1])
+    tx_powers = serve_dist ** (s * alpha)
+    raps = layout.rap_xy[targets]                       # (k, 2)
+    cross = np.hypot(raps[:, 0, None] - drop.ue_xy[:, 0],
+                     raps[:, 1, None] - drop.ue_xy[:, 1])  # (k, n_active)
+    g = drop.fading[:, cols].T                          # (k, n_active)
+    terms = g * cross ** (-alpha) * tx_powers[None, :]
+    terms[np.arange(len(targets)), rows] = 0.0          # own UE is the signal
+    interference = terms.sum(axis=1)
+    d_serve = serve_dist[rows]
+    signal = drop.fading[rows, cols] * d_serve ** (alpha * (s - 1.0))
+    return targets, signal / (1.0 / params.snr_ref_linear + interference)
 
 
 def compute_sinr(drop, layout, params, rap_index):

@@ -364,7 +364,7 @@ def test_criterion_9_geometry(net_layout):
         ue_xy=np.array([[2.0 + d_serve, 1.25], [6.0 - d_int_own, 1.25]]),
         fading=np.array([[g_serve, 0.3], [g_cross, 0.9]]),
     )
-    got = cloud_sinrs(drop, two, ch)[1][0]
+    got = cloud_sinrs([drop], two, ch)[2][0]
     num = g_serve * d_serve ** (alpha * (s - 1.0))
     den = 10 ** (-snr_db / 10) + g_cross * d_cross ** (-alpha) * d_int_own ** (s * alpha)
     sinr_ok = got == pytest.approx(num / den, rel=1e-12)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import csv
 import io
@@ -522,7 +523,8 @@ def test_pool_has_at_most_one_process_per_task(tmp_path, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    # _run_tasks imports the pool class when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     cfg = tiny_cell_config(tmp_path / "one")
     cfg["cell"]["snr_grid_db"] = [10.0]
     run(cfg, workers=4)

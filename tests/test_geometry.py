@@ -291,8 +291,9 @@ def assert_matches_qhull(layout, areas_too=True):
     if areas_too:
         xmin, ymin, xmax, ymax = layout.region
         assert np.abs(layout.areas_km2 - areas).max() <= AREA_TOL * (xmax - xmin) * (ymax - ymin)
-        assert np.abs(layout.lo - [v.min(axis=0) for v in polys]).max() <= BOX_TOL_KM
-        assert np.abs(layout.hi - [v.max(axis=0) for v in polys]).max() <= BOX_TOL_KM
+        span, lo = layout.box.transpose(1, 0, 2)
+        assert np.abs(lo - [v.min(axis=0) for v in polys]).max() <= BOX_TOL_KM
+        assert np.abs(lo + span - [v.max(axis=0) for v in polys]).max() <= BOX_TOL_KM
 
 
 @settings(max_examples=200, deadline=None)
@@ -330,7 +331,7 @@ def test_sinr_unit_distance_no_interference(two_cell_layout):
         ue_xy=np.array([[3.0, 1.25]]),  # 1 km from RAP 0
         fading=np.ones((1, 2)),
     )
-    gamma = cloud_sinrs(drop, two_cell_layout, params)[1][0]
+    gamma = cloud_sinrs([drop], two_cell_layout, params)[2][0]
     assert 10 * math.log10(gamma) == pytest.approx(20.0, abs=1e-9)
 
 
@@ -343,7 +344,7 @@ def test_sinr_full_compensation_distance_free(two_cell_layout):
             ue_xy=np.array([[2.0 + d, 1.25]]),
             fading=np.ones((1, 2)),
         )
-        gamma = cloud_sinrs(drop, two_cell_layout, params)[1][0]
+        gamma = cloud_sinrs([drop], two_cell_layout, params)[2][0]
         assert gamma == pytest.approx(params.snr_ref_linear)
 
 
@@ -364,7 +365,7 @@ def test_sinr_single_interferer_hand_oracle(two_cell_layout):
         ue_xy=np.vstack([ue0, ue1]),
         fading=np.array([[g_serve, 0.3], [g_cross, 0.9]]),
     )
-    gamma = cloud_sinrs(drop, two_cell_layout, params)[1][0]
+    gamma = cloud_sinrs([drop], two_cell_layout, params)[2][0]
     num = g_serve * d_serve ** (alpha * (s - 1.0))
     den = 10 ** (-snr_db / 10) + g_cross * d_cross ** (-alpha) * d_int_own ** (s * alpha)
     assert gamma == pytest.approx(num / den, rel=1e-12)
@@ -375,7 +376,7 @@ def test_sinr_single_interferer_hand_oracle(two_cell_layout):
         ue_xy=ue0[None, :],
         fading=np.array([[g_serve, 0.3]]),
     )
-    assert cloud_sinrs(lone, two_cell_layout, params)[1][0] > gamma
+    assert cloud_sinrs([lone], two_cell_layout, params)[2][0] > gamma
 
 
 def test_cloud_sinrs_matches_scalar(big_layout):
@@ -383,7 +384,7 @@ def test_cloud_sinrs_matches_scalar(big_layout):
     for t in range(20):
         rng = substream(5, "net", 0, t)
         drop = draw_subframe(big_layout, 0.3, rng)
-        targets, sinr = cloud_sinrs(drop, big_layout, params)
+        _, targets, sinr = cloud_sinrs([drop], big_layout, params)
         for rap, value in zip(targets, sinr):
             assert value == pytest.approx(
                 compute_sinr(drop, big_layout, params, int(rap)), rel=1e-9

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "cransim"
 CONFIGS = TESTS.parent / "configs"
@@ -78,9 +80,9 @@ def test_every_import_is_used():
     assert not unused, f"imported but never used: {unused}"
 
 
-# validate every shipped config, then run a short cell and network sweep, in
-# a fresh interpreter; print the scipy modules it then holds
-NO_SCIPY_CHILD = """
+# validate every shipped config, then run a short cell and network sweep on
+# one worker, in a fresh interpreter; print the modules it then holds
+RUN_PATH_CHILD = """
 import json, sys
 from pathlib import Path
 import cransim.cli
@@ -94,16 +96,28 @@ for name, section, key, length in (("cell_outage", "cell", "n_trials", 20),
     cfg[section][key] = length
     cfg["output_dir"] = str(out / name)
     (out / f"{name}.json").write_text(json.dumps(cfg))
-    assert cransim.cli.main(["run", "--config", str(out / f"{name}.json")]) == 0, name
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+    assert cransim.cli.main(["run", "--workers", "1", "--config", str(out / f"{name}.json")]) == 0
+print(json.dumps(sorted(sys.modules)))
 """
 
 
-def test_run_path_imports_no_scipy(tmp_path):
-    # scipy is a test dependency: nothing that validates or runs may need it
+@pytest.fixture(scope="module")
+def run_path_modules(tmp_path_factory):
+    out = tmp_path_factory.mktemp("run_path")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_CHILD, str(CONFIGS), str(tmp_path)],
+    proc = subprocess.run([sys.executable, "-c", RUN_PATH_CHILD, str(CONFIGS), str(out)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
-    assert (tmp_path / "net_budget_sweep" / "results.json").is_file()
+    assert (out / "net_budget_sweep" / "results.json").is_file()
+    return set(json.loads(proc.stdout.strip().splitlines()[-1]))
+
+
+def test_run_path_imports_no_scipy(run_path_modules):
+    # scipy is a test dependency: nothing that validates or runs may need it
+    assert not {m for m in run_path_modules if m.split(".")[0] == "scipy"}
+
+
+def test_one_worker_run_imports_no_process_pool(run_path_modules):
+    # only a run on more than one worker needs concurrent.futures; every
+    # other process (and every set-up timing) is spared its import
+    assert "concurrent.futures" not in run_path_modules

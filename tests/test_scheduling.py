@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import partial
@@ -29,6 +30,7 @@ from oracles import (
     COMPUTATIONAL_OUTAGE,
     DECODED,
     comp_outage_prob,
+    drop_sinrs,
     schedule_subframe,
 )
 
@@ -264,7 +266,7 @@ def _draw_in_turn(layout, density, seed, di, subframes, sinrs=cloud_sinrs):
         chunk, k = divmod(t, scheduling.CHUNK_SUBFRAMES)
         if k == 0:
             stream = substream(seed, "net", di, chunk)
-        targets, sinr = sinrs(draw_subframe(layout, density, stream), layout, params)
+        _, targets, sinr = sinrs([draw_subframe(layout, density, stream)], layout, params)
         drawn.append((targets, sinr, stream.random((len(targets), max_cbs))))
     return drawn[subframes.start:]
 
@@ -392,12 +394,13 @@ def test_block_sweep_matches_oracle(monkeypatch):
     n_cells, seed = layout.n_cloud, 3
     densities, subframes = (0.05, 0.3), range(5, 45)
 
-    def rounded_sinrs(drop, layout, params):
-        targets, sinr = cloud_sinrs(drop, layout, params)
-        return targets, 10.0 ** (np.round(10.0 * np.log10(sinr)) / 10.0)
+    def rounded_sinrs(drops, layout, params):
+        subframe, targets, sinr = cloud_sinrs(drops, layout, params)
+        return subframe, targets, 10.0 ** (np.round(10.0 * np.log10(sinr)) / 10.0)
 
     monkeypatch.setattr(geometry, "cloud_sinrs", rounded_sinrs)
     monkeypatch.setattr(scheduling, "CHUNK_SUBFRAMES", 16)
+    monkeypatch.setattr(scheduling, "SINR_BUFFER_UES", 7)   # SINR blocks end inside chunks
     drops = {}  # (density index, policy) -> one TB list per subframe
     for di, density in enumerate(densities):
         for targets, sinr, u in _draw_in_turn(layout, density, seed, di, subframes,
@@ -515,3 +518,63 @@ def test_comp_outage_matches_enumeration(data):
         dists.append((values, probs))
     budget = data.draw(st.integers(min_value=0, max_value=120))
     assert comp_outage_prob(dists, budget) == _enumeration_oracle(dists, budget)
+
+
+@pytest.fixture(scope="module")
+def shipped_net():
+    """The shipped layout (129 RAPs, 8 in the cloud) and decoding models."""
+    curves = load_calibration()
+    return synthesize_layout(substream(4242, "layout", 0)), curves, build_policy_tables(curves)
+
+
+@pytest.mark.parametrize("density", [0.01, 0.1, 1.0])
+def test_block_sinrs_match_per_drop_oracle(density, shipped_net, monkeypatch):
+    # every buffered cloud_sinrs call of a sweep against the per-drop oracle,
+    # byte for byte, at the default buffer bound and at 7 active UEs, where
+    # the SINR blocks end inside draw chunks; the block straddles a chunk
+    # boundary, and both bounds give the same accumulator bytes
+    layout, curves, tables = shipped_net
+    params = ChannelParams()
+    calls = []
+
+    def spy(drops, layout, params):
+        out = cloud_sinrs(drops, layout, params)
+        calls.append((list(drops), out))
+        return out
+
+    monkeypatch.setattr(geometry, "cloud_sinrs", spy)
+    sweep = partial(sweep_network, layout, params, curves, tables, subframes=range(200, 300),
+                    seed=7, density_grid=(density,), budget_grid=(math.inf, 30e6), modes=(CP,))
+    want = sweep()
+    n_default = len(calls)
+    monkeypatch.setattr(scheduling, "SINR_BUFFER_UES", 7)
+    _assert_merges_to([sweep()], want)
+    assert len(calls) - n_default > n_default
+    lengths = [len(drops) for drops, _ in calls]
+    assert sum(lengths) == 200 and max(lengths) > 30
+    for drops, (subframe, targets, sinr) in calls:
+        per_drop = [drop_sinrs(drop, layout, params) for drop in drops]
+        assert subframe.tolist() == [i for i, (t, _) in enumerate(per_drop) for _ in t]
+        assert targets.tobytes() == np.concatenate([t for t, _ in per_drop]).tobytes()
+        assert sinr.tobytes() == np.concatenate([g for _, g in per_drop]).tobytes()
+
+
+# The tracemalloc peak of one 250-subframe block at the densest shipped
+# density, fixed before the first run.  The drops held for one cloud_sinrs
+# call are bounded by SINR_BUFFER_UES active UEs; buffering the whole chunk
+# peaks at about 7.7 MB.
+BLOCK_PEAK_BYTES = 1.5e6
+
+
+def test_sweep_block_memory_is_bounded(shipped_net):
+    layout, curves, tables = shipped_net
+    sweep = partial(sweep_network, layout, ChannelParams(), curves, tables, seed=20240105,
+                    density_grid=(1.0,), budget_grid=(math.inf, 30e6), modes=(CP,))
+    sweep(subframes=range(1))   # first-call caches are not the block's
+    tracemalloc.start()
+    try:
+        sweep(subframes=range(250))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= BLOCK_PEAK_BYTES
