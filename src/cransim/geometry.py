@@ -7,14 +7,14 @@ every other RAP, nearest first, until the next RAP is more than twice as far
 away as the cell's farthest vertex, so that its bisector cannot reach the
 cell.  Users form a planar PPP: per subframe, cell i holds a transmitting
 UE with probability 1 - exp(-lambda * A_i) (complement of the void
-probability), placed uniformly in the cell by rejection from its bounding
-box.
+probability), placed uniformly in the cell.
 
-A point x of the region lies in cell i iff x . (p_j - p_i) <=
-(|p_j|^2 - |p_i|^2) / 2 for every neighbour j of i.  The neighbours are the
-RAPs whose bisectors cut the edges that are left of the clipped cell: each
-edge carries the label of the half-plane that made it, and the region's
-edges carry none.
+A convex cell is the fan of triangles (p_i, v_k, v_k+1) about its RAP.  A
+uniform point of the cell is a triangle picked by area, then a uniform point
+of that triangle: p_i + r1 e1 + r2 e2 for its edge vectors e1 = v_k - p_i,
+e2 = v_k+1 - p_i and uniform (r1, r2), reflected to (1 - r1, 1 - r2) when
+r1 + r2 > 1 (Turk, "Generating random points in triangles", Graphics Gems,
+1990).  No step uses BLAS, whose kernel, and so whose bits, depend on the CPU.
 
 The uplink uses fractional power control P = P0 * d^(s*alpha), and the
 SINR at a cloud RAP follows from unit-mean exponential (Rayleigh) block
@@ -23,14 +23,13 @@ fading with the noise folded into the unit-distance SNR.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 RESOLUTION_KM = 1e-9   # RAPs closer than this to each other or to an edge are rejected
 MIN_UE_RAP_KM = 1e-3   # a UE lies at least this far from its serving RAP
-SAMPLE_BATCH = 8       # candidates per pending cell per rejection round
-MAX_SAMPLE_ROUNDS = 10000      # rejection rounds before UE placement gives up
 MAX_LAYOUT_ATTEMPTS = 400000   # candidate RAPs before layout synthesis gives up
 
 
@@ -70,9 +69,8 @@ class NetworkLayout:
     areas_km2: np.ndarray              # (n,)
     cloud_group: tuple                 # sorted RAP indices
     cloud_idx: np.ndarray              # cloud_group as an index array
-    box: np.ndarray                    # (n, 2, 2) per cell: bounding-box span, lower-left corner
-    normals: np.ndarray                # (n, 2, deg) p_j - p_i per neighbour j of cell i
-    offsets: np.ndarray                # (n, 1, deg) (|p_j|^2 - |p_i|^2) / 2
+    fan_cdf: np.ndarray                # (n, deg) cumulative area share of fan triangle k, padded with 1
+    fan_edges: np.ndarray              # (n, deg, 2, 2) fan triangle k's edge vectors e1, e2
 
     @property
     def n_total(self):
@@ -93,21 +91,13 @@ class SubframeDrop:
     fading: np.ndarray        # (n_active, n_cloud) unit-mean exponential
 
 
-def shoelace_area(vertices):
-    x = vertices[:, 0]
-    y = vertices[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
-
-
 def _clipped_cell(i, xs, ys, order, region):
     """RAP i's cell: the region rectangle clipped by the bisector of RAP i
     and each RAP of ``order`` (the others, nearest first) until the next
-    one is too far to cut it.  Returns the CCW vertices and the RAPs whose
-    bisectors bound the cell."""
+    one is too far to cut it.  Returns the CCW vertices."""
     xmin, ymin, xmax, ymax = region
     px, py = xs[i], ys[i]
     verts = [(xmin, ymin), (xmax, ymin), (xmax, ymax), (xmin, ymax)]
-    labels = [-1, -1, -1, -1]   # labels[k]: the RAP whose bisector holds edge k -> k+1
     reach = max((x - px) ** 2 + (y - py) ** 2 for x, y in verts)
     for j in order:
         dx, dy = xs[j] - px, ys[j] - py
@@ -117,29 +107,28 @@ def _clipped_cell(i, xs, ys, order, region):
         side = [(x - px) * dx + (y - py) * dy - half for x, y in verts]
         if max(side) <= 0.0:
             continue
-        clipped, clipped_labels = [], []
+        clipped = []
         for k, (a, sa) in enumerate(zip(verts, side)):
             b, sb = verts[(k + 1) % len(verts)], side[(k + 1) % len(verts)]
             if sa <= 0.0:
                 clipped.append(a)
-                clipped_labels.append(j if sa == 0.0 and sb > 0.0 else labels[k])
             if (sa < 0.0 < sb) or (sb < 0.0 < sa):
                 t = sa / (sa - sb)
                 clipped.append((a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])))
-                clipped_labels.append(j if sa < 0.0 else labels[k])
-        verts, labels = clipped, clipped_labels
+        verts = clipped
         reach = max((x - px) ** 2 + (y - py) ** 2 for x, y in verts)
-    return np.array(verts), sorted({label for label in labels if label >= 0})
+    return np.array(verts)
 
 
 def build_layout(rap_xy, region, cloud_group):
     """Voronoi tessellation of the region around the given RAPs.
 
     Clips each RAP's cell out of the region rectangle with the bisectors of
-    the other RAPs, nearest first (see the module docstring).  The RAPs
-    whose bisectors bound a cell are its neighbours and give its
-    half-planes; rows with fewer neighbours are padded with the cell itself
-    (0 <= 0).
+    the other RAPs, nearest first, and fans it into triangles about its RAP
+    (see the module docstring).  A cell's area is the exact sum of its
+    triangles' (``math.fsum``).  A cell must hold twice the area of the disk
+    of radius ``MIN_UE_RAP_KM`` about its RAP, so that a uniform point of
+    the cell clears the disk with probability at least 1/2.
     """
     pts = np.asarray(rap_xy, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
@@ -158,29 +147,38 @@ def build_layout(rap_xy, region, cloud_group):
 
     n = len(pts)
     xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
-    polys, neighbours = [], []
+    polys = []
     for i in range(n):
         gap = pts - pts[i]
         order = np.argsort((gap * gap).sum(axis=1))[1:]   # [0] is RAP i itself
-        verts, nbrs = _clipped_cell(i, xs, ys, order, (xmin, ymin, xmax, ymax))
-        polys.append(verts)
-        neighbours.append(nbrs)
-    nbr = np.repeat(np.arange(n)[:, None], max(map(len, neighbours)), axis=1)
-    for i, nbrs in enumerate(neighbours):
-        nbr[i, : len(nbrs)] = nbrs
-    sq = (pts ** 2).sum(axis=1)
-    lo = np.array([v.min(axis=0) for v in polys])
-    hi = np.array([v.max(axis=0) for v in polys])
+        polys.append(_clipped_cell(i, xs, ys, order, (xmin, ymin, xmax, ymax)))
+    deg = max(map(len, polys))
+    areas = np.empty(n)
+    fan_cdf = np.ones((n, deg))      # so the first share above a pick u < 1 is never padding
+    fan_edges = np.zeros((n, deg, 2, 2))
+    min_area = 2.0 * math.pi * MIN_UE_RAP_KM * MIN_UE_RAP_KM
+    for i, verts in enumerate(polys):
+        e1 = verts - pts[i]
+        e2 = np.roll(e1, -1, axis=0)
+        # twice each triangle's area; CCW, so >= 0 but for rounding at a zero-length edge
+        twice = np.maximum(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0], 0.0)
+        areas[i] = 0.5 * math.fsum(twice)
+        if not areas[i] >= min_area:
+            raise LayoutError(f"cell {i} has area {areas[i]:.3g} km^2, less than twice that "
+                              f"of the disk of radius {MIN_UE_RAP_KM} km about its RAP, "
+                              f"where no UE is placed")
+        cum = np.cumsum(twice)
+        fan_cdf[i, : len(verts)] = cum / cum[-1]   # the last share is exactly 1
+        fan_edges[i, : len(verts)] = np.stack([e1, e2], axis=1)
     return NetworkLayout(
         rap_xy=pts,
         region=(xmin, ymin, xmax, ymax),
         cell_vertices=tuple(polys),
-        areas_km2=np.array([shoelace_area(v) for v in polys]),
+        areas_km2=areas,
         cloud_group=cloud,
         cloud_idx=np.array(cloud, dtype=int),
-        box=np.stack([hi - lo, lo], axis=1),
-        normals=np.ascontiguousarray((pts[nbr] - pts[:, None, :]).transpose(0, 2, 1)),
-        offsets=(sq[nbr] - sq[:, None])[:, None, :] / 2.0,
+        fan_cdf=fan_cdf,
+        fan_edges=fan_edges,
     )
 
 
@@ -217,40 +215,31 @@ def activation_probabilities(layout, density):
 
 
 def _sample_positions(layout, cells, rng):
-    """Uniform point in each listed cell via bounding-box rejection.
+    """Uniform point in each listed cell: a fan triangle picked by area and
+    a reflected uniform point of it (see the module docstring).
 
-    Each round draws ``SAMPLE_BATCH`` candidates in the bounding box of every
-    pending cell with one ``rng.random`` call, whose rows (in pending order)
-    hold the doubles that one call per cell would draw, and keeps each
-    cell's first candidate that satisfies all of the cell's half-planes (its
-    nearest RAP is the cell's own) and clears the minimum UE-RAP separation.
+    Each round draws three uniforms per pending UE with one ``rng.random``
+    call, rows in pending order: the pick, r1 and r2.  Only a UE that lands
+    within ``MIN_UE_RAP_KM`` of its RAP is redrawn, which happens with
+    probability at most 1/2 (see ``build_layout``).
     """
     out = np.empty((len(cells), 2))
     pending = np.arange(len(cells))
-    rounds = 0
     while len(pending):
-        rounds += 1
-        if rounds > MAX_SAMPLE_ROUNDS:
-            raise RuntimeError("position rejection sampling failed to converge")
         cell_ids = cells[pending]
-        span, lo = layout.box[cell_ids, :, None].transpose(1, 0, 2, 3)   # each (p, 1, 2)
-        cand = rng.random((len(pending), SAMPLE_BATCH, 2))
-        cand *= span
-        cand += lo                        # lo + r * (hi - lo), double for double
-        below = np.matmul(cand, layout.normals[cell_ids]) <= layout.offsets[cell_ids]
-        # all of a candidate's half-planes, reduced along the leading axis of a
-        # transposed copy: over the short trailing axis numpy would make one
-        # inner-loop call per candidate
-        by_plane = np.ascontiguousarray(below.reshape(-1, below.shape[-1]).T)
-        inside = np.logical_and.reduce(by_plane).reshape(len(pending), SAMPLE_BATCH)
-        gap = cand - layout.rap_xy[cell_ids, None, :]
-        gap *= gap                        # dx * dx + dy * dy below, as a sum over the pair does
-        ok = inside & (gap[..., 0] + gap[..., 1] >= MIN_UE_RAP_KM * MIN_UE_RAP_KM)
-        first = ok.argmax(axis=1)         # the first accepted candidate, or 0 if none is
-        rows = np.arange(len(pending))
-        hit = ok[rows, first]
-        out[pending[hit]] = cand[rows, first][hit]
-        pending = pending[~hit]
+        u = rng.random((len(pending), 3))
+        tri = (layout.fan_cdf[cell_ids] > u[:, :1]).argmax(axis=1)   # first share above the pick
+        e1, e2 = layout.fan_edges[cell_ids, tri].transpose(1, 0, 2)   # each (p, 2)
+        r = u[:, 1:]
+        flip = r[:, 0] + r[:, 1] > 1.0
+        r[flip] = 1.0 - r[flip]
+        rap = layout.rap_xy[cell_ids]
+        xy = rap + (r[:, :1] * e1 + r[:, 1:] * e2)
+        gap = xy - rap
+        gap *= gap                        # dx * dx + dy * dy below, as the scalar oracle sums it
+        ok = gap[:, 0] + gap[:, 1] >= MIN_UE_RAP_KM * MIN_UE_RAP_KM
+        out[pending[ok]] = xy[ok]
+        pending = pending[~ok]
     return out
 
 
@@ -302,7 +291,8 @@ def cloud_sinrs(drops, layout, params):
         first = start[subframe[rows]]
         ues = first[:, None] + np.arange(n)              # (rows, n) UE rows of each target's subframe
         raps = layout.rap_xy[targets[rows]]
-        # cross > 0: a UE is at least MIN_UE_RAP_KM > 0 from its own RAP, its nearest
+        # cross > 0: a UE lies in its own cell, at least MIN_UE_RAP_KM > 0 from its
+        # own RAP and so, but for rounding at a cell edge, from every other
         terms = np.hypot(raps[:, 0, None] - ue_x[ues], raps[:, 1, None] - ue_y[ues])
         terms **= -alpha                                 # in place: fading * cross^-alpha * power
         terms *= fading[ues * len(cloud) + cols[rows, None]]

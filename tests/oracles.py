@@ -22,12 +22,13 @@ the exact convolution ``comp_outage_prob``, ``raw_throughput``).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.spatial import Voronoi, cKDTree
+from scipy.spatial import Voronoi
 from scipy.special import expit
 
 from cransim.link import SUBFRAME_S, McsEntry, segment_tb
@@ -314,12 +315,9 @@ def compute_sinr(drop, layout, params, rap_index):
 def voronoi_cells(rap_xy, region):
     """The clipped Voronoi cells by Qhull: mirror the RAPs across the four
     region edges, which makes every RAP's cell finite and equal to its
-    unbounded cell clipped to the rectangle, and fold each ridge between
-    RAPs and mirrors back to the mirrored RAP (index modulo n).
+    unbounded cell clipped to the rectangle.
 
-    Returns ``(vertices, areas, ridges)``: per RAP its cell's CCW vertices
-    and area, and ``ridges[i]`` mapping each neighbour j of RAP i to the
-    length of their longest ridge.
+    Returns ``(vertices, areas)``: per RAP its cell's CCW vertices and area.
     """
     pts = np.asarray(rap_xy, dtype=float)
     xmin, ymin, xmax, ymax = region
@@ -335,52 +333,38 @@ def voronoi_cells(rap_xy, region):
         verts = vor.vertices[vor.regions[vor.point_region[i]]]
         centroid = verts.mean(axis=0)
         polys.append(verts[np.argsort(np.arctan2(*(verts - centroid).T[::-1]))])
-    ridges = [{} for _ in range(n)]
-    for (p, q), ends in zip(vor.ridge_points, vor.ridge_vertices):
-        i, j = p % n, q % n
-        if (p < n or q < n) and i != j:
-            length = float(np.hypot(*(vor.vertices[ends[0]] - vor.vertices[ends[1]])))
-            for a, b in ((i, j), (j, i)):
-                ridges[a][b] = max(ridges[a].get(b, 0.0), length)
     areas = np.array([0.5 * abs(float(np.dot(v[:, 0], np.roll(v[:, 1], -1))
                                       - np.dot(v[:, 1], np.roll(v[:, 0], -1))))
                       for v in polys])
-    return polys, areas, ridges
+    return polys, areas
 
 
-def sample_positions(layout, cells, rng, min_dist_km, batch=8, max_rounds=10000):
-    """Uniform point in each listed cell via bounding-box rejection, drawing
-    each pending cell's candidates with its own ``rng.random`` call.
-
-    Candidates are accepted when their nearest RAP is the cell's own RAP and
-    they clear the minimum UE-RAP separation.
+def sample_positions(layout, cells, rng, min_dist_km):
+    """Uniform point in each listed cell, one UE at a time: each round draws
+    three uniforms per pending UE, in pending order, picks a fan triangle of
+    the cell's vertices about its RAP by area with the first, and places the
+    UE at RAP + r1 e1 + r2 e2 with the other two, reflected to (1 - r1,
+    1 - r2) when r1 + r2 > 1.  A UE closer than ``min_dist_km`` to its RAP
+    is redrawn in the next round.
     """
-    tree = cKDTree(layout.rap_xy)
     out = np.empty((len(cells), 2))
     pending = list(range(len(cells)))
-    rounds = 0
     while pending:
-        rounds += 1
-        if rounds > max_rounds:
-            raise RuntimeError("position rejection sampling failed to converge")
-        idx = np.array(pending)
-        cell_ids = np.array([cells[i] for i in pending])
-        cand = np.empty((len(idx), batch, 2))
-        for row, c in enumerate(cell_ids):
-            verts = layout.cell_vertices[c]
-            lo = verts.min(axis=0)
-            hi = verts.max(axis=0)
-            cand[row] = lo + rng.random((batch, 2)) * (hi - lo)
-        flat = cand.reshape(-1, 2)
-        dist, nearest = tree.query(flat)
-        ok = (nearest.reshape(len(idx), batch) == cell_ids[:, None]) & (
-            dist.reshape(len(idx), batch) >= min_dist_km
-        )
         still = []
-        for row, i in enumerate(pending):
-            hits = np.flatnonzero(ok[row])
-            if len(hits):
-                out[i] = cand[row, hits[0]]
+        for i in pending:
+            pick, r1, r2 = rng.random(3).tolist()
+            px, py = layout.rap_xy[cells[i]].tolist()
+            verts = [(x - px, y - py) for x, y in layout.cell_vertices[cells[i]].tolist()]
+            fan = list(zip(verts, verts[1:] + verts[:1]))
+            cum = list(itertools.accumulate(max(ax * by - ay * bx, 0.0)
+                                            for (ax, ay), (bx, by) in fan))
+            e1, e2 = next(tri for tri, c in zip(fan, cum) if c / cum[-1] > pick)
+            if r1 + r2 > 1.0:
+                r1, r2 = 1.0 - r1, 1.0 - r2
+            x = px + (r1 * e1[0] + r2 * e2[0])
+            y = py + (r1 * e1[1] + r2 * e2[1])
+            if (x - px) * (x - px) + (y - py) * (y - py) >= min_dist_km * min_dist_km:
+                out[i] = x, y
             else:
                 still.append(i)
         pending = still

@@ -568,12 +568,12 @@ def test_shipped_configs_validate():
 # bytes must update these and say why in CHANGES.md.
 GOLDEN_NET_DIGESTS = {
     "net_budget_sweep": (
-        "8a521669d57d1cd2e64ab185ea3f5a2978a3d94af4a3c46d28b7b99ede792ab9",
-        "6786c47295e78987984af5c9b9fe4d11c4cf9d0b342685891683c0dd559cf960",
+        "3e03b54267df3047af23263d9ef31c7941e32497f969499c95d1693ab6255156",
+        "d65d76019d4720cfbcc5f8ff2b9b090143d701d424c011c81f593f35971f76e4",
     ),
     "net_density_sweep": (
-        "ab418d1c3cdac178a11934ea1cd92e62150ddba4c3da83a1baee5ba31f8e2c6b",
-        "fd004c60f4aed5707cf9de96d5fa28e613a012c0fc826b626f43b600fc727f27",
+        "84efca60d759df21fe9c03068a169b1bb1efb0a542c5d7bc8296f6763c36b725",
+        "99eeff802105bec1e352a1878ffc1f0b49aa5ddb18d967d2f3e9c6e24c120b6d",
     ),
 }
 
@@ -735,6 +735,10 @@ MALFORMED = [
     ("net", "calibration_file", FileWith("i_max = 8"), "calibration_file: Expecting value"),
     # the synthesizer is the one source of a layout
     ("net", "network.layout_csv", "layout.csv", "network.layout_csv: unknown key"),
+    # a cell with no room for a UE outside the 1 m disk about its RAP
+    ("net", "network.synthesize", {"n_total": 9, "n_cloud": 2, "region_km": [0, 0, 0.0012, 0.0012],
+                                   "min_sep_km": 0, "layout_seed": 1},
+     "network.synthesize: cell 0 has area 5.31e-08 km^2, less than twice that of the disk"),
     ("cell", "calibration_file", FileWith(json.dumps({"schema_version": 1})),
      "calibration_file: malformed calibration: KeyError('mcs')"),
     # run lengths whose exact sums of squares could leave int64: a trial's

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -20,7 +23,6 @@ from cransim.geometry import (
     build_layout,
     cloud_sinrs,
     draw_subframe,
-    shoelace_area,
     synthesize_layout,
 )
 from cransim.rng import substream
@@ -43,8 +45,8 @@ def big_layout():
 
 @pytest.fixture(scope="module")
 def sliver_layout():
-    # the middle RAP's cell is a 0.07 km wide diagonal band: 0.61 km^2 in a
-    # 37.8 km^2 bounding box, so most rounds reject every candidate
+    # the middle RAP's cell is a 0.07 km wide diagonal band of 0.61 km^2: a
+    # fan of two long thin triangles and two short ones at the region edges
     raps = np.array([[3.0, 3.0], [3.05, 3.05], [3.1, 3.1]])
     return build_layout(raps, (0.0, 0.0, 10.0, 10.0), cloud_group=(1,))
 
@@ -88,11 +90,6 @@ def test_nearest_rap_point_counts_match_areas(big_layout):
     # aggregate consistency
     chi2_stat = float(((counts - n * p) ** 2 / (n * p)).sum())
     assert chi2.sf(chi2_stat, df=128) > 0.001
-
-
-def test_shoelace_square():
-    square = np.array([[0, 0], [2, 0], [2, 2], [0, 2]], dtype=float)
-    assert shoelace_area(square) == pytest.approx(4.0)
 
 
 def test_activation_probability_formula(two_cell_layout):
@@ -163,33 +160,82 @@ def test_fading_is_unit_exponential(two_cell_layout):
     assert kstest(gains, "expon").pvalue > 1e-3
 
 
-@pytest.mark.parametrize("batch", [1, 2, 8])
+@pytest.mark.parametrize("per_cell", [1, 2, 8])
 @pytest.mark.parametrize("layout_name", ["two_cell_layout", "big_layout", "sliver_layout"])
-def test_sample_positions_matches_oracle(layout_name, batch, request, monkeypatch):
-    # same substream into both samplers: same points, same stream position.
-    # The sampler reads its batch, round limit and separation from module
-    # constants, set here; the oracle takes them as arguments
+def test_sample_positions_matches_oracle(layout_name, per_cell, request, monkeypatch):
+    # same substream into both samplers: same points, same stream position,
+    # with ``per_cell`` UEs in each listed cell.  The sampler reads its
+    # separation from a module constant, set here; the oracle takes it as an
+    # argument.  At 0.5 km many UEs are redrawn, in later rounds
     layout = request.getfixturevalue(layout_name)
     n = layout.n_total
-    monkeypatch.setattr(geometry, "SAMPLE_BATCH", batch)
     cell_sets = (np.array([], dtype=int), np.array([n // 2]), np.arange(n))
     for k, cells in enumerate(cell_sets):
+        cells = np.repeat(cells, per_cell)
         for min_dist in (1e-3, 0.5):
             monkeypatch.setattr(geometry, "MIN_UE_RAP_KM", min_dist)
-            fast, slow = (substream(11, "net", batch, k) for _ in range(2))
+            fast, slow = (substream(11, "net", per_cell, k) for _ in range(2))
             got = _sample_positions(layout, cells, fast)
-            want = sample_positions(layout, cells, slow, min_dist, batch=batch)
+            want = sample_positions(layout, cells, slow, min_dist)
             assert np.array_equal(got, want)
             np.testing.assert_equal(fast.bit_generator.state, slow.bit_generator.state)
-    # a separation no candidate clears: both give up after max_rounds rounds
-    monkeypatch.setattr(geometry, "MIN_UE_RAP_KM", 1e3)
-    monkeypatch.setattr(geometry, "MAX_SAMPLE_ROUNDS", 3)
-    fast, slow = (substream(12, "net", batch) for _ in range(2))
-    with pytest.raises(RuntimeError, match="converge"):
-        _sample_positions(layout, np.arange(n), fast)
-    with pytest.raises(RuntimeError, match="converge"):
-        sample_positions(layout, np.arange(n), slow, 1e3, batch=batch, max_rounds=3)
-    np.testing.assert_equal(fast.bit_generator.state, slow.bit_generator.state)
+
+
+def fan_coordinates(layout, cells, ue_xy):
+    """From the cells' vertices alone: per UE, the triangle (RAP, v_k,
+    v_k+1) of its cell's fan that holds it, as k, and its coordinates
+    (r1, r2) on that triangle's edges e1 = v_k - RAP, e2 = v_k+1 - RAP.
+    Also each cell's triangle areas, as shares of the cell."""
+    tri, coords, shares = np.empty(len(cells), dtype=int), np.empty((len(cells), 2)), {}
+    for c in np.unique(cells):
+        rows = np.flatnonzero(cells == c)
+        e1 = layout.cell_vertices[c] - layout.rap_xy[c]
+        e2 = np.roll(e1, -1, axis=0)
+        twice = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        shares[c] = twice / twice.sum()
+        d = (ue_xy[rows] - layout.rap_xy[c])[:, None, :]
+        r1 = (d[..., 0] * e2[:, 1] - d[..., 1] * e2[:, 0]) / twice   # (rows, triangles)
+        r2 = (e1[:, 0] * d[..., 1] - e1[:, 1] * d[..., 0]) / twice
+        tri[rows] = np.minimum(r1, r2).argmax(axis=1)   # both >= 0 only in its own
+        coords[rows] = np.stack([r1, r2], axis=2)[np.arange(len(rows)), tri[rows]]
+    return tri, coords, shares
+
+
+# UEs placed per cloud cell in the fan tests below: the sliver's middle
+# cell, and the shipped layout's 8 cloud cells (triangle shares 0.004-0.31)
+FAN_UES_PER_CELL = {"sliver_layout": 20_000, "big_layout": 4_000}
+
+
+def fan_draws(request, layout_name, seed):
+    layout = request.getfixturevalue(layout_name)
+    cells = np.repeat(layout.cloud_idx, FAN_UES_PER_CELL[layout_name])
+    return fan_coordinates(layout, cells, _sample_positions(layout, cells, substream(seed, "net", 0, 0)))
+
+
+@pytest.mark.parametrize("layout_name", sorted(FAN_UES_PER_CELL))
+def test_fan_triangle_counts_match_area_shares(layout_name, request):
+    # a triangle is picked by its area: counts per triangle against the
+    # shares from the cells' vertices, chi-square pooled over the cells.
+    # Threshold fixed before the first run
+    tri, _, shares = fan_draws(request, layout_name, 29)
+    n = FAN_UES_PER_CELL[layout_name]
+    stat = df = 0.0
+    for k, p in enumerate(shares.values()):   # the cells are repeated in turn
+        counts = np.bincount(tri[k * n:(k + 1) * n], minlength=len(p))
+        stat += float(((counts - n * p) ** 2 / (n * p)).sum())
+        df += len(p) - 1
+    assert chi2.sf(stat, df) > 1e-3
+
+
+@pytest.mark.parametrize("layout_name", sorted(FAN_UES_PER_CELL))
+def test_fan_coordinates_are_uniform(layout_name, request):
+    # a uniform point of a triangle has s = r1 + r2 with density 2s on
+    # [0, 1] and r1 uniform on [0, s]: s^2 and r1 / s are U(0, 1).
+    # Thresholds fixed before the first run
+    r1, r2 = fan_draws(request, layout_name, 31)[1].T
+    s = r1 + r2
+    assert kstest(s * s, "uniform").pvalue > 1e-3
+    assert kstest(r1 / s, "uniform").pvalue > 1e-3
 
 
 GRID = 64  # layouts below put RAPs on a GRID x GRID lattice of the region
@@ -240,60 +286,52 @@ def test_rap_on_region_edge_is_rejected(ij, axis, far, inset, width):
 
 @settings(max_examples=300, deadline=None)
 @given(layout=lattice_layouts(), seed=st.integers(0, 2**32 - 1))
-def test_half_planes_decide_nearest_rap(layout, seed):
-    # a point of the region is in cell i by the half-plane rule iff RAP i
-    # is its nearest, skipping points (nearly) equidistant from two RAPs
-    xmin, ymin, xmax, ymax = layout.region
-    u = np.random.default_rng(seed).random((500, 2))
-    pts = [xmin, ymin] + u * [xmax - xmin, ymax - ymin]
-    dist, nearest = cKDTree(layout.rap_xy).query(pts, k=2)
+def test_sampled_ues_are_nearest_their_own_rap(layout, seed):
+    # every UE placed in cell i has RAP i as its nearest, skipping UEs
+    # (nearly) equidistant from two RAPs, lies in the region and clears the
+    # exclusion disk about RAP i
+    cells = np.repeat(np.arange(layout.n_total), 40)
+    ue_xy = _sample_positions(layout, cells, np.random.default_rng(seed))
+    dist, nearest = cKDTree(layout.rap_xy).query(ue_xy, k=2)
     clear = dist[:, 1] - dist[:, 0] > 1e-9
-    inside = (np.matmul(pts[clear], layout.normals) <= layout.offsets).all(axis=2)
-    owner = nearest[clear, 0] == np.arange(layout.n_total)[:, None]
-    assert np.array_equal(inside, owner)
+    assert np.array_equal(nearest[clear, 0], cells[clear])
+    xmin, ymin, xmax, ymax = layout.region
+    assert np.all((ue_xy >= (xmin - 1e-12, ymin - 1e-12)) & (ue_xy <= (xmax + 1e-12, ymax + 1e-12)))
+    assert np.all(np.hypot(*(ue_xy - layout.rap_xy[cells]).T) >= MIN_UE_RAP_KM)
 
 
 # Agreement with the Qhull construction, fixed before the first comparison:
-# ridges of at most RIDGE_TOL_KM count as zero-length (cocircular RAPs meet
-# in a point), areas agree within AREA_TOL of the region's area and
-# bounding boxes within BOX_TOL_KM.
+# vertices at most RIDGE_TOL_KM apart count as one (cocircular RAPs meet in
+# a zero-length ridge), the merged vertices agree within VERTEX_TOL_KM and
+# areas within AREA_TOL of the region's area.
 RIDGE_TOL_KM = RESOLUTION_KM
 AREA_TOL = 1e-9
-BOX_TOL_KM = 1e-9
+VERTEX_TOL_KM = 1e-9
 
 
-def bisector_edges(layout):
-    """Per cell, each neighbour its half-planes name (the padding dropped),
-    with the length of the cell's edge on their bisector."""
-    pts = layout.rap_xy
-    out = []
-    for i, verts in enumerate(layout.cell_vertices):
-        edges = {}
-        for d in layout.normals[i].T[layout.normals[i].T.any(axis=1)]:
-            gap = np.hypot(*(pts - (pts[i] + d)).T)
-            j = int(np.argmin(gap))
-            assert gap[j] < 1e-12
-            norm = math.hypot(*d)
-            on = verts[np.abs((verts - pts[i]) @ d - norm * norm / 2) <= RIDGE_TOL_KM * norm]
-            assert len(on), f"the bisector of RAPs {i} and {j} misses cell {i}"
-            along = on @ (-d[1], d[0]) / norm
-            edges[j] = float(along.max() - along.min())
-        out.append(edges)
-    return out
+def merged(verts):
+    """A polygon's vertices less each within RIDGE_TOL_KM of the last one
+    kept, and less the last kept if it is that close to the first."""
+    kept = [verts[0]]
+    for v in verts[1:]:
+        if math.hypot(*(v - kept[-1])) > RIDGE_TOL_KM:
+            kept.append(v)
+    if len(kept) > 1 and math.hypot(*(kept[-1] - kept[0])) <= RIDGE_TOL_KM:
+        kept.pop()
+    return np.array(kept)
 
 
-def assert_matches_qhull(layout, areas_too=True):
-    polys, areas, ridges = oracles.voronoi_cells(layout.rap_xy, layout.region)
-    for i, edges in enumerate(bisector_edges(layout)):
-        got = {j for j, length in edges.items() if length > RIDGE_TOL_KM}
-        want = {j for j, length in ridges[i].items() if length > RIDGE_TOL_KM}
-        assert got == want, f"cell {i}"
+def assert_matches_qhull(layout, vertex_tol_km=VERTEX_TOL_KM, areas_too=True):
+    polys, areas = oracles.voronoi_cells(layout.rap_xy, layout.region)
+    for i, (got, want) in enumerate(zip(layout.cell_vertices, polys)):
+        got, want = merged(got), merged(want)
+        assert len(got) == len(want), f"cell {i}"
+        # both CCW: start Qhull's at the vertex nearest the clipper's first
+        want = np.roll(want, -int(np.hypot(*(want - got[0]).T).argmin()), axis=0)
+        assert np.abs(got - want).max() <= vertex_tol_km, f"cell {i}"
     if areas_too:
         xmin, ymin, xmax, ymax = layout.region
         assert np.abs(layout.areas_km2 - areas).max() <= AREA_TOL * (xmax - xmin) * (ymax - ymin)
-        span, lo = layout.box.transpose(1, 0, 2)
-        assert np.abs(lo - [v.min(axis=0) for v in polys]).max() <= BOX_TOL_KM
-        assert np.abs(lo + span - [v.max(axis=0) for v in polys]).max() <= BOX_TOL_KM
 
 
 @settings(max_examples=200, deadline=None)
@@ -312,7 +350,9 @@ def test_clipped_cells_match_qhull_on_synthesized_layouts(n_total, side_km, min_
 @pytest.mark.parametrize("seed", range(20))
 def test_rap_near_an_edge_conserves_area(seed):
     # Qhull's cells lose about 6e-9 of their relative area when a RAP sits
-    # 1e-8 km from an edge, so the clipper's areas are checked by their sum
+    # 1e-8 km from an edge, and its vertices move by up to that 1e-8 km, so
+    # the clipper's areas are checked by their sum and its vertices within
+    # 1e-7 km
     rng = np.random.default_rng(seed)
     width, height = 10.0, 4.0
     pts = rng.random((10, 2)) * [width, height]
@@ -320,7 +360,36 @@ def test_rap_near_an_edge_conserves_area(seed):
     pts[0, axis] = (width, height)[axis] - 1e-8 if seed % 4 > 1 else 1e-8
     layout = build_layout(pts, (0.0, 0.0, width, height), ())
     assert abs(layout.areas_km2.sum() / (width * height) - 1.0) < 1e-12
-    assert_matches_qhull(layout, areas_too=False)
+    assert_matches_qhull(layout, vertex_tol_km=1e-7, areas_too=False)
+
+
+# digests of the shipped layout's cell areas and of the UE positions of one
+# 250-subframe draw chunk at 1 UE/km^2
+LAYOUT_AND_CHUNK_DIGESTS = """
+import hashlib
+import numpy as np
+from cransim.geometry import draw_subframe, synthesize_layout
+from cransim.rng import substream
+
+layout = synthesize_layout(substream(4242, "layout", 0))
+rng = substream(4242, "net", 0, 0)
+ue_xy = np.concatenate([draw_subframe(layout, 1.0, rng).ue_xy for _ in range(250)])
+digests = [hashlib.sha256(a.tobytes()).hexdigest() for a in (layout.areas_km2, ue_xy)]
+"""
+
+
+def test_layout_and_positions_do_not_depend_on_the_blas_kernel():
+    # OpenBLAS picks its kernel for the CPU at run time, and the bits of a
+    # BLAS product depend on it (Prescott's has no FMA), so the layout and
+    # the draw use no BLAS call: the digests match a child process that is
+    # made to use the Prescott kernel
+    here = {}
+    exec(LAYOUT_AND_CHUNK_DIGESTS, here)
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott", PYTHONPATH=os.pathsep.join(sys.path))
+    child = subprocess.run([sys.executable, "-c", LAYOUT_AND_CHUNK_DIGESTS + "print(*digests)"],
+                           env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == here["digests"]
 
 
 def test_sinr_unit_distance_no_interference(two_cell_layout):
